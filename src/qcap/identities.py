@@ -16,7 +16,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping
 
-from qcap.series import ONE, QSeries, ZERO, Comparison, compare, div_exact, inverse, monomial
+from qcap.series import (
+    ONE,
+    Accumulator,
+    Comparison,
+    QSeries,
+    ZERO,
+    compare,
+    div_exact,
+    inverse,
+    monomial,
+)
 from qcap.qcombinat import (
     inv_pochhammer_inf,
     jacobi3,
@@ -76,77 +86,79 @@ def _trunc_one(n: int) -> QSeries:
 @lru_cache(maxsize=None)
 def seed_cap1_binomial(M: int) -> QSeries:
     """sum q^{2m^2+6mn+6n^2} (q^3)_M / [(q)_m (q^3)_n (q^3)_{M-2n-m}]."""
-    total = ZERO
+    total = Accumulator()
     for n in range(M // 2 + 1):
         for m in range(M - 2 * n + 1):
             ratio = poch_ratio(((M, 3),), ((m, 1), (n, 3), (M - 2 * n - m, 3)))
-            total = total + ratio.shift(2 * m * m + 6 * m * n + 6 * n * n)
-    return total
+            total.add(ratio.shift(2 * m * m + 6 * m * n + 6 * n * n))
+    return total.value()
 
 
 @lru_cache(maxsize=None)
 def seed_cap2_binomial(M: int) -> QSeries:
     """Single-sum form: summand of seed_cap1_binomial shifted by m+3n and
     multiplied by (1 + q^{1+2m+3n}); equals the printed two-sum layout."""
-    total = ZERO
+    total = Accumulator()
     for n in range(M // 2 + 1):
         for m in range(M - 2 * n + 1):
             ratio = poch_ratio(((M, 3),), ((m, 1), (n, 3), (M - 2 * n - m, 3)))
             e = 2 * m * m + 6 * m * n + 6 * n * n + m + 3 * n
             term = ratio.shift(e)
-            total = total + term + term.shift(1 + 2 * m + 3 * n)
-    return total
+            total.add(term)
+            total.add(term.shift(1 + 2 * m + 3 * n))
+    return total.value()
 
 
 def seed_cap2_binomial_two_sums(M: int) -> QSeries:
     """The printed layout: second sum carries prefactor q and exponent 3m+6n."""
-    total = ZERO
+    total = Accumulator()
     for n in range(M // 2 + 1):
         for m in range(M - 2 * n + 1):
             ratio = poch_ratio(((M, 3),), ((m, 1), (n, 3), (M - 2 * n - m, 3)))
             e = 2 * m * m + 6 * m * n + 6 * n * n
-            total = total + ratio.shift(e + m + 3 * n)
-            total = total + ratio.shift(e + 3 * m + 6 * n + 1)
-    return total
+            total.add(ratio.shift(e + m + 3 * n))
+            total.add(ratio.shift(e + 3 * m + 6 * n + 1))
+    return total.value()
 
 
 @lru_cache(maxsize=None)
 def seed_sum_cap(M: int) -> QSeries:
     """sum q^{2m^2+6mn+6n^2-2m-3n} (1+q^{3M}) (q^3)_M / [...] (same quotient)."""
-    total = ZERO
+    total = Accumulator()
     for n in range(M // 2 + 1):
         for m in range(M - 2 * n + 1):
             ratio = poch_ratio(((M, 3),), ((m, 1), (n, 3), (M - 2 * n - m, 3)))
             term = ratio.shift(2 * m * m + 6 * m * n + 6 * n * n - 2 * m - 3 * n)
-            total = total + term + term.shift(3 * M)
-    return total
+            total.add(term)
+            total.add(term.shift(3 * M))
+    return total.value()
 
 
 @lru_cache(maxsize=None)
 def seed_cap1(L: int) -> QSeries:
     """sum q^{2m^2+6mn+6n^2} (q)_L / [(q)_{L-3n-2m} (q)_m (q^3)_n]."""
-    total = ZERO
+    total = Accumulator()
     for n in range(L // 3 + 1):
         for m in range((L - 3 * n) // 2 + 1):
             ratio = poch_ratio(((L, 1),), ((L - 3 * n - 2 * m, 1), (m, 1), (n, 3)))
-            total = total + ratio.shift(2 * m * m + 6 * m * n + 6 * n * n)
-    return total
+            total.add(ratio.shift(2 * m * m + 6 * m * n + 6 * n * n))
+    return total.value()
 
 
 @lru_cache(maxsize=None)
 def seed_cap2(L: int) -> QSeries:
     """Two double sums; the second has prefactor q and residual length
     L-3n-2m-1 (kept as printed, not absorbed)."""
-    total = ZERO
+    total = Accumulator()
     for n in range(L // 3 + 1):
         for m in range((L - 3 * n) // 2 + 1):
             e = 2 * m * m + 6 * m * n + 6 * n * n
             r1 = poch_ratio(((L, 1),), ((L - 3 * n - 2 * m, 1), (m, 1), (n, 3)))
-            total = total + r1.shift(e + m + 3 * n)
+            total.add(r1.shift(e + m + 3 * n))
             r2 = poch_ratio(((L, 1),), ((L - 3 * n - 2 * m - 1, 1), (m, 1), (n, 3)))
             if r2:
-                total = total + r2.shift(e + 3 * m + 6 * n + 1)
-    return total
+                total.add(r2.shift(e + 3 * m + 6 * n + 1))
+    return total.value()
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +168,14 @@ def seed_cap2(L: int) -> QSeries:
 def _binomial_sum(L: int, a: int, base: int, weight: Callable[[int], QSeries]) -> QSeries:
     """sum_j weight(j) * [2L+a, L-j] in the given base; j spans all indices
     with a non-vanishing binomial."""
-    total = ZERO
+    total = Accumulator()
     for j in range(-L - a, L + a + 1):
         w = weight(j)
         if w:
             b = q_binomial(2 * L + a, L - j, base)
             if b:
-                total = total + w * b
-    return total
+                total.add(w * b)
+    return total.value()
 
 
 def rhs_new_fin_cap(which: int, L: int) -> QSeries:
@@ -276,15 +288,15 @@ def hierarchy_finite_lhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
     """Exact multi-sum: chain quotient times the seed polynomial at n_f."""
     fam = _family_checked(family, f, s)
     b, a = fam.base, fam.a
-    total = ZERO
+    total = Accumulator()
     for nvec in index_vectors(f, L):
         nf = nvec[-1]
         N1 = sum(nvec)
         den = ((L - N1, b),) + tuple((x, b) for x in nvec[:-1]) + ((2 * nf + a, b),)
         ratio = poch_ratio(((2 * L + a, b),), den)
         if ratio:
-            total = total + ratio.shift(hierarchy_chain_exponent(fam, nvec, s)) * fam.seed(nf)
-    return total
+            total.add(ratio.shift(hierarchy_chain_exponent(fam, nvec, s)) * fam.seed(nf))
+    return total.value()
 
 
 def hierarchy_finite_rhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
@@ -297,7 +309,7 @@ def hierarchy_limit_lhs(family: str, f: int, n: int, s: int = 0) -> QSeries:
     dropped and finite Pochhammer inverses expanded to order n."""
     fam = _family_checked(family, f, s)
     b, a = fam.base, fam.a
-    total = QSeries(0, (), n)
+    total = Accumulator(n)
     for nvec in index_vectors(f, math.isqrt(n // b) if n >= b else 0):
         e = hierarchy_chain_exponent(fam, nvec, s)
         if e > n:
@@ -307,8 +319,8 @@ def hierarchy_limit_lhs(family: str, f: int, n: int, s: int = 0) -> QSeries:
         for x in nvec[:-1]:
             term = term * _inv_poch_single(x, b, n)
         term = term * _inv_poch_single(2 * nf + a, b, n)
-        total = total + term.shift(e).truncate(n)
-    return total
+        total.add(term.shift(e).truncate(n))
+    return total.value()
 
 
 def _inf_products(factors: tuple[tuple[int, int, int], ...], n: int) -> QSeries:
@@ -360,7 +372,7 @@ def hierarchy_limit_rhs(family: str, f: int, n: int, s: int = 0) -> QSeries:
 def refinement_hierarchy_lhs(nu: int, L: int, M: int) -> QSeries:
     """Exact parity-constrained multi-sum with the doubly bounded binomial
     kernel [L+M-i, L]_{q^3} [L-N_1, i]_{q^3}."""
-    total = ZERO
+    total = Accumulator()
     for nvec in index_vectors(nu, L):
         N = suffix_sums(nvec)
         SN = sum(N)
@@ -383,8 +395,8 @@ def refinement_hierarchy_lhs(nu: int, L: int, M: int) -> QSeries:
                 t4 = q_binomial(2 * n_last + half, 2 * n_last, 3)
                 if t3 and t4:
                     e = (m * m + 3 * (i * i + sum(x * x for x in N))) // 2
-                    total = total + (top1 * top2 * mid * t3 * t4).shift(e)
-    return total
+                    total.add((top1 * top2 * mid * t3 * t4).shift(e))
+    return total.value()
 
 
 def sum_prefix(N: tuple[int, ...], j: int) -> int:
@@ -394,17 +406,17 @@ def sum_prefix(N: tuple[int, ...], j: int) -> int:
 
 def refinement_hierarchy_rhs(nu: int, L: int, M: int) -> QSeries:
     c = (nu + 2) * (nu + 1) // 2
-    total = ZERO
+    total = Accumulator()
     for j in range(-(L + M + 2), M + 2):
         s = warnaar_s(L, M, (nu + 2) * j, (nu + 1) * j, base=3)
         if s:
-            total = total + s.shift(3 * c * j * j + j)
-    return total
+            total.add(s.shift(3 * c * j * j + j))
+    return total.value()
 
 
 def refinement_limit_lhs(nu: int, n: int) -> QSeries:
     """M, L -> infinity: the two bounded binomials collapse to 1/(q^3;q^3)_i."""
-    total = QSeries(0, (), n)
+    total = Accumulator(n)
     i_max = math.isqrt(2 * n // 3) + 1
     for nvec in index_vectors(nu, math.isqrt(2 * n // 3) + 1):
         N = suffix_sums(nvec)
@@ -431,8 +443,8 @@ def refinement_limit_lhs(nu: int, n: int) -> QSeries:
                 t4 = q_binomial(2 * n_last + half, 2 * n_last, 3)
                 if t3 and t4:
                     term = mid * t3 * t4 * _inv_poch_single(i, 3, n)
-                    total = total + term.shift(e).truncate(n)
-    return total
+                    total.add(term.shift(e).truncate(n))
+    return total.value()
 
 
 def refinement_limit_rhs(nu: int, n: int) -> QSeries:
@@ -447,7 +459,7 @@ def refinement_limit_rhs(nu: int, n: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 def seed_identity_lhs(L: int, M: int) -> QSeries:
-    total = ZERO
+    total = Accumulator()
     for i in range(min(M, L) + 1):
         top1 = q_binomial(L + M - i, L, 3)
         if not top1:
@@ -456,48 +468,48 @@ def seed_identity_lhs(L: int, M: int) -> QSeries:
             t2 = q_binomial(3 * (L - i), m, 1)
             t3 = q_binomial(2 * (L - i) + (i - m) // 2, 2 * (L - i), 3)
             if t2 and t3:
-                total = total + (top1 * t2 * t3).shift((m * m + 3 * i * i) // 2)
-    return total
+                total.add((top1 * t2 * t3).shift((m * m + 3 * i * i) // 2))
+    return total.value()
 
 
 def seed_identity_rhs(L: int, M: int) -> QSeries:
-    total = ZERO
+    total = Accumulator()
     for j in range(-(L + M + 2), M + 2):
         s = warnaar_s(L, M, 2 * j, j, base=3)
         if s:
-            total = total + s.shift(3 * j * j + j)
-    return total
+            total.add(s.shift(3 * j * j + j))
+    return total.value()
 
 
 def roundtri_lhs(which: int, L: int) -> QSeries:
-    total = ZERO
+    total = Accumulator()
     for n in range(L // 2 + 1):
         for m in range(L - 2 * n + 1):
             r = L - 2 * n - m
             e = 2 * m * m + 6 * m * n + 6 * n * n
             if which == 1:
                 t = q_binomial(3 * r, m, 1) * q_binomial(2 * r + n, n, 3)
-                total = total + t.shift(e)
+                total.add(t.shift(e))
             else:
                 t1 = q_binomial(3 * r + 2, m, 1) * q_binomial(2 * r + n + 1, n, 3)
-                total = total + t1.shift(e + m + 3 * n)
+                total.add(t1.shift(e + m + 3 * n))
                 t2 = q_binomial(3 * r, m, 1) * q_binomial(2 * r + n, n, 3)
-                total = total + t2.shift(e + 3 * m + 6 * n + 1)
-    return total
+                total.add(t2.shift(e + 3 * m + 6 * n + 1))
+    return total.value()
 
 
 def roundtri_rhs(which: int, L: int) -> QSeries:
-    total = ZERO
+    total = Accumulator()
     for j in range(-(L // 2 + 2), L // 2 + 3):
         if which == 1:
             t = trinomial_t(L, 2 * j, 2 * j, base=3)
             if t:
-                total = total + t.shift(3 * j * j + j)
+                total.add(t.shift(3 * j * j + j))
         else:
             t = trinomial_t(L + 1, 2 * j + 1, 2 * j + 1, base=3)
             if t:
-                total = total + t.shift(3 * j * j + 2 * j)
-    return total
+                total.add(t.shift(3 * j * j + 2 * j))
+    return total.value()
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +517,7 @@ def roundtri_rhs(which: int, L: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 def cap_analytic_lhs(which: int, n: int) -> QSeries:
-    total = QSeries(0, (), n)
+    total = Accumulator(n)
     m = 0
     while 2 * m * m <= n:
         k = 0
@@ -513,13 +525,14 @@ def cap_analytic_lhs(which: int, n: int) -> QSeries:
             e = 2 * m * m + 6 * m * k + 6 * k * k
             base_term = _inv_poch_single(m, 1, n) * _inv_poch_single(k, 3, n)
             if which == 1:
-                total = total + base_term.shift(e).truncate(n)
+                total.add(base_term.shift(e).truncate(n))
             else:
                 t = base_term.shift(e + m + 3 * k)
-                total = total + t.truncate(n) + t.shift(1 + 2 * m + 3 * k).truncate(n)
+                total.add(t.truncate(n))
+                total.add(t.shift(1 + 2 * m + 3 * k).truncate(n))
             k += 1
         m += 1
-    return total
+    return total.value()
 
 
 def cap_analytic_rhs(which: int, n: int) -> QSeries:
@@ -534,7 +547,7 @@ def cap_analytic_rhs(which: int, n: int) -> QSeries:
 
 def rhs_rewrite_split(which: int, L: int) -> QSeries:
     """The 3k / 3k+1 split form."""
-    total = ZERO
+    total = Accumulator()
     for k in range(-(L // 3 + 2), L // 3 + 3):
         b0 = q_binomial(2 * L, L + 3 * k, 1)
         b1 = q_binomial(2 * L, L + 3 * k + 1, 1)
@@ -543,10 +556,10 @@ def rhs_rewrite_split(which: int, L: int) -> QSeries:
         else:
             e0, e1 = 3 * k * (3 * k + 1), (3 * k + 1) * (3 * k + 2)
         if b0:
-            total = total + b0.shift(e0)
+            total.add(b0.shift(e0))
         if b1:
-            total = total - b1.shift(e1)
-    return total
+            total.add(-b1.shift(e1))
+    return total.value()
 
 
 def rhs_rewrite_rational(which: int, L: int) -> QSeries:
@@ -610,7 +623,7 @@ def cor_cap2_analogue_rhs(L: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 def dual_lhs(which: int, L: int) -> QSeries:
-    total = ZERO
+    total = Accumulator()
     for m in range(L // 2 + 1):
         for n_ in range(L - 2 * m + 1):
             rem = L - n_ - 2 * m
@@ -618,16 +631,16 @@ def dual_lhs(which: int, L: int) -> QSeries:
                 if rem % 3 == 0:
                     ratio = poch_ratio(((L, 1),), ((m, 1), (n_, 1), (rem // 3, 3)))
                     e = m * (m - 1) // 2 + L * n_
-                    total = total + ratio.shift(e) * monomial(0, (-1) ** m)
+                    total.add(ratio.shift(e) * monomial(0, (-1) ** m))
             else:
                 e = m * (m + 1) // 2 + (L + 1) * n_
                 if rem % 3 == 0:
                     ratio = poch_ratio(((L, 1),), ((m, 1), (n_, 1), (rem // 3, 3)))
-                    total = total + ratio.shift(e) * monomial(0, (-1) ** m)
+                    total.add(ratio.shift(e) * monomial(0, (-1) ** m))
                 if rem >= 1 and (rem - 1) % 3 == 0:
                     ratio = poch_ratio(((L, 1),), ((m, 1), (n_, 1), ((rem - 1) // 3, 3)))
-                    total = total - ratio.shift(e) * monomial(0, (-1) ** m)
-    return total
+                    total.add(-ratio.shift(e) * monomial(0, (-1) ** m))
+    return total.value()
 
 
 def dual_rhs(which: int, L: int) -> QSeries:
@@ -646,12 +659,12 @@ def dual_construct(which: int, side: str, L: int) -> QSeries:
 
 
 def dual_limit_reference(b: int, n: int) -> QSeries:
-    total = QSeries(0, (), n)
+    total = Accumulator(n)
     for k in range(n + 1):
         c = jacobi3(k + b)
         if c:
-            total = total + (_inv_poch_single(k, 1, n) * c).shift(k).truncate(n)
-    return total
+            total.add((_inv_poch_single(k, 1, n) * c).shift(k).truncate(n))
+    return total.value()
 
 
 def _eta_ratio(n: int) -> QSeries:
@@ -659,19 +672,19 @@ def _eta_ratio(n: int) -> QSeries:
 
 
 def dual_limit_unified(b: int, n: int) -> QSeries:
-    total = QSeries(0, (), n)
+    total = Accumulator(n)
     m = 0
     while m * (m + 1) // 2 <= n:
         c = jacobi3(m - b)
         if c:
             sign = c * (-1) ** (m + 1)
-            total = total + (_inv_poch_single(m, 1, n) * sign).shift(m * (m + 1) // 2).truncate(n)
+            total.add((_inv_poch_single(m, 1, n) * sign).shift(m * (m + 1) // 2).truncate(n))
         m += 1
-    return (_eta_ratio(n) * total).truncate(n)
+    return (_eta_ratio(n) * total.value()).truncate(n)
 
 
 def dual_limit_specific(b: int, n: int) -> QSeries:
-    total = QSeries(0, (), n)
+    total = Accumulator(n)
     m = 0
     while True:
         if b == 2:
@@ -682,9 +695,9 @@ def dual_limit_specific(b: int, n: int) -> QSeries:
             e, length, sign = 3 * m * (3 * m - 1) // 2, 3 * m, (-1) ** m
         if e > n:
             break
-        total = total + (_inv_poch_single(length, 1, n) * sign).shift(e).truncate(n)
+        total.add((_inv_poch_single(length, 1, n) * sign).shift(e).truncate(n))
         m += 1
-    return (_eta_ratio(n) * total).truncate(n)
+    return (_eta_ratio(n) * total.value()).truncate(n)
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +774,7 @@ def _check_params(case: IdentityCase, params: Mapping[str, int]) -> None:
         if name not in params:
             raise ParamOutOfRange(f"{case.id}: missing parameter {name!r}")
         value = params[name]
-        if not isinstance(value, int):
+        if isinstance(value, bool) or not isinstance(value, int):
             raise ParamOutOfRange(f"{case.id}: parameter {name!r} must be an integer")
         minimum = 1 if name in ("f", "nu", "k") else 0
         if value < minimum:

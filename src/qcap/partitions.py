@@ -35,14 +35,6 @@ def enumerate_partitions(n: int, predicate: Callable[[Partition], bool] | None =
     return [p for p in partitions(n) if predicate is None or predicate(p)]
 
 
-def size(p: Partition) -> int:
-    return sum(p)
-
-
-def num_parts(p: Partition) -> int:
-    return len(p)
-
-
 def is_distinct(p: Partition) -> bool:
     return all(a > b for a, b in zip(p, p[1:]))
 

@@ -9,9 +9,12 @@ values are :class:`~qcap.series.QSeries` with integer coefficients.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 
-from qcap.series import ONE, QSeries, ZERO, div_exact, inverse, monomial
+from qcap.series import ONE, Accumulator, NonDivisible, QSeries, ZERO, inverse, monomial
 
 
 class NegativeLength(ValueError):
@@ -76,6 +79,37 @@ def inv_pochhammer_inf(shift: int, base: int, n: int) -> QSeries:
 # q-binomial / q-multinomial
 # ---------------------------------------------------------------------------
 
+def _times_one_minus(coeffs: list[int], m: int) -> list[int]:
+    """coeffs * (1 - q^m) on a coefficient list."""
+    pad = [0] * m
+    return list(map(sub, coeffs + pad, pad + coeffs))
+
+
+def _div_one_minus(coeffs: list[int], m: int) -> list[int]:
+    """Exact quotient coeffs / (1 - q^m) on a coefficient list.
+
+    As a power series the quotient is the running sum of each residue class
+    mod m; it is a polynomial, of length len(coeffs) - m, exactly when the
+    top m running sums vanish.  Otherwise raises NonDivisible.
+    """
+    out = list(coeffs)
+    for r in range(m):
+        out[r::m] = accumulate(out[r::m])
+    if any(out[-m:]):
+        raise NonDivisible(f"(1 - q^{m}) does not divide the numerator")
+    return out[:-m]
+
+
+def _tight(coeffs: list[int]) -> list[int]:
+    """Copies of the ints, each allocated no wider than its value needs.
+
+    CPython allocates a sum of two same-sign multi-digit ints one digit wider
+    than its wider operand, and a running sum keeps that width; ``c - 0``
+    copies c at its own width.  Applied to the lists the caches keep.
+    """
+    return [c - 0 for c in coeffs]
+
+
 @lru_cache(maxsize=None)
 def _q_binomial_base1(top: int, k: int) -> QSeries:
     if k < 0 or top < 0 or k > top:
@@ -83,9 +117,9 @@ def _q_binomial_base1(top: int, k: int) -> QSeries:
     k = min(k, top - k)
     if k == 0:
         return ONE
-    # (q;q)_top / ((q;q)_k (q;q)_{top-k}), built by exact division.
-    num = _q_binomial_base1(top - 1, k - 1) * pochhammer(1, shift=top, base=1)
-    return div_exact(num, ONE - monomial(k))
+    # [top, k] = [top-1, k-1] (1 - q^top) / (1 - q^k).
+    prev = list(_q_binomial_base1(top - 1, k - 1).coeffs)
+    return QSeries(0, _tight(_div_one_minus(_times_one_minus(prev, top), k)))
 
 
 def q_binomial(top: int, k: int, base: int = 1) -> QSeries:
@@ -117,29 +151,27 @@ def poch_ratio(num: tuple[tuple[int, int], ...], den: tuple[tuple[int, int], ...
 
 @lru_cache(maxsize=None)
 def _poch_ratio_cached(num: tuple[tuple[int, int], ...], den: tuple[tuple[int, int], ...]) -> QSeries:
-    numerator = ONE
-    for length, b in num:
-        numerator = numerator * pochhammer(length, shift=b, base=b)
-    result = numerator
-    for length, b in sorted(den, key=lambda p: p[0] * p[1]):
-        result = div_exact(result, pochhammer(length, shift=b, base=b))
-    return result
+    """Quotient of Pochhammer products, factor by factor.
 
-
-@lru_cache(maxsize=None)
-def poch_product(parts: tuple[tuple[int, int], ...]) -> QSeries:
-    """Exact product of finite Pochhammers given as (length, base) pairs."""
-    result = ONE
-    for length, b in parts:
-        result = result * pochhammer(length, shift=b, base=b)
-    return result
-
-
-@lru_cache(maxsize=None)
-def inv_poch_product(parts: tuple[tuple[int, int], ...], n: int) -> QSeries:
-    """1 / product of finite Pochhammers, truncated at n (parts pre-sorted by
-    callers for cache hits)."""
-    return inverse(poch_product(parts), n)
+    Each (q^b;q^b)_n is the product of its factors (1 - q^{bk}), k = 1..n.
+    Factors shared by numerator and denominator cancel; the numerator
+    factors left are multiplied out, and the result is divided by each
+    denominator factor left.  Every (1 - q^m) has leading coefficient -1, a
+    unit, so over Z[q] a division fails exactly when the divisor does not
+    divide: cancelling common factors and dividing one factor at a time
+    raises NonDivisible exactly when multiplying the numerator out and
+    dividing it by each denominator Pochhammer with div_exact would.
+    """
+    top = Counter(m for length, b in num for m in range(b, b * length + 1, b))
+    bottom = Counter(m for length, b in den for m in range(b, b * length + 1, b))
+    coeffs = [1]
+    for m, times in sorted((top - bottom).items()):
+        for _ in range(times):
+            coeffs = _times_one_minus(coeffs, m)
+    for m, times in sorted((bottom - top).items()):
+        for _ in range(times):
+            coeffs = _div_one_minus(coeffs, m)
+    return QSeries(0, _tight(coeffs))
 
 
 def q_multinomial(top: int, parts: tuple[tuple[int, int], ...], base: int = 1) -> QSeries:
@@ -158,13 +190,13 @@ def q_multinomial(top: int, parts: tuple[tuple[int, int], ...], base: int = 1) -
 def _trinomial_base1(length: int, b: int, a: int) -> QSeries:
     if length < 0:
         return ZERO
-    total = ZERO
+    total = Accumulator()
     for j in range(length + 1):
         left = _q_binomial_base1(length, j)
         right = _q_binomial_base1(length - j, j + a)
         if left and right:
-            total = total + (left * right).shift(j * (j + b))
-    return total
+            total.add((left * right).shift(j * (j + b)))
+    return total.value()
 
 
 def trinomial_t(length: int, b: int, a: int, base: int = 1) -> QSeries:
@@ -175,14 +207,14 @@ def trinomial_t(length: int, b: int, a: int, base: int = 1) -> QSeries:
 
 @lru_cache(maxsize=None)
 def _warnaar_base1(big_l: int, big_m: int, a: int, b: int) -> QSeries:
-    total = ZERO
+    total = Accumulator()
     for n in range(max(big_m - a + b, 0) + 1):
         t1 = _q_binomial_base1(big_m + big_l - a - 2 * n, big_m)
         t2 = _q_binomial_base1(big_m - a + b, n)
         t3 = _q_binomial_base1(big_m + a - b, n + a)
         if t1 and t2 and t3:
-            total = total + (t1 * t2 * t3).shift(n * (n + a))
-    return total
+            total.add((t1 * t2 * t3).shift(n * (n + a)))
+    return total.value()
 
 
 def warnaar_s(big_l: int, big_m: int, a: int, b: int, base: int = 1) -> QSeries:
@@ -227,12 +259,12 @@ def quadratic_index_range(quad: int, lin: int, limit: int) -> range:
 def jtp_sum(z_shift: int, base: int, n: int) -> QSeries:
     """sum_j q^(j^2) z^j with z = q^z_shift, then q -> q^base, truncated at n."""
     order = n // base
-    total = QSeries(0, (), order)
+    total = Accumulator(order)
     for j in quadratic_index_range(1, z_shift, order):
         e = j * j + z_shift * j
         if e <= order:
-            total = total + monomial(e)
-    return total.substitute_q_power(base).truncate(n)
+            total.add(monomial(e))
+    return total.value().substitute_q_power(base).truncate(n)
 
 
 def _negative_valuation(shift: int, base: int) -> int:
@@ -271,15 +303,15 @@ def jtp_product(z_shift: int, base: int, n: int) -> QSeries:
 def quintuple_sum(z_shift: int, base: int, n: int) -> QSeries:
     """sum_j (-1)^j q^(j(3j-1)/2) z^(3j) (1 + z q^j) with z = q^z_shift."""
     order = n // base
-    total = QSeries(0, (), order)
+    total = Accumulator(order)
     for j in quadratic_index_range(3, 6 * z_shift - 1, 2 * order):
         e = j * (3 * j - 1) // 2 + 3 * z_shift * j
         sign = -1 if j % 2 else 1
         if e <= order:
-            total = total + monomial(e, sign)
+            total.add(monomial(e, sign))
         if e + z_shift + j <= order:
-            total = total + monomial(e + z_shift + j, sign)
-    return total.substitute_q_power(base).truncate(n)
+            total.add(monomial(e + z_shift + j, sign))
+    return total.value().substitute_q_power(base).truncate(n)
 
 
 def quintuple_product(z_shift: int, base: int, n: int) -> QSeries:
@@ -310,17 +342,17 @@ def q_binomial_theorem_sides(a_shift: int | None, z_shift: int, n: int) -> tuple
     """
     if z_shift < 1:
         raise UnboundedBelow("z must be a positive power of q")
-    lhs = QSeries(0, (), n)
+    lhs = Accumulator(n)
     for k in range(n // z_shift + 1):
         if a_shift is None:
             num = ONE
         else:
             num = pochhammer(k, shift=a_shift, base=1)
         term = (num * inverse(pochhammer(k), n)).shift(z_shift * k)
-        lhs = lhs + term.truncate(n)
+        lhs.add(term.truncate(n))
     if a_shift is None:
         rhs_num = QSeries(0, (1,), n)
     else:
         rhs_num = pochhammer_inf(a_shift + z_shift, 1, n)
     rhs = (rhs_num * inv_pochhammer_inf(z_shift, 1, n)).truncate(n)
-    return lhs, rhs
+    return lhs.value(), rhs

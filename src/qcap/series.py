@@ -11,6 +11,7 @@ operands always give an exact result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Iterable, Mapping
 
 
@@ -34,31 +35,37 @@ def _min_trunc(t1: int | None, t2: int | None) -> int | None:
 _KRONECKER_CUTOFF = 4096
 
 
-def _pack(coeffs: list[int], bits: int) -> int:
-    out = 0
-    for c in reversed(coeffs):
-        out = (out << bits) | c
-    return out
-
-
-def _unpack(value: int, bits: int, length: int) -> list[int]:
-    mask = (1 << bits) - 1
-    return [(value >> (bits * i)) & mask for i in range(length)]
-
-
 def _convolve_kronecker(a: list[int], b: list[int]) -> list[int]:
-    # Split into positive/negative parts so every packed limb stays non-negative.
+    """Product of two coefficient lists by one big-integer multiplication.
+
+    Every product coefficient satisfies |c| <= bound = max|a| * max|b| *
+    min(len(a), len(b)).  Limbs are w whole bytes with bound < half =
+    2**(8w-1), so every coefficient, of an operand or of the product, is a
+    w-byte two's-complement limb, and c + half lies in [0, 2**(8w)).  Flipping
+    a limb's top bit turns its two's-complement form into c + half, so an
+    operand packs, with ``H`` the all-``half`` limb pattern, as
+    (limbs ^ H) - H = sum c_i 2**(8wi).  After the one product, (P + H) ^ H
+    maps each product coefficient back to its two's-complement limb: P + H
+    has non-negative limbs c + half, so no carry crosses a limb.
+    """
     n = len(a) + len(b) - 1
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    bits = bound.bit_length() + 1
-    ap = [c if c > 0 else 0 for c in a]
-    am = [-c if c < 0 else 0 for c in a]
-    bp = [c if c > 0 else 0 for c in b]
-    bm = [-c if c < 0 else 0 for c in b]
-    pos = _pack(ap, bits) * _pack(bp, bits) + _pack(am, bits) * _pack(bm, bits)
-    neg = _pack(ap, bits) * _pack(bm, bits) + _pack(am, bits) * _pack(bp, bits)
-    up, un = _unpack(pos, bits, n), _unpack(neg, bits, n)
-    return [p - m for p, m in zip(up, un)]
+    if not bound:
+        return [0] * n
+    w = (bound.bit_length() + 8) // 8
+    half_limb = b"\x00" * (w - 1) + b"\x80"
+
+    def halves(length: int) -> int:
+        return int.from_bytes(half_limb * length, "little")
+
+    def pack(coeffs: list[int]) -> int:
+        limbs = b"".join([c.to_bytes(w, "little", signed=True) for c in coeffs])
+        h = halves(len(coeffs))
+        return (int.from_bytes(limbs, "little") ^ h) - h
+
+    h = halves(n)
+    raw = ((pack(a) * pack(b) + h) ^ h).to_bytes(n * w, "little")
+    return [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, n * w, w)]
 
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:
@@ -258,6 +265,48 @@ def from_terms(terms: Mapping[int, int] | Iterable[tuple[int, int]], trunc: int 
     lo, hi = min(items), max(items)
     coeffs = [items.get(e, 0) for e in range(lo, hi + 1)]
     return QSeries(lo, coeffs, trunc)
+
+
+class Accumulator:
+    """A running sum of QSeries, held in one growing coefficient list.
+
+    ``add(term)`` adds a term in place and ``value()`` returns the sum; the
+    result equals the left fold ``start + t1 + t2 + ...`` of ``+``, with
+    truncation the minimum over the start and every term.  An add stores no
+    coefficient above the truncation known so far.
+    """
+
+    __slots__ = ("_offset", "_coeffs", "_trunc")
+
+    def __init__(self, trunc: int | None = None) -> None:
+        self._offset = 0
+        self._coeffs: list[int] = []
+        self._trunc = trunc
+
+    def add(self, term: QSeries) -> None:
+        self._trunc = trunc = _min_trunc(self._trunc, term.trunc)
+        coeffs = term.coeffs
+        if trunc is not None:
+            coeffs = coeffs[:max(trunc - term.offset + 1, 0)]
+        if not coeffs:
+            return
+        acc = self._coeffs
+        if not acc:
+            self._offset, self._coeffs = term.offset, list(coeffs)
+            return
+        lo = term.offset - self._offset
+        if lo < 0:
+            acc[:0] = [0] * -lo
+            self._offset, lo = term.offset, 0
+        hi = lo + len(coeffs)
+        if hi > len(acc):
+            acc.extend([0] * (hi - len(acc)))
+        acc[lo:hi] = map(add, acc[lo:hi], coeffs)
+
+    def value(self) -> QSeries:
+        if not self._coeffs and self._trunc is None:
+            return ZERO  # shared, as the fold of no terms from ZERO is
+        return QSeries(self._offset, self._coeffs, self._trunc)
 
 
 def div_exact(a: QSeries, b: QSeries) -> QSeries:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON-lines output, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -70,6 +71,21 @@ class TestVerify:
         records = [json.loads(line)
                    for line in target.read_text().splitlines()]
         assert records[-1]["summary"]["verdict"] is True
+
+
+# sha256 of `qcap verify --all --format json` at default bounds without the
+# summary line, recorded before the arithmetic core's fast paths went in.
+# Any change to a report byte at default bounds changes it.
+DEFAULT_REPORT_SHA256 = (
+    "312718cf8067d863bf9d1a38ca8f7db69daa5452b3ffc5f1454b78a06de57950")
+
+
+class TestReportGuard:
+    def test_default_bounds_reports_are_byte_identical(self, capsys):
+        code, out, _ = run(capsys, "verify", "--all", "--format", "json")
+        assert code == EXIT_OK
+        reports = "".join(out.splitlines(keepends=True)[:-1])
+        assert hashlib.sha256(reports.encode()).hexdigest() == DEFAULT_REPORT_SHA256
 
 
 class TestSeries:

@@ -63,6 +63,12 @@ class TestRegistry:
         with pytest.raises(ParamOutOfRange):
             verify_case("new_fin_cap_1", {"L": 2, "M": 1})
 
+    def test_bool_params_rejected(self):
+        with pytest.raises(ParamOutOfRange, match="integer"):
+            verify_case("new_fin_cap_1", {"L": True})
+        with pytest.raises(ParamOutOfRange, match="integer"):
+            verify_case("hierarchy_finite_cap1", {"f": True, "L": 2})
+
     def test_depth_must_be_positive(self):
         with pytest.raises(ParamOutOfRange):
             verify_case("hierarchy_finite_cap1", {"f": 0, "L": 2})

@@ -1,6 +1,7 @@
 """q-special functions and classical product identities."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcap.qcombinat import (
     NegativeLength,
@@ -20,7 +21,17 @@ from qcap.qcombinat import (
     trinomial_t,
     warnaar_s,
 )
-from qcap.series import ONE, Q, QSeries, ZERO, from_terms, inverse, monomial
+from qcap.series import (
+    ONE,
+    Q,
+    QSeries,
+    ZERO,
+    NonDivisible,
+    div_exact,
+    from_terms,
+    inverse,
+    monomial,
+)
 
 
 def poly(*terms):
@@ -122,6 +133,45 @@ class TestQMultinomial:
     def test_negative_numerator_raises(self):
         with pytest.raises(NegativeLength):
             poch_ratio(((-1, 1),), ())
+
+
+def multiply_then_divide(num, den):
+    """The reference poch_ratio: multiply out the numerator Pochhammers, then
+    div_exact by each denominator Pochhammer in order of degree."""
+    result = ONE
+    for length, b in num:
+        result = result * pochhammer(length, shift=b, base=b)
+    for length, b in sorted(den, key=lambda p: p[0] * p[1]):
+        result = div_exact(result, pochhammer(length, shift=b, base=b))
+    return result
+
+
+pochhammer_list = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=14), st.sampled_from((1, 2, 3))),
+    max_size=4,
+)
+
+
+class TestPochRatioReference:
+    @settings(max_examples=300, deadline=None)
+    @given(pochhammer_list, pochhammer_list)
+    def test_matches_multiply_then_divide(self, num, den):
+        num, den = tuple(num), tuple(den)
+        try:
+            expected = multiply_then_divide(num, den)
+        except NonDivisible:
+            with pytest.raises(NonDivisible):
+                poch_ratio(num, den)
+        else:
+            assert poch_ratio(num, den) == expected
+
+    @given(st.integers(min_value=0, max_value=25), st.integers(min_value=0, max_value=25))
+    def test_q_binomial_matches_div_exact(self, top, k):
+        if k > top:
+            assert q_binomial(top, k) == ZERO
+            return
+        den = pochhammer(k) * pochhammer(top - k)
+        assert q_binomial(top, k) == div_exact(pochhammer(top), den)
 
 
 class TestTrinomial:

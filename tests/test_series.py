@@ -1,16 +1,20 @@
 """Ring arithmetic on exact Laurent polynomials and truncated series."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qcap.series import (
+    _KRONECKER_CUTOFF,
     ONE,
     Q,
     QSeries,
     ZERO,
+    Accumulator,
     Comparison,
     NonDivisible,
     TruncatedInput,
+    _convolve,
+    _convolve_kronecker,
     compare,
     div_exact,
     from_terms,
@@ -32,6 +36,40 @@ laurent = st.builds(
     ),
 )
 nonzero_laurent = laurent.filter(bool)
+
+
+def naive_convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# Coefficient lists long enough that any two cross _KRONECKER_CUTOFF
+# (65 * 65 > 4096): mixed signs, one sign, all negative, units, all zero.
+def _kronecker_lists(coeffs):
+    return st.lists(coeffs, min_size=65, max_size=300)
+
+
+kronecker_operand = st.one_of(
+    _kronecker_lists(st.integers(-10**30, 10**30)),
+    _kronecker_lists(st.integers(0, 10**30)),
+    _kronecker_lists(st.integers(-10**30, -1)),
+    _kronecker_lists(st.integers(-1, 1)),
+    _kronecker_lists(st.just(0)),
+)
+
+# Terms of a sum: exact or truncated, negative offsets, zero terms.
+sum_term = st.builds(
+    from_terms,
+    st.dictionaries(
+        st.integers(min_value=-30, max_value=30),
+        st.integers(min_value=-10**6, max_value=10**6),
+        max_size=12,
+    ),
+    st.one_of(st.none(), st.integers(min_value=-10, max_value=40)),
+)
 
 
 class TestBasics:
@@ -171,6 +209,39 @@ class TestRingAxioms:
         lhs = (a + b) * (a - b)
         rhs = a * a - b * b
         assert (lhs.offset, lhs.coeffs) == (rhs.offset, rhs.coeffs)
+
+
+class TestKronecker:
+    @settings(max_examples=60, deadline=None)
+    @given(kronecker_operand, kronecker_operand)
+    def test_matches_naive_double_loop(self, a, b):
+        assert len(a) * len(b) > _KRONECKER_CUTOFF
+        expected = naive_convolve(a, b)
+        assert _convolve_kronecker(a, b) == expected
+        assert _convolve(a, b) == expected
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_coefficient_at_the_limb_bound(self, sign):
+        # bound = max|a| max|b| min(len) = 2**60 * 2**60 * 128 = 2**127, and
+        # the middle coefficient is sign * bound: limbs of 16 bytes would
+        # hold it only for sign -1, so the width must round up to 17 bytes
+        a, b = [2**60] * 128, [sign * 2**60] * 128
+        product = _convolve_kronecker(a, b)
+        assert product[127] == sign * 2**127
+        assert product == naive_convolve(a, b)
+
+
+class TestAccumulator:
+    @given(st.one_of(st.none(), st.integers(min_value=-10, max_value=40)),
+           st.lists(sum_term, max_size=20))
+    def test_matches_left_fold_of_add(self, start, terms):
+        acc = Accumulator(start)
+        folded = QSeries(0, (), start)
+        for term in terms:
+            acc.add(term)
+            folded = folded + term
+            assert acc.value() == folded
+        assert acc.value() == folded
 
 
 class TestInverse:
