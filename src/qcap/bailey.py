@@ -14,19 +14,17 @@ transformation of the Jacobi-weighted sum) between applications.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable
 
-from qcap.series import ONE, QSeries, ZERO, monomial
+from qcap.series import ONE, Accumulator, QSeries, ZERO, monomial
 from qcap.identities import (
     ParamOutOfRange,
+    _family_checked,
+    binomial_sum,
     cor_cap2_analogue_lhs,
-    seed_cap1,
-    seed_cap1_binomial,
-    seed_cap2,
-    seed_cap2_binomial,
-    seed_sum_cap,
 )
-from qcap.qcombinat import jacobi3, poch_ratio, q_binomial
+from qcap.qcombinat import jacobi3, poch_ratio
 
 
 @dataclass(frozen=True)
@@ -47,14 +45,7 @@ class BaileyAlpha:
 
 def bailey_f(alpha: BaileyAlpha, L: int) -> QSeries:
     """F_a(L) = sum_j alpha(j) [2L+a, L-j]; support |j| <= L+a."""
-    total = ZERO
-    for j in range(-L - alpha.a, L + alpha.a + 1):
-        w = alpha.alpha(j)
-        if w:
-            b = q_binomial(2 * L + alpha.a, L - j, alpha.base)
-            if b:
-                total = total + w * b
-    return total
+    return binomial_sum(L, alpha.a, alpha.base, alpha.alpha)
 
 
 def bailey_step(alpha: BaileyAlpha) -> BaileyAlpha:
@@ -74,13 +65,13 @@ def bailey_lhs_transform(
     """The r-sum side of the lemma applied to an arbitrary L-indexed family."""
 
     def transformed(L: int) -> QSeries:
-        total = ZERO
+        total = Accumulator()
         for r in range(L + 1):
             ratio = poch_ratio(
                 ((2 * L + a, base),), ((L - r, base), (2 * r + a, base))
             )
-            total = total + ratio.shift(base * (r * r + a * r)) * g(r)
-        return total
+            total.add(ratio.shift(base * (r * r + a * r)) * g(r))
+        return total.value()
 
     return transformed
 
@@ -136,57 +127,19 @@ ALPHAS: dict[str, BaileyAlpha] = {
 # Hierarchy generation (the cross-oracle for identities.hierarchy_finite_lhs)
 # ---------------------------------------------------------------------------
 
-_SEEDS: dict[str, tuple[Callable[[int], QSeries], int, int]] = {
-    # family -> (seed LHS evaluator, a, base)
-    "cap1_binomial": (seed_cap1_binomial, 0, 3),
-    "cap2_binomial": (seed_cap2_binomial, 1, 3),
-    "sum_cap": (seed_sum_cap, 0, 3),
-    "cap1": (seed_cap1, 0, 1),
-    "cap2": (seed_cap2, 0, 1),
-    "cap2_analogue": (seed_cap2, 1, 1),
-    "double": (cor_cap2_analogue_lhs, 0, 1),
-}
-
-
-def _memoized(g: Callable[[int], QSeries]) -> Callable[[int], QSeries]:
-    cache: dict[int, QSeries] = {}
-
-    def wrapped(L: int) -> QSeries:
-        if L not in cache:
-            cache[L] = g(L)
-        return cache[L]
-
-    return wrapped
-
-
 def generate_hierarchy_lhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
     """Iterate the transform f times from the family seed.
 
-    For the twisted family the chain is: seed already carries one q^L factor;
-    each of the first s applications is followed by another q^L multiplication
-    except the last, after which the remaining f-s applications are plain.
+    The twisted family with s > 0 starts from the seed already carrying one
+    q^L factor; each of the first s applications is followed by another q^L
+    multiplication except the last, and the remaining f-s are plain.
     """
-    if family not in _SEEDS:
-        raise ParamOutOfRange(f"unknown hierarchy family {family!r}")
-    seed, a, base = _SEEDS[family]
-    if f < 1:
-        raise ParamOutOfRange("hierarchy depth f must be >= 1")
-    if family == "double":
-        if not 0 <= s <= f:
-            raise ParamOutOfRange("twist s must satisfy 0 <= s <= f")
-        g = _memoized(seed_cap1 if s == 0 else seed)
-        for t in range(1, s + 1):
-            g = _memoized(bailey_lhs_transform(g, a, base))
-            if t < s:
-                g = _memoized(lambda r, inner=g: inner(r).shift(r))
-        for _ in range(f - s):
-            g = _memoized(bailey_lhs_transform(g, a, base))
-        return g(L)
-    if s:
-        raise ParamOutOfRange(f"family {family!r} takes no twist")
-    g = _memoized(seed)
-    for _ in range(f):
-        g = _memoized(bailey_lhs_transform(g, a, base))
+    fam = _family_checked(family, f, s)
+    g = cache(cor_cap2_analogue_lhs if s else fam.seed)
+    for t in range(1, f + 1):
+        g = cache(bailey_lhs_transform(g, fam.a, fam.base))
+        if t < s:
+            g = cache(lambda r, inner=g: inner(r).shift(r))
     return g(L)
 
 

@@ -10,6 +10,7 @@ first mismatching coefficient if any.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from qcap.qcombinat import (
     pochhammer,
     pochhammer_inf,
     poch_ratio,
+    product_of_inf,
     q_binomial,
     trinomial_t,
     warnaar_s,
@@ -83,41 +85,33 @@ def _trunc_one(n: int) -> QSeries:
 # because the grouped Pochhammer quotients are themselves polynomials.
 # ---------------------------------------------------------------------------
 
+def _base3_terms(M: int) -> Iterator[tuple[int, int, int, QSeries]]:
+    """(m, n, e, ratio) for every term of the base-3 seed sums at bound M:
+    e = 2m^2+6mn+6n^2 and ratio = (q^3)_M / [(q)_m (q^3)_n (q^3)_{M-2n-m}]."""
+    for n in range(M // 2 + 1):
+        for m in range(M - 2 * n + 1):
+            ratio = poch_ratio(((M, 3),), ((m, 1), (n, 3), (M - 2 * n - m, 3)))
+            yield m, n, 2 * m * m + 6 * m * n + 6 * n * n, ratio
+
+
 @lru_cache(maxsize=None)
 def seed_cap1_binomial(M: int) -> QSeries:
     """sum q^{2m^2+6mn+6n^2} (q^3)_M / [(q)_m (q^3)_n (q^3)_{M-2n-m}]."""
     total = Accumulator()
-    for n in range(M // 2 + 1):
-        for m in range(M - 2 * n + 1):
-            ratio = poch_ratio(((M, 3),), ((m, 1), (n, 3), (M - 2 * n - m, 3)))
-            total.add(ratio.shift(2 * m * m + 6 * m * n + 6 * n * n))
+    for m, n, e, ratio in _base3_terms(M):
+        total.add(ratio.shift(e))
     return total.value()
 
 
 @lru_cache(maxsize=None)
 def seed_cap2_binomial(M: int) -> QSeries:
-    """Single-sum form: summand of seed_cap1_binomial shifted by m+3n and
-    multiplied by (1 + q^{1+2m+3n}); equals the printed two-sum layout."""
+    """The printed two-sum layout over the seed_cap1_binomial quotient: the
+    first sum has exponent 2m^2+6mn+6n^2+m+3n, the second carries the
+    prefactor q and exponent 2m^2+6mn+6n^2+3m+6n."""
     total = Accumulator()
-    for n in range(M // 2 + 1):
-        for m in range(M - 2 * n + 1):
-            ratio = poch_ratio(((M, 3),), ((m, 1), (n, 3), (M - 2 * n - m, 3)))
-            e = 2 * m * m + 6 * m * n + 6 * n * n + m + 3 * n
-            term = ratio.shift(e)
-            total.add(term)
-            total.add(term.shift(1 + 2 * m + 3 * n))
-    return total.value()
-
-
-def seed_cap2_binomial_two_sums(M: int) -> QSeries:
-    """The printed layout: second sum carries prefactor q and exponent 3m+6n."""
-    total = Accumulator()
-    for n in range(M // 2 + 1):
-        for m in range(M - 2 * n + 1):
-            ratio = poch_ratio(((M, 3),), ((m, 1), (n, 3), (M - 2 * n - m, 3)))
-            e = 2 * m * m + 6 * m * n + 6 * n * n
-            total.add(ratio.shift(e + m + 3 * n))
-            total.add(ratio.shift(e + 3 * m + 6 * n + 1))
+    for m, n, e, ratio in _base3_terms(M):
+        total.add(ratio.shift(e + m + 3 * n))
+        total.add(ratio.shift(e + 3 * m + 6 * n + 1))
     return total.value()
 
 
@@ -125,47 +119,63 @@ def seed_cap2_binomial_two_sums(M: int) -> QSeries:
 def seed_sum_cap(M: int) -> QSeries:
     """sum q^{2m^2+6mn+6n^2-2m-3n} (1+q^{3M}) (q^3)_M / [...] (same quotient)."""
     total = Accumulator()
-    for n in range(M // 2 + 1):
-        for m in range(M - 2 * n + 1):
-            ratio = poch_ratio(((M, 3),), ((m, 1), (n, 3), (M - 2 * n - m, 3)))
-            term = ratio.shift(2 * m * m + 6 * m * n + 6 * n * n - 2 * m - 3 * n)
-            total.add(term)
-            total.add(term.shift(3 * M))
+    for m, n, e, ratio in _base3_terms(M):
+        term = ratio.shift(e - 2 * m - 3 * n)
+        total.add(term)
+        total.add(term.shift(3 * M))
     return total.value()
+
+
+def _base1_terms(L: int, drop: int = 0) -> Iterator[tuple[int, int, int, QSeries]]:
+    """(m, n, e, ratio) for every non-zero term of the base-1 seed sums at
+    bound L: e = 2m^2+6mn+6n^2 and ratio = (q)_L / [(q)_{L-3n-2m-drop} (q)_m
+    (q^3)_n].  Empty for L < 0."""
+    for n in range(L // 3 + 1):
+        for m in range((L - 3 * n) // 2 + 1):
+            ratio = poch_ratio(((L, 1),), ((L - 3 * n - 2 * m - drop, 1), (m, 1), (n, 3)))
+            if ratio:
+                yield m, n, 2 * m * m + 6 * m * n + 6 * n * n, ratio
 
 
 @lru_cache(maxsize=None)
 def seed_cap1(L: int) -> QSeries:
     """sum q^{2m^2+6mn+6n^2} (q)_L / [(q)_{L-3n-2m} (q)_m (q^3)_n]."""
     total = Accumulator()
-    for n in range(L // 3 + 1):
-        for m in range((L - 3 * n) // 2 + 1):
-            ratio = poch_ratio(((L, 1),), ((L - 3 * n - 2 * m, 1), (m, 1), (n, 3)))
-            total.add(ratio.shift(2 * m * m + 6 * m * n + 6 * n * n))
+    for m, n, e, ratio in _base1_terms(L):
+        total.add(ratio.shift(e))
+    return total.value()
+
+
+@lru_cache(maxsize=None)
+def s1_sum(L: int) -> QSeries:
+    """First double sum of seed_cap2: the seed_cap1 summand times q^{m+3n}."""
+    total = Accumulator()
+    for m, n, e, ratio in _base1_terms(L):
+        total.add(ratio.shift(e + m + 3 * n))
+    return total.value()
+
+
+@lru_cache(maxsize=None)
+def s2_sum(L: int) -> QSeries:
+    """Second double sum of seed_cap2: prefactor q, exponent 2m^2+6mn+6n^2
+    +3m+6n, and residual length L-3n-2m-1 (kept as printed, not absorbed)."""
+    total = Accumulator()
+    for m, n, e, ratio in _base1_terms(L, drop=1):
+        total.add(ratio.shift(e + 3 * m + 6 * n + 1))
     return total.value()
 
 
 @lru_cache(maxsize=None)
 def seed_cap2(L: int) -> QSeries:
-    """Two double sums; the second has prefactor q and residual length
-    L-3n-2m-1 (kept as printed, not absorbed)."""
-    total = Accumulator()
-    for n in range(L // 3 + 1):
-        for m in range((L - 3 * n) // 2 + 1):
-            e = 2 * m * m + 6 * m * n + 6 * n * n
-            r1 = poch_ratio(((L, 1),), ((L - 3 * n - 2 * m, 1), (m, 1), (n, 3)))
-            total.add(r1.shift(e + m + 3 * n))
-            r2 = poch_ratio(((L, 1),), ((L - 3 * n - 2 * m - 1, 1), (m, 1), (n, 3)))
-            if r2:
-                total.add(r2.shift(e + 3 * m + 6 * n + 1))
-    return total.value()
+    """The second identity's left-hand side: s1_sum + s2_sum."""
+    return s1_sum(L) + s2_sum(L)
 
 
 # ---------------------------------------------------------------------------
 # Theta-style right-hand sides
 # ---------------------------------------------------------------------------
 
-def _binomial_sum(L: int, a: int, base: int, weight: Callable[[int], QSeries]) -> QSeries:
+def binomial_sum(L: int, a: int, base: int, weight: Callable[[int], QSeries]) -> QSeries:
     """sum_j weight(j) * [2L+a, L-j] in the given base; j spans all indices
     with a non-vanishing binomial."""
     total = Accumulator()
@@ -180,16 +190,16 @@ def _binomial_sum(L: int, a: int, base: int, weight: Callable[[int], QSeries]) -
 
 def rhs_new_fin_cap(which: int, L: int) -> QSeries:
     if which == 1:
-        return _binomial_sum(L, 0, 1, lambda j: monomial(j * j, jacobi3(j + 1)))
-    return _binomial_sum(L, 0, 1, lambda j: monomial(j * (j + 1), jacobi3(j + 1)))
+        return binomial_sum(L, 0, 1, lambda j: monomial(j * j, jacobi3(j + 1)))
+    return binomial_sum(L, 0, 1, lambda j: monomial(j * (j + 1), jacobi3(j + 1)))
 
 
 def rhs_fin_cap_binomial(which: int, M: int) -> QSeries:
     if which == 1:
-        return _binomial_sum(M, 0, 3, lambda j: monomial(3 * j * j + j))
+        return binomial_sum(M, 0, 3, lambda j: monomial(3 * j * j + j))
     if which == 2:
-        return _binomial_sum(M, 1, 3, lambda j: monomial(3 * j * j + 2 * j))
-    return _binomial_sum(
+        return binomial_sum(M, 1, 3, lambda j: monomial(3 * j * j + 2 * j))
+    return binomial_sum(
         M, 0, 3,
         lambda j: monomial(3 * j * j - 2 * j) + monomial(3 * j * j + j),
     )
@@ -201,7 +211,8 @@ def rhs_fin_cap_binomial(which: int, M: int) -> QSeries:
 
 @dataclass(frozen=True)
 class HierarchyFamily:
-    """One Bailey hierarchy: seed double sum, base, parity a, chain shape."""
+    """One Bailey hierarchy: seed double sum, base, parity a, chain shape,
+    and the product side of its f -> infinity limit."""
 
     name: str
     base: int  # 1 or 3: every Pochhammer of the chain lives in q^base
@@ -210,6 +221,9 @@ class HierarchyFamily:
     linear_chain: bool  # chain exponent includes base * sum(N_i)
     twisted: bool  # accepts s; chain adds N_{f-s+1}+...+N_f (base 1 only)
     rhs_weight: Callable[[int, int, int], QSeries]  # (f, s, j) -> alpha_j
+    # (p, s) -> lists of (shift, step, sign) infinite Pochhammers, p = f + 1;
+    # the limit is the sum of their products over (q^base; q^base)_inf.
+    limit_products: Callable[[int, int], tuple[tuple[tuple[int, int, int], ...], ...]]
 
 
 def _w_cap1_binomial(f: int, s: int, j: int) -> QSeries:
@@ -247,19 +261,29 @@ def _w_double(f: int, s: int, j: int) -> QSeries:
 
 FAMILIES: dict[str, HierarchyFamily] = {
     "cap1_binomial": HierarchyFamily(
-        "cap1_binomial", 3, 0, seed_cap1_binomial, False, False, _w_cap1_binomial),
+        "cap1_binomial", 3, 0, seed_cap1_binomial, False, False, _w_cap1_binomial,
+        lambda p, s: (((6 * p, 6 * p, -1), (3 * p - 1, 6 * p, 1), (3 * p + 1, 6 * p, 1)),)),
     "cap2_binomial": HierarchyFamily(
-        "cap2_binomial", 3, 1, seed_cap2_binomial, True, False, _w_cap2_binomial),
+        "cap2_binomial", 3, 1, seed_cap2_binomial, True, False, _w_cap2_binomial,
+        lambda p, s: (((6 * p, 6 * p, -1), (1, 6 * p, 1), (6 * p - 1, 6 * p, 1)),)),
     "sum_cap": HierarchyFamily(
-        "sum_cap", 3, 0, seed_sum_cap, False, False, _w_sum_cap),
+        "sum_cap", 3, 0, seed_sum_cap, False, False, _w_sum_cap,
+        lambda p, s: (((6 * p, 6 * p, -1), (3 * p - 2, 6 * p, 1), (3 * p + 2, 6 * p, 1)),
+                      ((6 * p, 6 * p, -1), (3 * p - 1, 6 * p, 1), (3 * p + 1, 6 * p, 1)))),
     "cap1": HierarchyFamily(
-        "cap1", 1, 0, seed_cap1, False, False, _w_cap1),
+        "cap1", 1, 0, seed_cap1, False, False, _w_cap1,
+        lambda p, s: (((p, p, -1), (3 * p, 3 * p, 1), (2 * p, 6 * p, 1), (4 * p, 6 * p, 1)),)),
     "cap2": HierarchyFamily(
-        "cap2", 1, 0, seed_cap2, False, False, _w_cap2),
+        "cap2", 1, 0, seed_cap2, False, False, _w_cap2,
+        lambda p, s: (((p + 1, 6 * p, -1), (5 * p - 1, 6 * p, -1), (6 * p, 6 * p, -1),
+                       (4 * p - 2, 12 * p, -1), (8 * p + 2, 12 * p, -1)),)),
     "cap2_analogue": HierarchyFamily(
-        "cap2_analogue", 1, 1, seed_cap2, True, False, _w_cap2_analogue),
+        "cap2_analogue", 1, 1, seed_cap2, True, False, _w_cap2_analogue,
+        lambda p, s: (((2 * p, 2 * p, -1), (2 * p, 12 * p, -1), (10 * p, 12 * p, -1)),)),
     "double": HierarchyFamily(
-        "double", 1, 0, seed_cap1, False, True, _w_double),
+        "double", 1, 0, seed_cap1, False, True, _w_double,
+        lambda p, s: (((p - s, 6 * p, -1), (5 * p + s, 6 * p, -1), (6 * p, 6 * p, -1),
+                       (4 * p + 2 * s, 12 * p, -1), (8 * p - 2 * s, 12 * p, -1)),)),
 }
 
 
@@ -274,7 +298,12 @@ def hierarchy_chain_exponent(fam: HierarchyFamily, nvec: tuple[int, ...], s: int
 
 
 def _family_checked(family: str, f: int, s: int) -> HierarchyFamily:
-    fam = FAMILIES[family]
+    try:
+        fam = FAMILIES[family]
+    except KeyError:
+        raise ParamOutOfRange(
+            f"unknown hierarchy family {family!r}; valid: {', '.join(sorted(FAMILIES))}"
+        ) from None
     if f < 1:
         raise ParamOutOfRange("hierarchy depth f must be >= 1")
     if s and not fam.twisted:
@@ -301,7 +330,7 @@ def hierarchy_finite_lhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
 
 def hierarchy_finite_rhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
     fam = _family_checked(family, f, s)
-    return _binomial_sum(L, fam.a, fam.base, lambda j: fam.rhs_weight(f, s, j))
+    return binomial_sum(L, fam.a, fam.base, lambda j: fam.rhs_weight(f, s, j))
 
 
 def hierarchy_limit_lhs(family: str, f: int, n: int, s: int = 0) -> QSeries:
@@ -323,46 +352,12 @@ def hierarchy_limit_lhs(family: str, f: int, n: int, s: int = 0) -> QSeries:
     return total.value()
 
 
-def _inf_products(factors: tuple[tuple[int, int, int], ...], n: int) -> QSeries:
-    """Product of (shift, step, sign) infinite Pochhammers, all shifts >= 1."""
-    out = _trunc_one(n)
-    for shift, step, sign in factors:
-        out = out * pochhammer_inf(shift, step, n, sign=sign)
-    return out
-
-
 def hierarchy_limit_rhs(family: str, f: int, n: int, s: int = 0) -> QSeries:
-    p = f + 1
-    if family == "cap1_binomial":
-        return _inf_products(((6 * p, 6 * p, -1), (3 * f + 2, 6 * p, 1), (3 * f + 4, 6 * p, 1)), n) \
-            * inv_pochhammer_inf(3, 3, n)
-    if family == "cap2_binomial":
-        return _inf_products(((6 * p, 6 * p, -1), (1, 6 * p, 1), (6 * f + 5, 6 * p, 1)), n) \
-            * inv_pochhammer_inf(3, 3, n)
-    if family == "sum_cap":
-        head = pochhammer_inf(6 * p, 6 * p, n, sign=-1)
-        alt1 = _inf_products(((3 * f + 1, 6 * p, 1), (3 * f + 5, 6 * p, 1)), n)
-        alt2 = _inf_products(((3 * f + 2, 6 * p, 1), (3 * f + 4, 6 * p, 1)), n)
-        return head * (alt1 + alt2) * inv_pochhammer_inf(3, 3, n)
-    if family == "cap1":
-        return _inf_products(
-            ((p, p, -1), (3 * p, 3 * p, 1), (2 * p, 6 * p, 1), (4 * p, 6 * p, 1)), n
-        ) * inv_pochhammer_inf(1, 1, n)
-    if family == "cap2":
-        return _inf_products(
-            ((f + 2, 6 * p, -1), (5 * f + 4, 6 * p, -1), (6 * p, 6 * p, -1),
-             (4 * f + 2, 12 * p, -1), (8 * f + 10, 12 * p, -1)), n
-        ) * inv_pochhammer_inf(1, 1, n)
-    if family == "cap2_analogue":
-        return _inf_products(
-            ((2 * p, 2 * p, -1), (2 * p, 12 * p, -1), (10 * p, 12 * p, -1)), n
-        ) * inv_pochhammer_inf(1, 1, n)
-    if family == "double":
-        return _inf_products(
-            ((p - s, 6 * p, -1), (5 * f + 5 + s, 6 * p, -1), (6 * p, 6 * p, -1),
-             (4 * f + 4 + 2 * s, 12 * p, -1), (8 * f + 8 - 2 * s, 12 * p, -1)), n
-        ) * inv_pochhammer_inf(1, 1, n)
-    raise ParamOutOfRange(f"unknown hierarchy family {family!r}")
+    fam = _family_checked(family, f, s)
+    total = Accumulator(n)
+    for factors in fam.limit_products(f + 1, s):
+        total.add(product_of_inf(factors, n))
+    return total.value() * inv_pochhammer_inf(fam.base, fam.base, n)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +444,7 @@ def refinement_limit_lhs(nu: int, n: int) -> QSeries:
 
 def refinement_limit_rhs(nu: int, n: int) -> QSeries:
     c = (nu + 2) * (nu + 1) // 2
-    return _inf_products(
+    return product_of_inf(
         ((6 * c, 6 * c, -1), (3 * c + 1, 6 * c, 1), (3 * c - 1, 6 * c, 1)), n
     ) * inv_pochhammer_inf(3, 3, n)
 
@@ -537,8 +532,8 @@ def cap_analytic_lhs(which: int, n: int) -> QSeries:
 
 def cap_analytic_rhs(which: int, n: int) -> QSeries:
     if which == 1:
-        return _inf_products(((2, 6, 1), (4, 6, 1), (3, 3, 1)), n)
-    return _inf_products(((1, 6, 1), (5, 6, 1), (3, 3, 1)), n)
+        return product_of_inf(((2, 6, 1), (4, 6, 1), (3, 3, 1)), n)
+    return product_of_inf(((1, 6, 1), (5, 6, 1), (3, 3, 1)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -596,15 +591,15 @@ def rhs_rewrite_rational(which: int, L: int) -> QSeries:
 
 def vanishing_aux_sum(L: int) -> QSeries:
     """sum_j jacobi3(j) q^{j^2} [2L, L-j]: antisymmetric, hence zero."""
-    return _binomial_sum(L, 0, 1, lambda j: monomial(j * j, jacobi3(j)))
+    return binomial_sum(L, 0, 1, lambda j: monomial(j * j, jacobi3(j)))
 
 
 def k_transform_lhs(k: int, L: int) -> QSeries:
-    return _binomial_sum(L, 0, 1, lambda j: monomial(k * j * (j - 1), jacobi3(j + 1)))
+    return binomial_sum(L, 0, 1, lambda j: monomial(k * j * (j - 1), jacobi3(j + 1)))
 
 
 def k_transform_rhs(k: int, L: int) -> QSeries:
-    inner = _binomial_sum(
+    inner = binomial_sum(
         L, 0, 1, lambda j: monomial(k * j * j - (k - 1) * j, jacobi3(j + 1))
     )
     return inner.shift(L)
@@ -615,7 +610,7 @@ def cor_cap2_analogue_lhs(L: int) -> QSeries:
 
 
 def cor_cap2_analogue_rhs(L: int) -> QSeries:
-    return _binomial_sum(L, 0, 1, lambda j: monomial(j * (j - 1), jacobi3(j + 1)))
+    return binomial_sum(L, 0, 1, lambda j: monomial(j * (j - 1), jacobi3(j + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -645,8 +640,8 @@ def dual_lhs(which: int, L: int) -> QSeries:
 
 def dual_rhs(which: int, L: int) -> QSeries:
     if which == 1:
-        return _binomial_sum(L, 0, 1, lambda j: monomial(0, jacobi3(j + 1)))
-    return _binomial_sum(L, 0, 1, lambda j: monomial(L - j, jacobi3(j + 1)))
+        return binomial_sum(L, 0, 1, lambda j: monomial(0, jacobi3(j + 1)))
+    return binomial_sum(L, 0, 1, lambda j: monomial(L - j, jacobi3(j + 1)))
 
 
 def dual_construct(which: int, side: str, L: int) -> QSeries:
@@ -723,8 +718,6 @@ class IdentityCase:
     mode: str  # "exact" | "truncated"
     params: tuple[str, ...]
     sides: tuple[tuple[str, Callable[..., QSeries]], ...]
-    grid: Callable[[Bounds], Iterator[dict]]
-    validate: Callable[[Mapping[str, int]], None] | None = None
 
     def side(self, name: str) -> Callable[..., QSeries]:
         for side_name, fn in self.sides:
@@ -782,8 +775,10 @@ def _check_params(case: IdentityCase, params: Mapping[str, int]) -> None:
     for name in params:
         if name not in case.params:
             raise ParamOutOfRange(f"{case.id}: unknown parameter {name!r}")
-    if case.validate is not None:
-        case.validate(params)
+    if "s" in params and params["s"] > params["f"]:
+        raise ParamOutOfRange("twist s must satisfy 0 <= s <= f")
+    if "b" in params and params["b"] not in (0, 1, 2):
+        raise ParamOutOfRange("b must be 0, 1, or 2")
 
 
 def verify_case(case_id: str, params: Mapping[str, int]) -> Report:
@@ -824,207 +819,122 @@ def verify_case(case_id: str, params: Mapping[str, int]) -> Report:
 
 
 def iterate_grid(case_id: str, bounds: Bounds) -> Iterator[dict]:
-    yield from CASES[case_id].grid(bounds)
-
-
-def _grid_L(bounds: Bounds) -> Iterator[dict]:
-    for L in range(bounds.l_max + 1):
-        yield {"L": L}
-
-
-def _grid_M(bounds: Bounds) -> Iterator[dict]:
-    for M in range(bounds.m_max + 1):
-        yield {"M": M}
-
-
-def _grid_LM(bounds: Bounds) -> Iterator[dict]:
-    for L in range(bounds.l_max + 1):
-        for M in range(bounds.m_max + 1):
-            yield {"L": L, "M": M}
-
-
-def _grid_trunc(bounds: Bounds) -> Iterator[dict]:
-    yield {"n": bounds.trunc}
-
-
-def _grid_kL(bounds: Bounds) -> Iterator[dict]:
-    for k in range(1, bounds.k_max + 1):
-        for L in range(bounds.l_max + 1):
-            yield {"k": k, "L": L}
-
-
-def _grid_fL(bounds: Bounds) -> Iterator[dict]:
-    for f in range(1, bounds.f_max + 1):
-        for L in range(bounds.l_max + 1):
-            yield {"f": f, "L": L}
-
-
-def _grid_fsL(bounds: Bounds) -> Iterator[dict]:
-    for f in range(1, bounds.f_max + 1):
-        s_values = bounds.s_values if bounds.s_values is not None else range(f + 1)
-        for s in s_values:
-            if 0 <= s <= f:
-                for L in range(bounds.l_max + 1):
-                    yield {"f": f, "s": s, "L": L}
-
-
-def _grid_f_trunc(bounds: Bounds) -> Iterator[dict]:
-    for f in range(1, bounds.f_max + 1):
-        yield {"f": f, "n": bounds.trunc}
-
-
-def _grid_fs_trunc(bounds: Bounds) -> Iterator[dict]:
-    for f in range(1, bounds.f_max + 1):
-        s_values = bounds.s_values if bounds.s_values is not None else range(f + 1)
-        for s in s_values:
-            if 0 <= s <= f:
-                yield {"f": f, "s": s, "n": bounds.trunc}
-
-
-def _grid_nuLM(bounds: Bounds) -> Iterator[dict]:
-    for nu in range(1, bounds.nu_max + 1):
-        for L in range(bounds.l_max + 1):
-            for M in range(bounds.m_max + 1):
-                yield {"nu": nu, "L": L, "M": M}
-
-
-def _grid_nu_trunc(bounds: Bounds) -> Iterator[dict]:
-    for nu in range(1, bounds.nu_max + 1):
-        yield {"nu": nu, "n": bounds.trunc}
-
-
-def _grid_b_trunc(bounds: Bounds) -> Iterator[dict]:
-    for b in range(3):
-        yield {"b": b, "n": bounds.trunc}
-
-
-def _validate_s_le_f(params: Mapping[str, int]) -> None:
-    if params["s"] > params["f"]:
-        raise ParamOutOfRange("twist s must satisfy 0 <= s <= f")
-
-
-def _validate_b(params: Mapping[str, int]) -> None:
-    if params["b"] not in (0, 1, 2):
-        raise ParamOutOfRange("b must be 0, 1, or 2")
+    """Every instance of the case's grid: the product of each parameter's
+    values in ``params`` order, keeping the instances with 0 <= s <= f."""
+    names = CASES[case_id].params
+    s_values = bounds.s_values if bounds.s_values is not None else range(bounds.f_max + 1)
+    values = {
+        "L": range(bounds.l_max + 1),
+        "M": range(bounds.m_max + 1),
+        "f": range(1, bounds.f_max + 1),
+        "s": s_values,
+        "nu": range(1, bounds.nu_max + 1),
+        "k": range(1, bounds.k_max + 1),
+        "b": range(3),
+        "n": (bounds.trunc,),
+    }
+    for combo in itertools.product(*(values[name] for name in names)):
+        params = dict(zip(names, combo))
+        if 0 <= params.get("s", 0) <= params.get("f", 0):
+            yield params
 
 
 def _build_registry() -> None:
     _register(IdentityCase(
         "cap_analytic_1", "truncated", ("n",),
         (("lhs", lambda n: cap_analytic_lhs(1, n)),
-         ("rhs", lambda n: cap_analytic_rhs(1, n))),
-        _grid_trunc))
+         ("rhs", lambda n: cap_analytic_rhs(1, n)))))
     _register(IdentityCase(
         "cap_analytic_2", "truncated", ("n",),
         (("lhs", lambda n: cap_analytic_lhs(2, n)),
-         ("rhs", lambda n: cap_analytic_rhs(2, n))),
-        _grid_trunc))
+         ("rhs", lambda n: cap_analytic_rhs(2, n)))))
     for which in (1, 2):
         _register(IdentityCase(
             f"fin_cap_roundtri_{which}", "exact", ("L",),
             (("lhs", lambda L, w=which: roundtri_lhs(w, L)),
-             ("rhs", lambda L, w=which: roundtri_rhs(w, L))),
-            _grid_L))
+             ("rhs", lambda L, w=which: roundtri_rhs(w, L)))))
     for which in (1, 2, 3):
-        seed = {1: seed_cap1_binomial, 2: seed_cap2_binomial_two_sums, 3: seed_sum_cap}[which]
+        seed = {1: seed_cap1_binomial, 2: seed_cap2_binomial, 3: seed_sum_cap}[which]
         _register(IdentityCase(
             f"fin_cap_binomial_{which}", "exact", ("M",),
             (("lhs", lambda M, fn=seed: fn(M)),
-             ("rhs", lambda M, w=which: rhs_fin_cap_binomial(w, M))),
-            _grid_M))
+             ("rhs", lambda M, w=which: rhs_fin_cap_binomial(w, M)))))
     _register(IdentityCase(
         "seed_identity", "exact", ("L", "M"),
-        (("lhs", seed_identity_lhs), ("rhs", seed_identity_rhs)),
-        _grid_LM))
+        (("lhs", seed_identity_lhs), ("rhs", seed_identity_rhs))))
     _register(IdentityCase(
         "s_hierarchy", "exact", ("nu", "L", "M"),
-        (("lhs", refinement_hierarchy_lhs), ("rhs", refinement_hierarchy_rhs)),
-        _grid_nuLM))
+        (("lhs", refinement_hierarchy_lhs), ("rhs", refinement_hierarchy_rhs))))
     _register(IdentityCase(
         "s_hierarchy_limit", "truncated", ("nu", "n"),
-        (("lhs", refinement_limit_lhs), ("rhs", refinement_limit_rhs)),
-        _grid_nu_trunc))
+        (("lhs", refinement_limit_lhs), ("rhs", refinement_limit_rhs))))
     for which in (1, 2):
         seed = {1: seed_cap1, 2: seed_cap2}[which]
         _register(IdentityCase(
             f"new_fin_cap_{which}", "exact", ("L",),
             (("lhs", lambda L, fn=seed: fn(L)),
-             ("rhs", lambda L, w=which: rhs_new_fin_cap(w, L))),
-            _grid_L))
+             ("rhs", lambda L, w=which: rhs_new_fin_cap(w, L)))))
     for which in (1, 2):
         _register(IdentityCase(
             f"rhs_rewrites_{which}", "exact", ("L",),
             (("jacobi", lambda L, w=which: rhs_new_fin_cap(w, L)),
              ("split", lambda L, w=which: rhs_rewrite_split(w, L)),
-             ("rational", lambda L, w=which: rhs_rewrite_rational(w, L))),
-            _grid_L))
+             ("rational", lambda L, w=which: rhs_rewrite_rational(w, L)))))
     _register(IdentityCase(
         "fin_cap2_rhs_alt", "exact", ("L",),
         (("lhs", lambda L: rhs_new_fin_cap(2, L)),
-         ("rhs", lambda L: _binomial_sum(
-             L, 1, 1, lambda j: monomial(j * (j + 1), jacobi3(j + 1))))),
-        _grid_L))
+         ("rhs", lambda L: binomial_sum(
+             L, 1, 1, lambda j: monomial(j * (j + 1), jacobi3(j + 1)))))))
     _register(IdentityCase(
         "vanishing_aux", "exact", ("L",),
-        (("sum", vanishing_aux_sum), ("zero", lambda L: ZERO)),
-        _grid_L))
+        (("sum", vanishing_aux_sum), ("zero", lambda L: ZERO))))
     _register(IdentityCase(
         "k_transform", "exact", ("k", "L"),
-        (("lhs", k_transform_lhs), ("rhs", k_transform_rhs)),
-        _grid_kL))
+        (("lhs", k_transform_lhs), ("rhs", k_transform_rhs))))
     _register(IdentityCase(
         "cor_cap2_analogue", "exact", ("L",),
-        (("lhs", cor_cap2_analogue_lhs), ("rhs", cor_cap2_analogue_rhs)),
-        _grid_L))
+        (("lhs", cor_cap2_analogue_lhs), ("rhs", cor_cap2_analogue_rhs))))
     for name in FAMILIES:
         if name == "double":
             continue
         _register(IdentityCase(
             f"hierarchy_finite_{name}", "exact", ("f", "L"),
             (("lhs", lambda f, L, fam=name: hierarchy_finite_lhs(fam, f, L)),
-             ("rhs", lambda f, L, fam=name: hierarchy_finite_rhs(fam, f, L))),
-            _grid_fL))
+             ("rhs", lambda f, L, fam=name: hierarchy_finite_rhs(fam, f, L)))))
         _register(IdentityCase(
             f"hierarchy_limit_{name}", "truncated", ("f", "n"),
             (("lhs", lambda f, n, fam=name: hierarchy_limit_lhs(fam, f, n)),
-             ("rhs", lambda f, n, fam=name: hierarchy_limit_rhs(fam, f, n))),
-            _grid_f_trunc))
+             ("rhs", lambda f, n, fam=name: hierarchy_limit_rhs(fam, f, n)))))
     _register(IdentityCase(
         "hierarchy_finite_double", "exact", ("f", "s", "L"),
         (("lhs", lambda f, s, L: hierarchy_finite_lhs("double", f, L, s)),
-         ("rhs", lambda f, s, L: hierarchy_finite_rhs("double", f, L, s))),
-        _grid_fsL, _validate_s_le_f))
+         ("rhs", lambda f, s, L: hierarchy_finite_rhs("double", f, L, s)))))
     _register(IdentityCase(
         "hierarchy_limit_double", "truncated", ("f", "s", "n"),
         (("lhs", lambda f, s, n: hierarchy_limit_lhs("double", f, n, s)),
-         ("rhs", lambda f, s, n: hierarchy_limit_rhs("double", f, n, s))),
-        _grid_fs_trunc, _validate_s_le_f))
+         ("rhs", lambda f, s, n: hierarchy_limit_rhs("double", f, n, s)))))
     _register(IdentityCase(
         "hierarchy_limit_cap2_f1_corollary", "truncated", ("n",),
         (("lhs", lambda n: hierarchy_limit_lhs("cap2", 1, n)),
          ("rhs", lambda n: (pochhammer_inf(3, 3, n)
-                            * inv_pochhammer_inf(1, 1, n)).truncate(n))),
-        _grid_trunc))
+                            * inv_pochhammer_inf(1, 1, n)).truncate(n)))))
     _register(IdentityCase(
         "corollary_transform", "truncated", ("nu", "n"),
         (("lhs", refinement_limit_lhs),
          ("rhs", lambda nu, n: hierarchy_limit_lhs(
-             "cap1_binomial", nu * (nu + 3) // 2, n))),
-        _grid_nu_trunc))
+             "cap1_binomial", nu * (nu + 3) // 2, n)))))
     for which in (1, 2):
         _register(IdentityCase(
             f"dual_identity_{which}", "exact", ("L",),
             (("lhs", lambda L, w=which: dual_lhs(w, L)),
              ("rhs", lambda L, w=which: dual_rhs(w, L)),
              ("construct_lhs", lambda L, w=which: dual_construct(w, "lhs", L)),
-             ("construct_rhs", lambda L, w=which: dual_construct(w, "rhs", L))),
-            _grid_L))
+             ("construct_rhs", lambda L, w=which: dual_construct(w, "rhs", L)))))
     _register(IdentityCase(
         "dual_limit", "truncated", ("b", "n"),
         (("reference", dual_limit_reference),
          ("specific", dual_limit_specific),
-         ("unified", dual_limit_unified)),
-        _grid_b_trunc, _validate_b))
+         ("unified", dual_limit_unified))))
 
 
 _build_registry()

@@ -241,8 +241,8 @@ def jacobi3(j: int) -> int:
 def quadratic_index_range(quad: int, lin: int, limit: int) -> range:
     """All integers j with quad*j^2 + lin*j <= limit (quad > 0).
 
-    Central helper deriving summation ranges for every theta-style sum from
-    its quadratic exponent.
+    Derives the summation ranges of jtp_sum and quintuple_sum from their
+    quadratic exponents.
     """
     if quad <= 0:
         raise ValueError("quadratic coefficient must be positive")
@@ -276,7 +276,7 @@ def _negative_valuation(shift: int, base: int) -> int:
     return total
 
 
-def _product_of_inf(factors: tuple[tuple[int, int, int], ...], order: int) -> QSeries:
+def product_of_inf(factors: tuple[tuple[int, int, int], ...], order: int) -> QSeries:
     """Product of (shift, step, sign) infinite Pochhammers, sound to ``order``.
 
     Factors with negative leading exponents shift unknown coefficients
@@ -294,7 +294,7 @@ def _product_of_inf(factors: tuple[tuple[int, int, int], ...], order: int) -> QS
 def jtp_product(z_shift: int, base: int, n: int) -> QSeries:
     """(-zq, -q/z, q^2; q^2)_infinity with z = q^z_shift, q -> q^base."""
     order = n // base
-    prod = _product_of_inf(
+    prod = product_of_inf(
         ((1 + z_shift, 2, 1), (1 - z_shift, 2, 1), (2, 2, -1)), order
     )
     return prod.substitute_q_power(base).truncate(n)
@@ -317,7 +317,7 @@ def quintuple_sum(z_shift: int, base: int, n: int) -> QSeries:
 def quintuple_product(z_shift: int, base: int, n: int) -> QSeries:
     """(q, -z, -q/z; q)_infinity (q z^2, q/z^2; q^2)_infinity with z = q^z_shift."""
     order = n // base
-    prod = _product_of_inf(
+    prod = product_of_inf(
         (
             (1, 1, -1),
             (z_shift, 1, 1),

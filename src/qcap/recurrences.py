@@ -17,12 +17,10 @@ short one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 from qcap.series import ONE, QSeries, ZERO, div_exact, monomial
-from qcap.identities import rhs_new_fin_cap, seed_cap1, seed_cap2
-from qcap.qcombinat import poch_ratio
+from qcap.identities import rhs_new_fin_cap, s1_sum, s2_sum, seed_cap1, seed_cap2
 
 
 def _m(e: int) -> QSeries:
@@ -39,36 +37,6 @@ def _prod(*factors: QSeries) -> QSeries:
 # ---------------------------------------------------------------------------
 # Sequences
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def s1_sum(L: int) -> QSeries:
-    """First double sum of the second identity's LHS, kernel denominator
-    (q)_{L-3n-2m} (q)_m (q^3)_n."""
-    if L < 0:
-        return ZERO
-    total = ZERO
-    for n in range(L // 3 + 1):
-        for m in range((L - 3 * n) // 2 + 1):
-            ratio = poch_ratio(((L, 1),), ((L - 3 * n - 2 * m, 1), (m, 1), (n, 3)))
-            total = total + ratio.shift(2 * m * m + 6 * m * n + 6 * n * n + m + 3 * n)
-    return total
-
-
-@lru_cache(maxsize=None)
-def s2_sum(L: int) -> QSeries:
-    """Second double sum: denominator index drops by one, exponent gains
-    2m + 3n + 1."""
-    if L < 0:
-        return ZERO
-    total = ZERO
-    for n in range(L // 3 + 1):
-        for m in range((L - 3 * n) // 2 + 1):
-            ratio = poch_ratio(((L, 1),), ((L - 3 * n - 2 * m - 1, 1), (m, 1), (n, 3)))
-            if ratio:
-                total = total + ratio.shift(
-                    2 * m * m + 6 * m * n + 6 * n * n + 3 * m + 6 * n + 1)
-    return total
-
 
 def _guard(g: Callable[[int], QSeries]) -> Callable[[int], QSeries]:
     return lambda L: g(L) if L >= 0 else ZERO

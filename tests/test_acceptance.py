@@ -9,6 +9,7 @@ from qcap import bailey, partitions, recurrences
 from qcap.identities import (
     Bounds,
     CASES,
+    FAMILIES,
     hierarchy_finite_lhs,
     iterate_grid,
     rhs_new_fin_cap,
@@ -115,7 +116,7 @@ def test_criterion_7_bailey_engine():
         all(passed for _, passed in
             bailey.verify_bailey_theorem(alpha, l_max=6))
         for alpha in bailey.ALPHAS.values())
-    for family in sorted(bailey._SEEDS):
+    for family in sorted(FAMILIES):
         for f in range(1, 4):
             twists = range(f + 1) if family == "double" else (0,)
             for s in twists:

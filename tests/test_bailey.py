@@ -57,7 +57,7 @@ class TestValidation:
             BaileyAlpha("bad", lambda j: ZERO, a=0, base=0)
 
     def test_unknown_family(self):
-        with pytest.raises(ParamOutOfRange):
+        with pytest.raises(ParamOutOfRange, match="valid: cap1, "):
             generate_hierarchy_lhs("nonsense", 1, 2)
 
     def test_depth_must_be_positive(self):

@@ -47,11 +47,21 @@ class TestVerify:
         # everything except the timing line must be byte-identical
         assert first.splitlines()[:-1] == second.splitlines()[:-1]
 
-    def test_parallel_matches_serial(self, capsys):
-        base = ("verify", "--case", "cap_analytic_1", "--L-max", "4")
-        _, serial, _ = run(capsys, *base, "--jobs", "1")
-        _, parallel, _ = run(capsys, *base, "--jobs", "4")
-        assert serial.splitlines()[:-1] == parallel.splitlines()[:-1]
+    @pytest.mark.parametrize("flag", ["--L-max", "--M-max", "--f-max",
+                                      "--nu-max", "--trunc"])
+    def test_negative_bound_is_config_error(self, capsys, flag):
+        code, out, err = run(capsys, "verify", "--all", flag, "-1")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert flag in err
+
+    @pytest.mark.parametrize("s", ["7", "-1"])
+    def test_twist_outside_depth_bound_is_config_error(self, capsys, s):
+        code, out, err = run(capsys, "verify", "--case",
+                             "hierarchy_finite_double", "--s", s)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "--s" in err
 
     def test_text_format_header(self, capsys):
         code, out, _ = run(capsys, "verify", "--case", "new_fin_cap_1",

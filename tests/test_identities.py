@@ -11,6 +11,7 @@ from qcap.identities import (
     dual_construct,
     dual_lhs,
     hierarchy_finite_lhs,
+    hierarchy_limit_rhs,
     index_vectors,
     iterate_grid,
     k_transform_lhs,
@@ -77,6 +78,17 @@ class TestRegistry:
         with pytest.raises(ParamOutOfRange):
             verify_case("hierarchy_finite_double", {"f": 1, "s": 2, "L": 2})
 
+    def test_unknown_family_rejected(self):
+        for side in (hierarchy_finite_lhs, hierarchy_limit_rhs):
+            with pytest.raises(ParamOutOfRange, match="valid: cap1, "):
+                side("nonsense", 1, 2)
+
+    def test_limit_rhs_validates_depth_and_twist(self):
+        with pytest.raises(ParamOutOfRange, match="depth"):
+            hierarchy_limit_rhs("cap1", 0, 10)
+        with pytest.raises(ParamOutOfRange, match="no twist"):
+            hierarchy_limit_rhs("cap1", 1, 10, s=1)
+
     def test_report_fields(self):
         report = verify_case("new_fin_cap_1", {"L": 2})
         assert report.verdict
@@ -110,6 +122,11 @@ class TestSpotValues:
 
 
 class TestGrids:
+    def test_s_values_keep_only_twists_within_depth(self):
+        bounds = Bounds(f_max=3, s_values=(1, 5, -1))
+        assert list(iterate_grid("hierarchy_finite_double", bounds)) == [
+            {"f": f, "s": 1, "L": L} for f in range(1, 4) for L in range(9)]
+
     @pytest.mark.parametrize("case_id", sorted(CASES))
     def test_case_passes_on_reduced_grid(self, case_id):
         bounds = Bounds(l_max=4, m_max=4, f_max=2, nu_max=1, k_max=2, trunc=15)

@@ -3,6 +3,8 @@
 import pytest
 
 from qcap.partitions import (
+    _gap_ok_pairform,
+    _gap_ok_sumform,
     count_c,
     count_d,
     counts_table,
@@ -67,6 +69,13 @@ class TestClasses:
         assert in_class_d((4, 2), 1)     # pair {3k-1, 3k+1}
         assert not in_class_d((5, 3), 1)  # gap 2, sum 8 not divisible by 3
         assert not in_class_d((3, 1), 2)  # gap 2 below the first allowed pair
+
+    def test_gap_rule_matches_sum_form(self):
+        # the pair form in_class_d uses, against the sum form, for every part
+        # pair hi > lo >= 1 with hi <= 60
+        for hi in range(2, 61):
+            for lo in range(1, hi):
+                assert _gap_ok_pairform(hi, lo) == _gap_ok_sumform(hi, lo), (hi, lo)
 
 
 class TestGeneratingFunctions:

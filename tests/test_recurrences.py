@@ -17,7 +17,7 @@ from qcap.recurrences import (
     verify_initial_condition_argument,
     verify_recurrence,
 )
-from qcap.identities import seed_cap2
+from qcap.identities import rhs_new_fin_cap
 from qcap.series import Q, ZERO
 
 
@@ -33,9 +33,9 @@ class TestCatalog:
             assert len(default_window(RECURRENCES[rec_id], 9)) >= 8
 
     def test_sum_decomposition(self):
-        # the two double sums add up to the second identity's LHS
+        # the two double sums add up to the second identity's right-hand side
         for L in range(9):
-            assert s1_sum(L) + s2_sum(L) == seed_cap2(L)
+            assert s1_sum(L) + s2_sum(L) == rhs_new_fin_cap(2, L)
 
     def test_negative_index_vanishes(self):
         assert s1_sum(-1) == ZERO
