@@ -170,6 +170,7 @@ def cmd_series(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     try:
         params = _series_params(args, case.params)
+        identities.check_params(case, params)
         value = fn(**params)
     except ParamOutOfRange as exc:
         print(str(exc), file=sys.stderr)
@@ -183,6 +184,9 @@ def cmd_series(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_partitions(args: argparse.Namespace) -> int:
+    if args.n_max < 0:
+        print(f"--n-max must be >= 0, got {args.n_max}", file=sys.stderr)
+        return EXIT_CONFIG
     out = _open_out(args.out)
     mismatch = False
     try:

@@ -762,7 +762,7 @@ def _register(case: IdentityCase) -> None:
     CASES[case.id] = case
 
 
-def _check_params(case: IdentityCase, params: Mapping[str, int]) -> None:
+def check_params(case: IdentityCase, params: Mapping[str, int]) -> None:
     for name in case.params:
         if name not in params:
             raise ParamOutOfRange(f"{case.id}: missing parameter {name!r}")
@@ -789,7 +789,7 @@ def verify_case(case_id: str, params: Mapping[str, int]) -> Report:
         raise ParamOutOfRange(
             f"unknown case {case_id!r}; valid ids: {', '.join(sorted(CASES))}"
         ) from None
-    _check_params(case, params)
+    check_params(case, params)
     start = time.perf_counter()
     values = [(name, fn(**params)) for name, fn in case.sides]
     verdict = True

@@ -4,11 +4,16 @@ Everything here is independent of the series machinery: partitions are
 enumerated recursively and counted directly, so these counts can serve as an
 oracle for generating-function identities.  A partition is a tuple of weakly
 decreasing positive parts; () is the unique partition of 0.
+
+The counts come from generators that pick each next part under the class
+rule (class_c, class_d), so they build class members only; partitions()
+filtered by in_class_c / in_class_d is the reference they are tested against.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from typing import Callable, Iterator
 
@@ -80,16 +85,51 @@ def in_class_d(p: Partition, m: int) -> bool:
     return True
 
 
-def count_c(m: int, n: int) -> int:
+def _descend(n: int, top: int, step: int, ok: Callable[[int | None, int], bool],
+             hi: int | None = None) -> Iterator[Partition]:
+    """Partitions of n with parts <= top, each part at least `step` below the
+    one before it and accepted by ok(previous part or None, part), in the
+    order of partitions(): candidate parts are tried largest first, so only
+    members and their prefixes are ever built."""
+    if n < 0:
+        return
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(top, n), 0, -1):
+        if ok(hi, first):
+            for rest in _descend(n - first, first - step, step, ok, first):
+                yield (first,) + rest
+
+
+def _check_m(m: int) -> None:
     if m not in (1, 2):
         raise ValueError("m must be 1 or 2")
-    return sum(1 for p in partitions(n) if in_class_c(p, m))
+
+
+def class_c(m: int, n: int) -> Iterator[Partition]:
+    """The members of C_m(n), in the order of partitions(n) filtered by
+    in_class_c: distinct parts, none congruent to +-m mod 6."""
+    _check_m(m)
+    bad = (m % 6, -m % 6)
+    return _descend(n, n, 1, lambda hi, lo: lo % 6 not in bad)
+
+
+def class_d(m: int, n: int) -> Iterator[Partition]:
+    """The members of D_m(n), in the order of partitions(n) filtered by
+    in_class_d: no part equal to m, and each part lo below its predecessor
+    hi with _gap_ok_pairform(hi, lo), which needs lo <= hi - 2."""
+    _check_m(m)
+    return _descend(n, n, 2, lambda hi, lo: lo != m and (
+        hi is None or _gap_ok_pairform(hi, lo)))
+
+
+def count_c(m: int, n: int) -> int:
+    return sum(1 for _ in class_c(m, n))
 
 
 def count_d(m: int, n: int) -> int:
-    if m not in (1, 2):
-        raise ValueError("m must be 1 or 2")
-    return sum(1 for p in partitions(n) if in_class_d(p, m))
+    return sum(1 for _ in class_d(m, n))
 
 
 # ---------------------------------------------------------------------------
@@ -144,22 +184,35 @@ def weighted_sum(theorem: str, n: int) -> tuple[int, int]:
 
     Left: single sum over restricted distinct partitions with sign (-1)^mu.
     Right: sum over pairs (pi1, pi2) with pi1 avoiding multiples of 3 and sign
-    (-1)^sigma(pi2).  Both computed by exhaustive enumeration.
+    (-1)^sigma(pi2), i.e. the convolution of the pi1 counts with the signed
+    pi2 totals.  Each per-size total is enumerated once and memoized, one int
+    per (theorem, size), so the caches grow linearly in n.
     """
-    try:
-        left_set, left_exp, right_set, right_exp = _WEIGHTED[theorem]
-    except KeyError:
-        raise ValueError(f"unknown weighted theorem {theorem!r}") from None
-    lhs = sum((-1) ** left_exp(p) for p in partitions(n) if left_set(p))
-    rhs = 0
-    for n1 in range(n + 1):
-        left_count = sum(1 for p in partitions(n1) if _no_part_multiple_of_3(p))
-        if not left_count:
-            continue
-        rhs += left_count * sum(
-            (-1) ** right_exp(p) for p in partitions(n - n1) if right_set(p)
-        )
-    return lhs, rhs
+    if theorem not in _WEIGHTED:
+        raise ValueError(f"unknown weighted theorem {theorem!r}")
+    rhs = sum(_pi1_count(n1) * _pi2_total(theorem, n - n1) for n1 in range(n + 1))
+    return _lhs_total(theorem, n), rhs
+
+
+@functools.cache
+def _lhs_total(theorem: str, n: int) -> int:
+    """Signed left total at size n, over the distinct partitions only."""
+    left_set, left_exp, _, _ = _WEIGHTED[theorem]
+    distinct = _descend(n, n, 1, lambda hi, lo: True)
+    return sum((-1) ** left_exp(p) for p in distinct if left_set(p))
+
+
+@functools.cache
+def _pi1_count(n: int) -> int:
+    """Partitions of n with no part divisible by 3."""
+    return sum(1 for _ in _descend(n, n, 0, lambda hi, lo: lo % 3 != 0))
+
+
+@functools.cache
+def _pi2_total(theorem: str, n: int) -> int:
+    """Signed pi2 total at size n."""
+    _, _, right_set, right_exp = _WEIGHTED[theorem]
+    return sum((-1) ** right_exp(p) for p in partitions(n) if right_set(p))
 
 
 # ---------------------------------------------------------------------------

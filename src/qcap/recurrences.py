@@ -38,15 +38,11 @@ def _prod(*factors: QSeries) -> QSeries:
 # Sequences
 # ---------------------------------------------------------------------------
 
-def _guard(g: Callable[[int], QSeries]) -> Callable[[int], QSeries]:
-    return lambda L: g(L) if L >= 0 else ZERO
-
-
 SEQUENCES: dict[str, Callable[[int], QSeries]] = {
-    "cap1_lhs": _guard(seed_cap1),
-    "cap1_rhs": _guard(lambda L: rhs_new_fin_cap(1, L)),
-    "cap2_lhs": _guard(seed_cap2),
-    "cap2_rhs": _guard(lambda L: rhs_new_fin_cap(2, L)),
+    "cap1_lhs": seed_cap1,
+    "cap1_rhs": lambda L: rhs_new_fin_cap(1, L),
+    "cap2_lhs": seed_cap2,
+    "cap2_rhs": lambda L: rhs_new_fin_cap(2, L),
     "s1": s1_sum,
     "s2": s2_sum,
 }

@@ -134,6 +134,19 @@ class TestSeries:
                            "--f", "0", "--L", "2")
         assert code == EXIT_CONFIG
 
+    def test_b_outside_range_is_config_error(self, capsys):
+        code, out, err = run(capsys, "series", "reference:dual_limit",
+                             "--b", "7", "--trunc", "5")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "b must be 0, 1, or 2" in err
+
+    def test_negative_l_is_config_error(self, capsys):
+        code, out, err = run(capsys, "series", "lhs:new_fin_cap_1", "--L", "-3")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "new_fin_cap_1: parameter 'L' must be >= 0" in err
+
 
 class TestPartitions:
     def test_counts_table(self, capsys):
@@ -160,6 +173,15 @@ class TestPartitions:
                            "--n-max", "2")
         assert code == EXIT_FAIL
         assert out.strip().splitlines()[1].endswith("False")
+
+    @pytest.mark.parametrize("sub", [["counts", "--m", "1"],
+                                     ["weighted", "--theorem", "W1"]],
+                             ids=["counts", "weighted"])
+    def test_negative_n_max_is_config_error(self, capsys, sub):
+        code, out, err = run(capsys, "partitions", *sub, "--n-max", "-3")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "--n-max must be >= 0, got -3" in err
 
     def test_invalid_m_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

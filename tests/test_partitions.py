@@ -3,8 +3,12 @@
 import pytest
 
 from qcap.partitions import (
+    _WEIGHTED,
     _gap_ok_pairform,
     _gap_ok_sumform,
+    _no_part_multiple_of_3,
+    class_c,
+    class_d,
     count_c,
     count_d,
     counts_table,
@@ -56,11 +60,30 @@ class TestClasses:
             count_c(3, 5)
         with pytest.raises(ValueError):
             count_d(0, 5)
+        with pytest.raises(ValueError):
+            class_c(3, 5)
+        with pytest.raises(ValueError):
+            class_d(0, 5)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_equinumerous_to_40(self, m):
         for n in range(41):
             assert count_c(m, n) == count_d(m, n), n
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_equinumerous_41_to_60(self, m):
+        for n in range(41, 61):
+            assert count_c(m, n) == count_d(m, n), n
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_generators_match_filtered_partitions(self, m):
+        # the member generators against the reference: every partition,
+        # filtered by the class predicate, in the same order
+        for n in range(-2, 25):
+            assert list(class_c(m, n)) == [
+                p for p in partitions(n) if in_class_c(p, m)], n
+            assert list(class_d(m, n)) == [
+                p for p in partitions(n) if in_class_d(p, m)], n
 
     def test_class_membership_examples(self):
         assert in_class_c((6, 3), 1)
@@ -94,6 +117,16 @@ class TestGeneratingFunctions:
                    * pochhammer_inf(3, 3, N, sign=1)).truncate(N)
         assert gf_from_counts(lambda n: count_c(2, n), N) == product
 
+    @pytest.mark.parametrize("m,a,b", [(1, 2, 4), (2, 1, 5)])
+    def test_gf_d_matches_product_to_60(self, m, a, b):
+        # D_m(n) for n <= 60 against the C_m product
+        # (-q^a,-q^b;q^6)_inf (-q^3;q^3)_inf
+        N = 60
+        product = (pochhammer_inf(a, 6, N, sign=1)
+                   * pochhammer_inf(b, 6, N, sign=1)
+                   * pochhammer_inf(3, 3, N, sign=1)).truncate(N)
+        assert gf_from_counts(lambda n: count_d(m, n), N) == product
+
     def test_gf_zero_counter(self):
         assert gf_from_counts(lambda n: 0, 10) == ZERO.truncate(10)
 
@@ -103,7 +136,25 @@ class TestGeneratingFunctions:
         ) == inv_pochhammer_inf(1, 1, 4)
 
 
+def _weighted_sum_by_filtering(theorem, n):
+    # the full-enumeration formula: every set filtered from all partitions,
+    # the pi1 count and pi2 total recomputed for every n1
+    left_set, left_exp, right_set, right_exp = _WEIGHTED[theorem]
+    lhs = sum((-1) ** left_exp(p) for p in partitions(n) if left_set(p))
+    rhs = 0
+    for n1 in range(n + 1):
+        left_count = sum(1 for p in partitions(n1) if _no_part_multiple_of_3(p))
+        rhs += left_count * sum(
+            (-1) ** right_exp(p) for p in partitions(n - n1) if right_set(p))
+    return lhs, rhs
+
+
 class TestWeighted:
+    @pytest.mark.parametrize("theorem", ["W1", "W2", "W3"])
+    def test_matches_full_enumeration(self, theorem):
+        for n in range(-1, 16):
+            assert weighted_sum(theorem, n) == _weighted_sum_by_filtering(theorem, n), n
+
     def test_worked_example_n3(self):
         assert weighted_sum("W1", 3) == (2, 2)
 

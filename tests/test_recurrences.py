@@ -38,8 +38,9 @@ class TestCatalog:
             assert s1_sum(L) + s2_sum(L) == rhs_new_fin_cap(2, L)
 
     def test_negative_index_vanishes(self):
-        assert s1_sum(-1) == ZERO
-        assert SEQUENCES["cap1_lhs"](-2) == ZERO
+        for name, seq in SEQUENCES.items():
+            for L in range(-8, 0):
+                assert seq(L) == ZERO, (name, L)
 
 
 class TestWitnesses:
