@@ -153,6 +153,9 @@ def cmd_series(args: argparse.Namespace) -> int:
         if args.trunc is None:
             print("--trunc required for classical products", file=sys.stderr)
             return EXIT_CONFIG
+        if args.trunc < 0:
+            print(f"--trunc must be >= 0, got {args.trunc}", file=sys.stderr)
+            return EXIT_CONFIG
         print(_CLASSICAL[expr](args.z_shift, args.trunc).to_text())
         return EXIT_OK
     side, _, case_id = expr.partition(":")
@@ -214,6 +217,9 @@ def cmd_partitions(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_hierarchy(args: argparse.Namespace) -> int:
+    if args.L < 0:
+        print(f"--L must be >= 0, got {args.L}", file=sys.stderr)
+        return EXIT_CONFIG
     family = args.family
     s = args.s or 0
     generated = bailey.generate_hierarchy_lhs(family, args.f, args.L, s)

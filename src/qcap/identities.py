@@ -314,17 +314,22 @@ def _family_checked(family: str, f: int, s: int) -> HierarchyFamily:
 
 
 def hierarchy_finite_lhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
-    """Exact multi-sum: chain quotient times the seed polynomial at n_f."""
+    """Exact multi-sum: chain quotient times the seed polynomial at n_f.  The
+    chain terms are summed per n_f first, so each seed is multiplied once."""
     fam = _family_checked(family, f, s)
     b, a = fam.base, fam.a
-    total = Accumulator()
+    chains: dict[int, Accumulator] = {}
     for nvec in index_vectors(f, L):
         nf = nvec[-1]
         N1 = sum(nvec)
         den = ((L - N1, b),) + tuple((x, b) for x in nvec[:-1]) + ((2 * nf + a, b),)
         ratio = poch_ratio(((2 * L + a, b),), den)
         if ratio:
-            total.add(ratio.shift(hierarchy_chain_exponent(fam, nvec, s)) * fam.seed(nf))
+            chain = chains.setdefault(nf, Accumulator())
+            chain.add(ratio.shift(hierarchy_chain_exponent(fam, nvec, s)))
+    total = Accumulator()
+    for nf, chain in chains.items():
+        total.add(chain.value() * fam.seed(nf))
     return total.value()
 
 
@@ -366,31 +371,33 @@ def hierarchy_limit_rhs(family: str, f: int, n: int, s: int = 0) -> QSeries:
 
 def refinement_hierarchy_lhs(nu: int, L: int, M: int) -> QSeries:
     """Exact parity-constrained multi-sum with the doubly bounded binomial
-    kernel [L+M-i, L]_{q^3} [L-N_1, i]_{q^3}."""
-    total = Accumulator()
+    kernel [L+M-i, L]_{q^3} [L-N_1, i]_{q^3}.  The m-sum is taken before its
+    [L-N_1, i] and middle factors multiply it, and the terms of each i are
+    summed before [L+M-i, L] multiplies them."""
+    by_i: dict[int, Accumulator] = {}
     for nvec in index_vectors(nu, L):
         N = suffix_sums(nvec)
         SN = sum(N)
         n_last = nvec[-1]
         for i in range(min(M, L - N[0]) + 1):
-            top1 = q_binomial(L + M - i, L, 3)
-            top2 = q_binomial(L - N[0], i, 3)
-            if not (top1 and top2):
-                continue
-            mid = ONE
-            for j in range(nu - 1):
-                mid = mid * q_binomial(i - sum_prefix(N, j) + nvec[j], nvec[j], 3)
-                if not mid:
-                    break
-            if not mid:
-                continue
+            inner = Accumulator()
             for m in range((i + SN) % 2, min(3 * n_last, i - SN) + 1, 2):
                 half = (i - m - SN) // 2
                 t3 = q_binomial(3 * n_last, m, 1)
                 t4 = q_binomial(2 * n_last + half, 2 * n_last, 3)
                 if t3 and t4:
                     e = (m * m + 3 * (i * i + sum(x * x for x in N))) // 2
-                    total.add((top1 * top2 * mid * t3 * t4).shift(e))
+                    inner.add((t3 * t4).shift(e))
+            inner_sum = inner.value()
+            if not inner_sum:
+                continue
+            outer = q_binomial(L - N[0], i, 3)
+            for j in range(nu - 1):
+                outer = outer * q_binomial(i - sum_prefix(N, j) + nvec[j], nvec[j], 3)
+            by_i.setdefault(i, Accumulator()).add(outer * inner_sum)
+    total = Accumulator()
+    for i, group in by_i.items():
+        total.add(q_binomial(L + M - i, L, 3) * group.value())
     return total.value()
 
 
@@ -454,16 +461,16 @@ def refinement_limit_rhs(nu: int, n: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 def seed_identity_lhs(L: int, M: int) -> QSeries:
+    """The m-sum of each i is taken before [L+M-i, L]_{q^3} multiplies it."""
     total = Accumulator()
     for i in range(min(M, L) + 1):
-        top1 = q_binomial(L + M - i, L, 3)
-        if not top1:
-            continue
+        inner = Accumulator()
         for m in range(i % 2, min(3 * (L - i), i) + 1, 2):
             t2 = q_binomial(3 * (L - i), m, 1)
             t3 = q_binomial(2 * (L - i) + (i - m) // 2, 2 * (L - i), 3)
             if t2 and t3:
-                total.add((top1 * t2 * t3).shift((m * m + 3 * i * i) // 2))
+                inner.add((t2 * t3).shift((m * m + 3 * i * i) // 2))
+        total.add(q_binomial(L + M - i, L, 3) * inner.value())
     return total.value()
 
 

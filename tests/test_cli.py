@@ -129,6 +129,12 @@ class TestSeries:
         code, _, err = run(capsys, "series", "sum:quintuple", "--z-shift", "1")
         assert code == EXIT_CONFIG
 
+    def test_classical_negative_trunc_is_config_error(self, capsys):
+        code, out, err = run(capsys, "series", "product:jtp", "--trunc", "-3")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "--trunc must be >= 0, got -3" in err
+
     def test_out_of_range_parameter(self, capsys):
         code, _, err = run(capsys, "series", "lhs:hierarchy_finite_cap1",
                            "--f", "0", "--L", "2")
@@ -207,3 +213,10 @@ class TestHierarchy:
         code, _, err = run(capsys, "hierarchy", "--family", "cap1",
                            "--f", "1", "--s", "1", "--L", "2")
         assert code == EXIT_CONFIG
+
+    def test_negative_l_is_config_error(self, capsys):
+        code, out, err = run(capsys, "hierarchy", "--family", "cap1",
+                             "--f", "1", "--L", "-3", "--check")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "--L must be >= 0, got -3" in err

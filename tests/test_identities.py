@@ -4,27 +4,31 @@ reduction/construction chains connecting the cases."""
 import pytest
 
 from qcap.identities import (
+    FAMILIES,
     Bounds,
     CASES,
     ParamOutOfRange,
     cor_cap2_analogue_rhs,
     dual_construct,
     dual_lhs,
+    hierarchy_chain_exponent,
     hierarchy_finite_lhs,
     hierarchy_limit_rhs,
     index_vectors,
     iterate_grid,
     k_transform_lhs,
+    refinement_hierarchy_lhs,
     rhs_fin_cap_binomial,
     rhs_new_fin_cap,
     roundtri_lhs,
     seed_cap1,
     seed_identity_lhs,
+    sum_prefix,
     suffix_sums,
     verify_case,
 )
-from qcap.qcombinat import pochhammer
-from qcap.series import ONE, from_terms, inverse
+from qcap.qcombinat import poch_ratio, pochhammer, q_binomial
+from qcap.series import ONE, ZERO, from_terms, inverse
 
 
 def poly(*terms):
@@ -191,3 +195,75 @@ class TestEnumerationHelpers:
 
     def test_suffix_sums(self):
         assert suffix_sums((1, 2, 3)) == (6, 5, 3)
+
+
+# Reference paths for the grouped hierarchy sums: the per-term loops, with the
+# shared factor multiplied into every term.
+
+def per_term_hierarchy_finite_lhs(family, f, L, s):
+    fam = FAMILIES[family]
+    b, a = fam.base, fam.a
+    total = ZERO
+    for nvec in index_vectors(f, L):
+        nf = nvec[-1]
+        den = (((L - sum(nvec), b),) + tuple((x, b) for x in nvec[:-1])
+               + ((2 * nf + a, b),))
+        ratio = poch_ratio(((2 * L + a, b),), den)
+        if ratio:
+            total = total + (ratio.shift(hierarchy_chain_exponent(fam, nvec, s))
+                             * fam.seed(nf))
+    return total
+
+
+def per_term_refinement_hierarchy_lhs(nu, L, M):
+    total = ZERO
+    for nvec in index_vectors(nu, L):
+        N = suffix_sums(nvec)
+        SN = sum(N)
+        n_last = nvec[-1]
+        for i in range(min(M, L - N[0]) + 1):
+            top1 = q_binomial(L + M - i, L, 3)
+            top2 = q_binomial(L - N[0], i, 3)
+            mid = ONE
+            for j in range(nu - 1):
+                mid = mid * q_binomial(i - sum_prefix(N, j) + nvec[j], nvec[j], 3)
+            for m in range((i + SN) % 2, min(3 * n_last, i - SN) + 1, 2):
+                half = (i - m - SN) // 2
+                t3 = q_binomial(3 * n_last, m, 1)
+                t4 = q_binomial(2 * n_last + half, 2 * n_last, 3)
+                e = (m * m + 3 * (i * i + sum(x * x for x in N))) // 2
+                total = total + (top1 * top2 * mid * t3 * t4).shift(e)
+    return total
+
+
+def per_term_seed_identity_lhs(L, M):
+    total = ZERO
+    for i in range(min(M, L) + 1):
+        top1 = q_binomial(L + M - i, L, 3)
+        for m in range(i % 2, min(3 * (L - i), i) + 1, 2):
+            t2 = q_binomial(3 * (L - i), m, 1)
+            t3 = q_binomial(2 * (L - i) + (i - m) // 2, 2 * (L - i), 3)
+            total = total + (top1 * t2 * t3).shift((m * m + 3 * i * i) // 2)
+    return total
+
+
+class TestGroupedSums:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_hierarchy_finite_lhs_matches_per_term(self, family):
+        for f in range(1, 4):
+            for s in range(f + 1) if FAMILIES[family].twisted else (0,):
+                for L in range(7):
+                    assert (hierarchy_finite_lhs(family, f, L, s)
+                            == per_term_hierarchy_finite_lhs(family, f, L, s)), (f, s, L)
+
+    def test_refinement_hierarchy_lhs_matches_per_term(self):
+        for nu in (1, 2, 3):
+            for L in range(6):
+                for M in range(6):
+                    assert (refinement_hierarchy_lhs(nu, L, M)
+                            == per_term_refinement_hierarchy_lhs(nu, L, M)), (nu, L, M)
+
+    def test_seed_identity_lhs_matches_per_term(self):
+        for L in range(9):
+            for M in range(9):
+                assert seed_identity_lhs(L, M) == per_term_seed_identity_lhs(L, M), (L, M)
