@@ -25,13 +25,12 @@ from qcap.series import (
     ZERO,
     compare,
     div_exact,
-    inverse,
     monomial,
 )
 from qcap.qcombinat import (
+    inv_pochhammer,
     inv_pochhammer_inf,
     jacobi3,
-    pochhammer,
     pochhammer_inf,
     poch_ratio,
     product_of_inf,
@@ -66,11 +65,6 @@ def suffix_sums(nvec: tuple[int, ...]) -> tuple[int, ...]:
         acc += n
         out.append(acc)
     return tuple(reversed(out))
-
-
-@lru_cache(maxsize=None)
-def _inv_poch_single(length: int, base: int, n: int) -> QSeries:
-    return inverse(pochhammer(length, shift=base, base=base), n)
 
 
 def _trunc_one(n: int) -> QSeries:
@@ -349,11 +343,12 @@ def hierarchy_limit_lhs(family: str, f: int, n: int, s: int = 0) -> QSeries:
         if e > n:
             continue
         nf = nvec[-1]
-        term = _trunc_one(n) * fam.seed(nf)
+        # only order n - e survives the shift by e
+        term = _trunc_one(n - e) * fam.seed(nf)
         for x in nvec[:-1]:
-            term = term * _inv_poch_single(x, b, n)
-        term = term * _inv_poch_single(2 * nf + a, b, n)
-        total.add(term.shift(e).truncate(n))
+            term = term * inv_pochhammer(x, b, n)
+        term = term * inv_pochhammer(2 * nf + a, b, n)
+        total.add(term.shift(e))
     return total.value()
 
 
@@ -423,12 +418,21 @@ def refinement_limit_lhs(nu: int, n: int) -> QSeries:
     for nvec in index_vectors(nu, math.isqrt(2 * n // 3) + 1):
         N = suffix_sums(nvec)
         SN = sum(N)
-        if 3 * sum(x * x for x in N) > 2 * n:
+        sq = 3 * sum(x * x for x in N)
+        if sq > 2 * n:
             continue
         n_last = nvec[-1]
         for i in range(i_max + 1):
             if 3 * i * i > 2 * n:
                 break
+            # m = i + SN mod 2 makes m^2 + 3i^2 + sq even, so the exponent
+            # e = (m^2 + 3i^2 + sq) / 2 is <= n exactly when m^2 <= room
+            room = 2 * n - 3 * i * i - sq
+            if room < 0:
+                continue
+            ms = range((i + SN) % 2, min(3 * n_last, i - SN, math.isqrt(room)) + 1, 2)
+            if not ms:
+                continue  # no m term: skip the middle product
             mid = ONE
             for j in range(nu - 1):
                 mid = mid * q_binomial(i - sum_prefix(N, j) + nvec[j], nvec[j], 3)
@@ -436,15 +440,13 @@ def refinement_limit_lhs(nu: int, n: int) -> QSeries:
                     break
             if not mid:
                 continue
-            for m in range((i + SN) % 2, min(3 * n_last, i - SN) + 1, 2):
-                e = (m * m + 3 * (i * i + sum(x * x for x in N))) // 2
-                if e > n:
-                    break
+            for m in ms:
+                e = (m * m + 3 * i * i + sq) // 2
                 half = (i - m - SN) // 2
                 t3 = q_binomial(3 * n_last, m, 1)
                 t4 = q_binomial(2 * n_last + half, 2 * n_last, 3)
                 if t3 and t4:
-                    term = mid * t3 * t4 * _inv_poch_single(i, 3, n)
+                    term = mid * t3 * t4 * inv_pochhammer(i, 3, n)
                     total.add(term.shift(e).truncate(n))
     return total.value()
 
@@ -525,7 +527,7 @@ def cap_analytic_lhs(which: int, n: int) -> QSeries:
         k = 0
         while 2 * m * m + 6 * m * k + 6 * k * k <= n:
             e = 2 * m * m + 6 * m * k + 6 * k * k
-            base_term = _inv_poch_single(m, 1, n) * _inv_poch_single(k, 3, n)
+            base_term = inv_pochhammer(m, 1, n) * inv_pochhammer(k, 3, n)
             if which == 1:
                 total.add(base_term.shift(e).truncate(n))
             else:
@@ -665,7 +667,7 @@ def dual_limit_reference(b: int, n: int) -> QSeries:
     for k in range(n + 1):
         c = jacobi3(k + b)
         if c:
-            total.add((_inv_poch_single(k, 1, n) * c).shift(k).truncate(n))
+            total.add((inv_pochhammer(k, 1, n) * c).shift(k).truncate(n))
     return total.value()
 
 
@@ -680,7 +682,7 @@ def dual_limit_unified(b: int, n: int) -> QSeries:
         c = jacobi3(m - b)
         if c:
             sign = c * (-1) ** (m + 1)
-            total.add((_inv_poch_single(m, 1, n) * sign).shift(m * (m + 1) // 2).truncate(n))
+            total.add((inv_pochhammer(m, 1, n) * sign).shift(m * (m + 1) // 2).truncate(n))
         m += 1
     return (_eta_ratio(n) * total.value()).truncate(n)
 
@@ -697,7 +699,7 @@ def dual_limit_specific(b: int, n: int) -> QSeries:
             e, length, sign = 3 * m * (3 * m - 1) // 2, 3 * m, (-1) ** m
         if e > n:
             break
-        total.add((_inv_poch_single(length, 1, n) * sign).shift(e).truncate(n))
+        total.add((inv_pochhammer(length, 1, n) * sign).shift(e).truncate(n))
         m += 1
     return (_eta_ratio(n) * total.value()).truncate(n)
 

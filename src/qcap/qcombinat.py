@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
-from operator import sub
+from operator import add, sub
 
 from qcap.series import ONE, Accumulator, NonDivisible, QSeries, ZERO, inverse, monomial
 
@@ -61,18 +61,47 @@ def pochhammer_inf(shift: int, base: int, n: int, sign: int = -1) -> QSeries:
         head = head * (ONE + monomial(e, sign))
         e += base
     order = n - min(head.valuation(), 0)
-    tail = QSeries(0, (1,), order)
+    tail = [1] + [0] * order
+    step = add if sign == 1 else sub
     while e <= order:
-        tail = tail * (ONE + monomial(e, sign)).truncate(order)
+        # tail * (1 + sign*q^e) to order, shifted and added in place
+        tail[e:] = map(step, tail[e:], tail[:-e])
         e += base
-    return (head * tail).truncate(n)
+    return (head * QSeries(0, tail, order)).truncate(n)
 
 
 def inv_pochhammer_inf(shift: int, base: int, n: int) -> QSeries:
-    """1 / (q^shift; q^base)_infinity truncated at n; requires shift >= 1."""
+    """1 / (q^shift; q^base)_infinity truncated at n; requires shift >= 1.
+
+    Divides 1 by each factor (1 - q^m), m <= n, with a running sum; a factor
+    with m > n is 1 to order n.
+    """
     if shift < 1:
         raise UnboundedBelow("inverse infinite product needs positive exponents")
-    return inverse(pochhammer_inf(shift, base, n), n)
+    if base <= 0:
+        raise UnboundedBelow("factor step must be positive")
+    coeffs = [1] + [0] * n
+    for m in range(shift, n + 1, base):
+        coeffs = _running_sums(coeffs, m)
+    return QSeries(0, coeffs, n)
+
+
+@lru_cache(maxsize=None)
+def inv_pochhammer(length: int, base: int, n: int) -> QSeries:
+    """1 / (q^base; q^base)_length truncated at n.
+
+    Built from length - 1 by one running sum; once base*length > n every
+    further factor is 1 to order n, so the value stops changing.
+    """
+    if length < 0:
+        raise NegativeLength(f"Pochhammer length {length} < 0")
+    if length == 0:
+        return QSeries(0, (1,), n)
+    if base * length > n:
+        return inv_pochhammer(max(n // base, 0), base, n)
+    prev = inv_pochhammer(length - 1, base, n).coeffs
+    coeffs = _running_sums(list(prev) + [0] * (n + 1 - len(prev)), base * length)
+    return QSeries(0, _tight(coeffs), n)
 
 
 # ---------------------------------------------------------------------------
@@ -85,16 +114,23 @@ def _times_one_minus(coeffs: list[int], m: int) -> list[int]:
     return list(map(sub, coeffs + pad, pad + coeffs))
 
 
-def _div_one_minus(coeffs: list[int], m: int) -> list[int]:
-    """Exact quotient coeffs / (1 - q^m) on a coefficient list.
-
-    As a power series the quotient is the running sum of each residue class
-    mod m; it is a polynomial, of length len(coeffs) - m, exactly when the
-    top m running sums vanish.  Otherwise raises NonDivisible.
-    """
+def _running_sums(coeffs: list[int], m: int) -> list[int]:
+    """coeffs / (1 - q^m) as a power series, to the length of coeffs: the
+    running sum of each residue class mod m."""
     out = list(coeffs)
     for r in range(m):
         out[r::m] = accumulate(out[r::m])
+    return out
+
+
+def _div_one_minus(coeffs: list[int], m: int) -> list[int]:
+    """Exact quotient coeffs / (1 - q^m) on a coefficient list.
+
+    The power-series quotient (``_running_sums``) is a polynomial, of length
+    len(coeffs) - m, exactly when its top m coefficients vanish.  Otherwise
+    raises NonDivisible.
+    """
+    out = _running_sums(coeffs, m)
     if any(out[-m:]):
         raise NonDivisible(f"(1 - q^{m}) does not divide the numerator")
     return out[:-m]

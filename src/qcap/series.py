@@ -173,7 +173,12 @@ class QSeries:
         if isinstance(other, int):
             other = monomial(0, other)
         trunc = _min_trunc(self.trunc, other.trunc)
-        coeffs = _convolve(list(self.coeffs), list(other.coeffs))
+        a, b = self.coeffs, other.coeffs
+        if trunc is not None:
+            # only a[:keep] and b[:keep] reach an exponent <= trunc
+            keep = max(trunc - self.offset - other.offset + 1, 0)
+            a, b = a[:keep], b[:keep]
+        coeffs = _convolve(list(a), list(b))
         return QSeries(self.offset + other.offset, coeffs, trunc)
 
     __rmul__ = __mul__
@@ -344,7 +349,9 @@ def inverse(a: QSeries, n: int) -> QSeries:
     """Multiplicative inverse of a as a series, truncated at exponent n.
 
     The lowest coefficient of a must be +-1 (true for every q-Pochhammer
-    product in this package).
+    product in this package).  For a truncated a with valuation v, a / q^v
+    and its inverse are known to exponent a.trunc - v, so 1/a is known to
+    a.trunc - 2v.
     """
     if a.is_zero():
         raise ZeroDivisionError("inverse of the zero series")
@@ -365,7 +372,8 @@ def inverse(a: QSeries, n: int) -> QSeries:
             if c[k]:
                 s += c[k] * out[i - k]
         out[i] = -c0 * s
-    return QSeries(-v, out, _min_trunc(a.trunc, n))
+    known = None if a.trunc is None else a.trunc - 2 * v
+    return QSeries(-v, out, _min_trunc(known, n))
 
 
 @dataclass(frozen=True)

@@ -88,14 +88,25 @@ class TestVerify:
 # Any change to a report byte at default bounds changes it.
 DEFAULT_REPORT_SHA256 = (
     "312718cf8067d863bf9d1a38ca8f7db69daa5452b3ffc5f1454b78a06de57950")
+# The same at `--trunc 100`, recorded before the truncated fast paths went in;
+# it pins every truncated case at the order the `limits` benchmark runs.
+TRUNC_100_REPORT_SHA256 = (
+    "0fb39e5ac7548203d95b1d6a07b3f0988c166818c292f7f89f941e6ba51aa217")
+
+
+def report_sha256(capsys, *flags):
+    code, out, _ = run(capsys, "verify", "--all", "--format", "json", *flags)
+    assert code == EXIT_OK
+    reports = "".join(out.splitlines(keepends=True)[:-1])
+    return hashlib.sha256(reports.encode()).hexdigest()
 
 
 class TestReportGuard:
     def test_default_bounds_reports_are_byte_identical(self, capsys):
-        code, out, _ = run(capsys, "verify", "--all", "--format", "json")
-        assert code == EXIT_OK
-        reports = "".join(out.splitlines(keepends=True)[:-1])
-        assert hashlib.sha256(reports.encode()).hexdigest() == DEFAULT_REPORT_SHA256
+        assert report_sha256(capsys) == DEFAULT_REPORT_SHA256
+
+    def test_trunc_100_reports_are_byte_identical(self, capsys):
+        assert report_sha256(capsys, "--trunc", "100") == TRUNC_100_REPORT_SHA256
 
 
 class TestSeries:

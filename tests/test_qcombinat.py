@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from qcap.qcombinat import (
     NegativeLength,
     UnboundedBelow,
+    inv_pochhammer,
     inv_pochhammer_inf,
     jacobi3,
     jtp_product,
@@ -64,6 +65,52 @@ class TestPochhammer:
             pochhammer_inf(0, 1, 5)
         with pytest.raises(UnboundedBelow):
             inv_pochhammer_inf(0, 1, 5)
+
+
+def dense_pochhammer_inf(shift, base, n, sign=-1):
+    """The dense-factor product: every tail factor (1 + sign*q^e) is
+    multiplied in as a truncated QSeries."""
+    if base <= 0:
+        raise UnboundedBelow("factor step must be positive")
+    head = ONE
+    e = shift
+    while e <= 0:
+        if e == 0 and sign == -1:
+            raise UnboundedBelow("vanishing (1 - q^0) factor")
+        head = head * (ONE + monomial(e, sign))
+        e += base
+    order = n - min(head.valuation(), 0)
+    tail = QSeries(0, (1,), order)
+    while e <= order:
+        tail = tail * (ONE + monomial(e, sign)).truncate(order)
+        e += base
+    return (head * tail).truncate(n)
+
+
+class TestTruncatedPochhammer:
+    @settings(deadline=None)
+    @given(st.integers(-6, 6), st.integers(1, 5), st.integers(-5, 60),
+           st.sampled_from((1, -1)))
+    def test_shift_and_add_matches_dense_factors(self, shift, base, n, sign):
+        try:
+            expected = dense_pochhammer_inf(shift, base, n, sign)
+        except UnboundedBelow:
+            with pytest.raises(UnboundedBelow):
+                pochhammer_inf(shift, base, n, sign)
+            return
+        assert pochhammer_inf(shift, base, n, sign) == expected
+
+    @settings(deadline=None)
+    @given(st.integers(0, 70), st.sampled_from((1, 2, 3)), st.integers(-3, 60))
+    def test_running_sums_match_inverse_of_finite_product(self, length, base, n):
+        assert inv_pochhammer(length, base, n) == inverse(
+            pochhammer(length, base, base), n)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 60))
+    def test_running_sums_match_inverse_of_infinite_product(self, shift, base, n):
+        assert inv_pochhammer_inf(shift, base, n) == inverse(
+            dense_pochhammer_inf(shift, base, n), n)
 
 
 class TestQBinomial:

@@ -71,6 +71,16 @@ sum_term = st.builds(
     st.one_of(st.none(), st.integers(min_value=-10, max_value=40)),
 )
 
+# Product operands: exact or truncated, negative offsets, short lists and
+# lists long enough to put a product past _KRONECKER_CUTOFF; a truncation
+# may sit below the operand's offset or inside or above its coefficients.
+mul_operand = st.builds(
+    QSeries,
+    st.integers(min_value=-20, max_value=20),
+    st.one_of(st.lists(st.integers(-10**6, 10**6), max_size=12), kronecker_operand),
+    st.one_of(st.none(), st.integers(min_value=-40, max_value=340)),
+)
+
 
 class TestBasics:
     def test_zero_is_falsy(self):
@@ -231,6 +241,24 @@ class TestKronecker:
         assert product == naive_convolve(a, b)
 
 
+class TestTruncatedMul:
+    @settings(max_examples=80, deadline=None)
+    @given(mul_operand, mul_operand)
+    def test_matches_full_convolution_then_truncation(self, a, b):
+        truncs = [t for t in (a.trunc, b.trunc) if t is not None]
+        full = _convolve(list(a.coeffs), list(b.coeffs))
+        expected = QSeries(a.offset + b.offset, full, min(truncs, default=None))
+        assert a * b == expected
+
+    def test_truncation_below_the_lowest_product_exponent(self):
+        # q^3 q^4 = q^7 lies above trunc 6; a trunc of 2 lies below both
+        # offsets and leaves the second operand zero to that order
+        a = QSeries(3, (1, 2, 3))
+        for b, trunc in ((QSeries(4, (5, 6), 6), 6), (QSeries(4, (5, 6), 2), 2)):
+            assert a * b == QSeries(0, (), trunc)
+            assert b * a == QSeries(0, (), trunc)
+
+
 class TestAccumulator:
     @given(st.one_of(st.none(), st.integers(min_value=-10, max_value=40)),
            st.lists(sum_term, max_size=20))
@@ -251,6 +279,25 @@ class TestInverse:
     def test_roundtrip(self):
         x = ONE - Q - monomial(2)
         assert (inverse(x, 8) * x).truncate(8) == QSeries(0, (1,), 8)
+
+    def test_positive_valuation_lowers_the_known_order(self):
+        # q - q^2 + O(q^4) has inverse q^-1 + 1 + q + O(q^2)
+        assert inverse(QSeries(1, (1, -1), 3), 3) == QSeries(-1, (1, 1, 1), 1)
+
+    @given(st.integers(-5, 5), st.sampled_from((1, -1)),
+           st.lists(st.integers(-5, 5), max_size=10), st.integers(0, 10),
+           st.lists(st.integers(-5, 5), max_size=6),
+           st.lists(st.integers(-5, 5), max_size=6), st.integers(-10, 20))
+    def test_completions_agree_up_to_the_returned_trunc(
+            self, v, c0, rest, known, tail1, tail2, n):
+        # x is known to q^(v + known); each completion keeps those
+        # coefficients and appends its own above them
+        prefix = ([c0] + rest + [0] * known)[:known + 1]
+        x = QSeries(v, prefix, v + known)
+        result = inverse(x, n)
+        for tail in (tail1, tail2):
+            completion = QSeries(v, prefix + tail)
+            assert compare(inverse(completion, n), result)
 
 
 class TestTextForms:
