@@ -446,8 +446,9 @@ def refinement_limit_lhs(nu: int, n: int) -> QSeries:
                 t3 = q_binomial(3 * n_last, m, 1)
                 t4 = q_binomial(2 * n_last + half, 2 * n_last, 3)
                 if t3 and t4:
-                    term = mid * t3 * t4 * inv_pochhammer(i, 3, n)
-                    total.add(term.shift(e).truncate(n))
+                    # only order n - e survives the shift by e
+                    term = _trunc_one(n - e) * mid * t3 * t4 * inv_pochhammer(i, 3, n)
+                    total.add(term.shift(e))
     return total.value()
 
 

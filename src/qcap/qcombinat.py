@@ -243,13 +243,14 @@ def trinomial_t(length: int, b: int, a: int, base: int = 1) -> QSeries:
 
 @lru_cache(maxsize=None)
 def _warnaar_base1(big_l: int, big_m: int, a: int, b: int) -> QSeries:
+    # [M+L-a-2n, M] [M-a+b, n] [M+a-b, n+a] is non-zero exactly when
+    # 2n <= L-a, 0 <= n <= M-a+b and -a <= n <= M-b (M >= 0)
     total = Accumulator()
-    for n in range(max(big_m - a + b, 0) + 1):
+    for n in range(max(0, -a), min(big_m - a + b, big_m - b, (big_l - a) // 2) + 1):
         t1 = _q_binomial_base1(big_m + big_l - a - 2 * n, big_m)
         t2 = _q_binomial_base1(big_m - a + b, n)
         t3 = _q_binomial_base1(big_m + a - b, n + a)
-        if t1 and t2 and t3:
-            total.add((t1 * t2 * t3).shift(n * (n + a)))
+        total.add((t1 * t2 * t3).shift(n * (n + a)))
     return total.value()
 
 

@@ -10,9 +10,11 @@ operands always give an exact result.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
-from operator import add
-from typing import Iterable, Mapping
+from operator import add, neg
+from typing import Iterable, Mapping, Sequence
 
 
 class NonDivisible(ArithmeticError):
@@ -31,11 +33,16 @@ def _min_trunc(t1: int | None, t2: int | None) -> int | None:
     return min(t1, t2)
 
 
-# Naive convolution below this (len_a * len_b) size; Kronecker substitution above.
-_KRONECKER_CUTOFF = 4096
+# Naive convolution up to this (len_a * len_b) size; Kronecker substitution
+# above it.  Chosen by replaying the workloads' recorded operand pairs.
+_KRONECKER_CUTOFF = 256
+
+# Signed array typecodes for 1-, 2-, 4- and 8-byte limbs, by item size.
+_LIMB_CODES = sorted((array(code).itemsize, code) for code in "bhiq")
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _convolve_kronecker(a: list[int], b: list[int]) -> list[int]:
+def _convolve_kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Product of two coefficient lists by one big-integer multiplication.
 
     Every product coefficient satisfies |c| <= bound = max|a| * max|b| *
@@ -47,28 +54,44 @@ def _convolve_kronecker(a: list[int], b: list[int]) -> list[int]:
     (limbs ^ H) - H = sum c_i 2**(8wi).  After the one product, (P + H) ^ H
     maps each product coefficient back to its two's-complement limb: P + H
     has non-negative limbs c + half, so no carry crosses a limb.
+
+    w is rounded up to the item size of a signed ``array`` typecode, so the
+    limbs pack and unpack in C; only w > 8 (a coefficient or bound of 2**63
+    or more) packs limb by limb.
     """
     n = len(a) + len(b) - 1
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     if not bound:
         return [0] * n
     w = (bound.bit_length() + 8) // 8
+    w, code = next(((size, c) for size, c in _LIMB_CODES if size >= w), (w, None))
     half_limb = b"\x00" * (w - 1) + b"\x80"
 
     def halves(length: int) -> int:
         return int.from_bytes(half_limb * length, "little")
 
-    def pack(coeffs: list[int]) -> int:
-        limbs = b"".join([c.to_bytes(w, "little", signed=True) for c in coeffs])
+    def pack(coeffs: Sequence[int]) -> int:
+        if code is None:
+            limbs = b"".join([c.to_bytes(w, "little", signed=True) for c in coeffs])
+        else:
+            packed = array(code, coeffs)
+            if _BIG_ENDIAN:
+                packed.byteswap()
+            limbs = packed.tobytes()
         h = halves(len(coeffs))
         return (int.from_bytes(limbs, "little") ^ h) - h
 
     h = halves(n)
     raw = ((pack(a) * pack(b) + h) ^ h).to_bytes(n * w, "little")
-    return [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, n * w, w)]
+    if code is None:
+        return [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, n * w, w)]
+    out = array(code, raw)
+    if _BIG_ENDIAN:
+        out.byteswap()
+    return out.tolist()
 
 
-def _convolve(a: list[int], b: list[int]) -> list[int]:
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if not a or not b:
         return []
     if len(a) > len(b):
@@ -159,7 +182,7 @@ class QSeries:
     __radd__ = __add__
 
     def __neg__(self) -> QSeries:
-        return QSeries(self.offset, [-c for c in self.coeffs], self.trunc)
+        return _canonical(self.offset, tuple(map(neg, self.coeffs)), self.trunc)
 
     def __sub__(self, other: QSeries | int) -> QSeries:
         if isinstance(other, int):
@@ -174,11 +197,14 @@ class QSeries:
             other = monomial(0, other)
         trunc = _min_trunc(self.trunc, other.trunc)
         a, b = self.coeffs, other.coeffs
-        if trunc is not None:
-            # only a[:keep] and b[:keep] reach an exponent <= trunc
-            keep = max(trunc - self.offset - other.offset + 1, 0)
-            a, b = a[:keep], b[:keep]
-        coeffs = _convolve(list(a), list(b))
+        if trunc is None:
+            # a_0 b_0 and a_last b_last are non-zero: already canonical
+            if not a or not b:
+                return ZERO
+            return _canonical(self.offset + other.offset, tuple(_convolve(a, b)), None)
+        # only a[:keep] and b[:keep] reach an exponent <= trunc
+        keep = max(trunc - self.offset - other.offset + 1, 0)
+        coeffs = _convolve(a[:keep], b[:keep])
         return QSeries(self.offset + other.offset, coeffs, trunc)
 
     __rmul__ = __mul__
@@ -199,7 +225,8 @@ class QSeries:
     def shift(self, exponent: int) -> QSeries:
         """Multiply by q**exponent."""
         trunc = None if self.trunc is None else self.trunc + exponent
-        return QSeries(self.offset + exponent, self.coeffs, trunc)
+        offset = self.offset + exponent if self.coeffs else 0
+        return _canonical(offset, self.coeffs, trunc)
 
     # -- structural operations -------------------------------------------
 
@@ -210,10 +237,9 @@ class QSeries:
         if k == 1:
             return self
         out = [0] * (max(len(self.coeffs) - 1, 0) * k + 1) if self.coeffs else []
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
+        out[::k] = self.coeffs
         trunc = None if self.trunc is None else self.trunc * k
-        return QSeries(self.offset * k, out, trunc)
+        return _canonical(self.offset * k, tuple(out), trunc)
 
     def invert_q(self) -> QSeries:
         """q -> 1/q on an exact Laurent polynomial (an involution)."""
@@ -252,6 +278,16 @@ class QSeries:
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+def _canonical(offset: int, coeffs: tuple[int, ...], trunc: int | None) -> QSeries:
+    """A QSeries from fields already in canonical form, without __post_init__."""
+    value = object.__new__(QSeries)
+    state = value.__dict__
+    state["offset"] = offset
+    state["coeffs"] = coeffs
+    state["trunc"] = trunc
+    return value
 
 
 ZERO = QSeries()
@@ -394,6 +430,8 @@ class Comparison:
 def compare(a: QSeries, b: QSeries) -> Comparison:
     """Compare exactly, or up to the smaller truncation if either is truncated."""
     limit = _min_trunc(a.trunc, b.trunc)
+    if limit is None and a.offset == b.offset and a.coeffs == b.coeffs:
+        return Comparison(True, "exact")
     lo = min(a.valuation(), b.valuation())
     hi = max(a.degree(), b.degree())
     if limit is not None:

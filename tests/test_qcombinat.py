@@ -245,6 +245,28 @@ class TestWarnaar:
     def test_vanishing_when_a_large(self):
         assert warnaar_s(2, 1, 4, 0) == ZERO
 
+    def test_nonzero_term_range_matches_the_full_loop(self):
+        # every (L, M) <= 8 with the (a, b) of seed_identity_rhs (nu = 0) and
+        # of refinement_hierarchy_rhs (nu = 1..3), over their j ranges
+        for L in range(9):
+            for M in range(9):
+                for nu in range(4):
+                    for j in range(-(L + M + 2), M + 2):
+                        a, b = (nu + 2) * j, (nu + 1) * j
+                        assert warnaar_s(L, M, a, b) == full_range_warnaar(L, M, a, b)
+
+
+def full_range_warnaar(L, M, a, b):
+    """S(L, M; a, b) summed over every n in 0..M-a+b, zero terms skipped."""
+    total = ZERO
+    for n in range(max(M - a + b, 0) + 1):
+        t1 = q_binomial(M + L - a - 2 * n, M)
+        t2 = q_binomial(M - a + b, n)
+        t3 = q_binomial(M + a - b, n + a)
+        if t1 and t2 and t3:
+            total = total + (t1 * t2 * t3).shift(n * (n + a))
+    return total
+
 
 class TestJacobi3:
     def test_values(self):

@@ -1,5 +1,7 @@
 """Ring arithmetic on exact Laurent polynomials and truncated series."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -47,7 +49,7 @@ def naive_convolve(a, b):
 
 
 # Coefficient lists long enough that any two cross _KRONECKER_CUTOFF
-# (65 * 65 > 4096): mixed signs, one sign, all negative, units, all zero.
+# (65 * 65 > 256): mixed signs, one sign, all negative, units, all zero.
 def _kronecker_lists(coeffs):
     return st.lists(coeffs, min_size=65, max_size=300)
 
@@ -59,6 +61,32 @@ kronecker_operand = st.one_of(
     _kronecker_lists(st.integers(-1, 1)),
     _kronecker_lists(st.just(0)),
 )
+
+
+@st.composite
+def limb_width_operands(draw, bits, above):
+    """Operands of 17..80 coefficients, mixed signs, whose bound max|a| *
+    max|b| * min(len) lies just below 2**bits, or (``above``) at or just
+    above it: the edges of the 1-, 2-, 4- and 8-byte limbs and of the
+    limb-by-limb path."""
+    la, lb = draw(st.integers(17, 80)), draw(st.integers(17, 80))
+    m = min(la, lb)
+    top_a = draw(st.integers(1, max(math.isqrt(2**bits // m), 1)))
+    if above:
+        top_b = -(-2**bits // (top_a * m))
+    else:
+        top_b = (2**bits - 1) // (top_a * m)
+
+    def operand(length, top):
+        if draw(st.booleans()):
+            # one repeated value: the middle product coefficient is +-bound
+            return [draw(st.sampled_from((top, -top)))] * length
+        coeffs = draw(st.lists(st.integers(-top, top), min_size=length, max_size=length))
+        coeffs[draw(st.integers(0, length - 1))] = draw(st.sampled_from((top, -top)))
+        return coeffs
+
+    return operand(la, top_a), operand(lb, top_b)
+
 
 # Terms of a sum: exact or truncated, negative offsets, zero terms.
 sum_term = st.builds(
@@ -169,10 +197,46 @@ class TestStructuralOps:
     def test_shift(self):
         assert (ONE + Q).shift(2) == monomial(2) + monomial(3)
 
+    @given(sum_term, st.integers(1, 6))
+    def test_substitute_q_power_matches_a_term_map(self, x, k):
+        terms = {k * (x.offset + i): c for i, c in enumerate(x.coeffs)}
+        trunc = None if x.trunc is None else k * x.trunc
+        assert x.substitute_q_power(k) == from_terms(terms, trunc)
+
+
+# Operands of the results built without re-normalising: exact or truncated,
+# negative offsets, the zero series, lists on both sides of _KRONECKER_CUTOFF.
+canonical_operand = st.builds(
+    QSeries,
+    st.integers(min_value=-20, max_value=20),
+    st.one_of(st.lists(st.integers(-10**6, 10**6), max_size=12),
+              _kronecker_lists(st.integers(-10**6, 10**6))),
+    st.one_of(st.none(), st.integers(min_value=-40, max_value=340)),
+)
+
+
+class TestCanonicalResults:
+    @settings(deadline=None)
+    @given(canonical_operand, canonical_operand, st.integers(-30, 30), st.integers(2, 6))
+    def test_equal_to_the_normalising_constructor_field_for_field(self, a, b, e, k):
+        results = [a.shift(e), -a, a.substitute_q_power(k)]
+        if a.is_exact() and b.is_exact():
+            results.append(a * b)
+        for r in results:
+            rebuilt = QSeries(r.offset, r.coeffs, r.trunc)
+            assert type(r.coeffs) is tuple
+            assert (r.offset, r.coeffs, r.trunc) == (rebuilt.offset, rebuilt.coeffs, rebuilt.trunc)
+
 
 class TestCompare:
     def test_exact_equal(self):
         assert compare(ONE + Q, ONE + Q)
+
+    def test_equal_coefficients_one_truncated(self):
+        for a, b in ((QSeries(0, (1, 1), 5), ONE + Q), (ONE + Q, QSeries(0, (1, 1), 5))):
+            outcome = compare(a, b)
+            assert outcome
+            assert (outcome.mode, outcome.upto) == ("truncated-agreement up to 5", 5)
 
     def test_truncated_agreement(self):
         outcome = compare(QSeries(0, (1, 1), 1), ONE + Q + monomial(9))
@@ -225,6 +289,19 @@ class TestKronecker:
     @settings(max_examples=60, deadline=None)
     @given(kronecker_operand, kronecker_operand)
     def test_matches_naive_double_loop(self, a, b):
+        assert len(a) * len(b) > _KRONECKER_CUTOFF
+        expected = naive_convolve(a, b)
+        assert _convolve_kronecker(a, b) == expected
+        assert _convolve(a, b) == expected
+
+    @pytest.mark.parametrize("above", (False, True))
+    @pytest.mark.parametrize("bits", (7, 15, 31, 63))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_every_limb_width(self, bits, above, data):
+        a, b = data.draw(limb_width_operands(bits, above))
+        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+        assert (bound >= 2**bits) == above
         assert len(a) * len(b) > _KRONECKER_CUTOFF
         expected = naive_convolve(a, b)
         assert _convolve_kronecker(a, b) == expected
