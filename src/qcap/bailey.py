@@ -19,6 +19,7 @@ from typing import Callable
 
 from qcap.series import ONE, Accumulator, QSeries, ZERO, monomial
 from qcap.identities import (
+    FAMILIES,
     ParamOutOfRange,
     _family_checked,
     binomial_sum,
@@ -53,8 +54,7 @@ def bailey_step(alpha: BaileyAlpha) -> BaileyAlpha:
     inner, a, base = alpha.alpha, alpha.a, alpha.base
 
     def stepped(j: int) -> QSeries:
-        value = inner(j)
-        return value.shift(base * (j * j + a * j)) if value else ZERO
+        return inner(j).shift(base * (j * j + a * j))
 
     return replace(alpha, name=f"step({alpha.name})", alpha=stepped)
 
@@ -87,39 +87,25 @@ def verify_bailey_theorem(alpha: BaileyAlpha, l_max: int) -> list[tuple[int, boo
 
 
 # ---------------------------------------------------------------------------
-# Alpha catalog: every alpha-sequence driving a hierarchy in this package
+# Alpha catalog: every alpha-sequence driving a hierarchy in this package,
+# read from the Bailey pairs in FAMILIES
 # ---------------------------------------------------------------------------
 
 def _unit(j: int) -> QSeries:
     return ONE if j == 0 else ZERO
 
 
+def _family_alpha(name: str, family: str, s: int = 0) -> BaileyAlpha:
+    fam = FAMILIES[family]
+    return BaileyAlpha(name, lambda j: fam.alpha(s, j), a=fam.a, base=fam.base)
+
+
 ALPHAS: dict[str, BaileyAlpha] = {
     "unit": BaileyAlpha("unit", _unit, a=0, base=1),
-    "cap1_binomial": BaileyAlpha(
-        "cap1_binomial", lambda j: monomial(3 * j * j + j), a=0, base=3),
-    "cap2_binomial": BaileyAlpha(
-        "cap2_binomial", lambda j: monomial(3 * j * j + 2 * j), a=1, base=3),
-    "sum_cap": BaileyAlpha(
-        "sum_cap",
-        lambda j: monomial(3 * j * j - 2 * j) + monomial(3 * j * j + j),
-        a=0, base=3),
-    "cap1": BaileyAlpha(
-        "cap1",
-        lambda j: monomial(j * j, jacobi3(j + 1)) if jacobi3(j + 1) else ZERO,
-        a=0, base=1),
-    "cap2": BaileyAlpha(
-        "cap2",
-        lambda j: monomial(j * j + j, jacobi3(j + 1)) if jacobi3(j + 1) else ZERO,
-        a=0, base=1),
-    "cap2_alt": BaileyAlpha(
-        "cap2_alt",
-        lambda j: monomial(j * j + j, jacobi3(j + 1)) if jacobi3(j + 1) else ZERO,
-        a=1, base=1),
-    "cap1_shifted": BaileyAlpha(
-        "cap1_shifted",
-        lambda j: monomial(j * (j - 1), jacobi3(j + 1)) if jacobi3(j + 1) else ZERO,
-        a=0, base=1),
+    **{name: _family_alpha(name, name)
+       for name in ("cap1_binomial", "cap2_binomial", "sum_cap", "cap1", "cap2")},
+    "cap2_alt": _family_alpha("cap2_alt", "cap2_analogue"),
+    "cap1_shifted": _family_alpha("cap1_shifted", "double", s=1),
 }
 
 
@@ -159,6 +145,6 @@ def checkpoint_after_k_transform(L: int) -> tuple[QSeries, QSeries]:
     lhs = bailey_lhs_transform(cor_cap2_analogue_lhs, 0, 1)(L).shift(L)
     alpha = BaileyAlpha(
         "after_k",
-        lambda j: monomial(2 * j * j - 2 * j, jacobi3(j + 1)) if jacobi3(j + 1) else ZERO,
+        lambda j: monomial(2 * j * j - 2 * j, jacobi3(j + 1)),
         a=0, base=1)
     return lhs, bailey_f(alpha, L)

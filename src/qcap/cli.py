@@ -48,8 +48,7 @@ def _open_out(path: str | None) -> TextIO:
 
 def _emit(out: TextIO, fmt: str, report: Report) -> None:
     if fmt == "json":
-        out.write(json.dumps(report.to_json_dict(with_timing=False),
-                             sort_keys=True) + "\n")
+        out.write(json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
     else:
         status = "pass" if report.verdict else "FAIL"
         params = " ".join(f"{k}={v}" for k, v in sorted(report.params.items()))

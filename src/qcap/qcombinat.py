@@ -1,6 +1,6 @@
-"""q-special functions: Pochhammer symbols, q-binomial and q-multinomial
-coefficients, trinomial refinements, the mod-3 quadratic character, and the
-classical theta-style sum/product evaluators.
+"""q-special functions: Pochhammer symbols, q-binomial coefficients,
+trinomial refinements, the mod-3 quadratic character, and the classical
+theta-style sum/product evaluators.
 
 Every "variable" other than q is a monomial specialization q**shift; all
 values are :class:`~qcap.series.QSeries` with integer coefficients.
@@ -105,7 +105,7 @@ def inv_pochhammer(length: int, base: int, n: int) -> QSeries:
 
 
 # ---------------------------------------------------------------------------
-# q-binomial / q-multinomial
+# q-binomial coefficients and Pochhammer quotients
 # ---------------------------------------------------------------------------
 
 def _times_one_minus(coeffs: list[int], m: int) -> list[int]:
@@ -160,8 +160,7 @@ def _q_binomial_base1(top: int, k: int) -> QSeries:
 
 def q_binomial(top: int, k: int, base: int = 1) -> QSeries:
     """Gaussian binomial [top, k] in base q^base; zero outside 0 <= k <= top."""
-    value = _q_binomial_base1(top, k)
-    return value.substitute_q_power(base) if base != 1 else value
+    return _q_binomial_base1(top, k).substitute_q_power(base)
 
 
 def poch_ratio(num: tuple[tuple[int, int], ...], den: tuple[tuple[int, int], ...]) -> QSeries:
@@ -210,19 +209,10 @@ def _poch_ratio_cached(num: tuple[tuple[int, int], ...], den: tuple[tuple[int, i
     return QSeries(0, _tight(coeffs))
 
 
-def q_multinomial(top: int, parts: tuple[tuple[int, int], ...], base: int = 1) -> QSeries:
-    """(q^base;q^base)_top over a product of Pochhammers; zero if any part
-    length is negative."""
-    if top < 0:
-        raise NegativeLength(f"multinomial top {top} < 0")
-    return poch_ratio(((top, base),), tuple(parts))
-
-
 # ---------------------------------------------------------------------------
 # Trinomial refinements
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _trinomial_base1(length: int, b: int, a: int) -> QSeries:
     if length < 0:
         return ZERO
@@ -237,8 +227,7 @@ def _trinomial_base1(length: int, b: int, a: int) -> QSeries:
 
 def trinomial_t(length: int, b: int, a: int, base: int = 1) -> QSeries:
     """Andrews-Baxter trinomial T(length; b, a) in base q^base."""
-    value = _trinomial_base1(length, b, a)
-    return value.substitute_q_power(base) if base != 1 else value
+    return _trinomial_base1(length, b, a).substitute_q_power(base)
 
 
 @lru_cache(maxsize=None)
@@ -258,8 +247,7 @@ def warnaar_s(big_l: int, big_m: int, a: int, b: int, base: int = 1) -> QSeries:
     """Warnaar's doubly bounded trinomial refinement S(L, M; a, b)."""
     if big_l < 0 or big_m < 0:
         return ZERO
-    value = _warnaar_base1(big_l, big_m, a, b)
-    return value.substitute_q_power(base) if base != 1 else value
+    return _warnaar_base1(big_l, big_m, a, b).substitute_q_power(base)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from qcap.identities import (
     hierarchy_finite_lhs,
     hierarchy_finite_rhs,
 )
-from qcap.series import ONE, ZERO
+from qcap.qcombinat import jacobi3
+from qcap.series import ONE, ZERO, monomial
 
 
 FAMILIES = (
@@ -45,6 +46,33 @@ class TestTheorem:
             expect = ALPHAS["cap2_binomial"].alpha(j).shift(3 * (j * j + j))
             assert stepped.alpha(j) == expect
         assert stepped.a == 1 and stepped.base == 3
+
+
+# The alpha catalog written out as literal rows (a, base, alpha_j); ALPHAS,
+# read from the Bailey pairs in FAMILIES, must reproduce every row.
+LITERAL_ALPHAS = {
+    "unit": (0, 1, lambda j: ONE if j == 0 else ZERO),
+    "cap1_binomial": (0, 3, lambda j: monomial(3 * j * j + j)),
+    "cap2_binomial": (1, 3, lambda j: monomial(3 * j * j + 2 * j)),
+    "sum_cap": (0, 3, lambda j: monomial(3 * j * j - 2 * j) + monomial(3 * j * j + j)),
+    "cap1": (0, 1, lambda j: monomial(j * j, jacobi3(j + 1))),
+    "cap2": (0, 1, lambda j: monomial(j * j + j, jacobi3(j + 1))),
+    "cap2_alt": (1, 1, lambda j: monomial(j * j + j, jacobi3(j + 1))),
+    "cap1_shifted": (0, 1, lambda j: monomial(j * (j - 1), jacobi3(j + 1))),
+}
+
+
+class TestCatalog:
+    def test_names(self):
+        assert sorted(ALPHAS) == sorted(LITERAL_ALPHAS)
+
+    @pytest.mark.parametrize("name", sorted(LITERAL_ALPHAS))
+    def test_rows_match_literal_table(self, name):
+        a, base, alpha = LITERAL_ALPHAS[name]
+        entry = ALPHAS[name]
+        assert (entry.name, entry.a, entry.base) == (name, a, base)
+        for j in range(-10, 11):
+            assert entry.alpha(j) == alpha(j), j
 
 
 class TestValidation:

@@ -1,6 +1,8 @@
 """Identity registry: spot values, grids, parameter validation, and the
 reduction/construction chains connecting the cases."""
 
+import math
+
 import pytest
 
 from qcap.identities import (
@@ -8,7 +10,8 @@ from qcap.identities import (
     Bounds,
     CASES,
     ParamOutOfRange,
-    cor_cap2_analogue_rhs,
+    alpha_sum,
+    binomial_sum,
     dual_construct,
     dual_lhs,
     hierarchy_chain_exponent,
@@ -18,7 +21,7 @@ from qcap.identities import (
     iterate_grid,
     k_transform_lhs,
     refinement_hierarchy_lhs,
-    rhs_fin_cap_binomial,
+    refinement_limit_lhs,
     rhs_new_fin_cap,
     roundtri_lhs,
     seed_cap1,
@@ -27,8 +30,8 @@ from qcap.identities import (
     suffix_sums,
     verify_case,
 )
-from qcap.qcombinat import poch_ratio, pochhammer, q_binomial
-from qcap.series import ONE, ZERO, from_terms, inverse
+from qcap.qcombinat import inv_pochhammer, jacobi3, poch_ratio, pochhammer, q_binomial
+from qcap.series import ONE, QSeries, ZERO, from_terms, inverse, monomial
 
 
 def poly(*terms):
@@ -99,7 +102,7 @@ class TestRegistry:
         assert report.mode == "exact"
         assert report.first_mismatch is None
         assert report.lhs_degree == report.rhs_degree == 4
-        d = report.to_json_dict(with_timing=False)
+        d = report.to_json_dict()
         assert "millis" not in d
         assert d["params"] == {"L": 2}
 
@@ -158,7 +161,7 @@ class TestReductionChains:
         for M in range(4):
             big = seed_identity_lhs(N + M + 1, M).truncate(N)
             small = (inverse(pochhammer(M, 3, 3), N)
-                     * rhs_fin_cap_binomial(1, M)).truncate(N)
+                     * alpha_sum(FAMILIES["cap1_binomial"], 0, M)).truncate(N)
             assert big == small
 
     def test_k1_transform_reproduces_shifted_identity(self):
@@ -166,7 +169,7 @@ class TestReductionChains:
         for L in range(7):
             shifted = rhs_new_fin_cap(1, L).shift(L)
             assert k_transform_lhs(1, L) == shifted
-            assert cor_cap2_analogue_rhs(L) == k_transform_lhs(1, L)
+            assert alpha_sum(FAMILIES["double"], 0, L, 1) == k_transform_lhs(1, L)
 
     def test_duality_involution(self):
         for which, e in ((1, 0), (2, 1)):
@@ -236,6 +239,33 @@ def per_term_refinement_hierarchy_lhs(nu, L, M):
     return total
 
 
+def per_term_refinement_limit_lhs(nu, n):
+    # one term at a time: the middle product is built for every (nvec, i)
+    # with an exponent within n, and each term at order n - e
+    total = ZERO
+    i_max = math.isqrt(2 * n // 3) + 1
+    for nvec in index_vectors(nu, i_max):
+        N = suffix_sums(nvec)
+        SN = sum(N)
+        sq = 3 * sum(x * x for x in N)
+        n_last = nvec[-1]
+        for i in range(i_max + 1):
+            room = 2 * n - 3 * i * i - sq
+            if room < 0:
+                continue
+            ms = range((i + SN) % 2, min(3 * n_last, i - SN, math.isqrt(room)) + 1, 2)
+            mid = ONE
+            for j in range(nu - 1):
+                mid = mid * q_binomial(i - sum_prefix(N, j) + nvec[j], nvec[j], 3)
+            for m in ms:
+                e = (m * m + 3 * i * i + sq) // 2
+                t3 = q_binomial(3 * n_last, m, 1)
+                t4 = q_binomial(2 * n_last + (i - m - SN) // 2, 2 * n_last, 3)
+                term = QSeries(0, (1,), n - e) * mid * t3 * t4 * inv_pochhammer(i, 3, n)
+                total = total + term.shift(e)
+    return total.truncate(n)
+
+
 def per_term_seed_identity_lhs(L, M):
     total = ZERO
     for i in range(min(M, L) + 1):
@@ -263,7 +293,77 @@ class TestGroupedSums:
                     assert (refinement_hierarchy_lhs(nu, L, M)
                             == per_term_refinement_hierarchy_lhs(nu, L, M)), (nu, L, M)
 
+    def test_refinement_limit_lhs_matches_per_term(self):
+        for nu in (1, 2, 3):
+            for n in range(41):
+                assert (refinement_limit_lhs(nu, n)
+                        == per_term_refinement_limit_lhs(nu, n)), (nu, n)
+
     def test_seed_identity_lhs_matches_per_term(self):
         for L in range(9):
             for M in range(9):
                 assert seed_identity_lhs(L, M) == per_term_seed_identity_lhs(L, M), (L, M)
+
+
+# Reference forms of the Bailey-pair right-hand sides, written out by hand:
+# the seven hierarchy weights alpha_j q^{f*base*(j^2+aj)} and the base
+# right-hand sides.  alpha_sum over the alpha rows of FAMILIES must
+# reproduce each of them.
+
+HAND_WEIGHTS = {
+    "cap1_binomial": lambda f, s, j: monomial(3 * (f + 1) * j * j + j),
+    "cap2_binomial": lambda f, s, j: monomial(3 * (f + 1) * j * j + (3 * f + 2) * j),
+    "sum_cap": lambda f, s, j: (monomial(3 * (f + 1) * j * j - 2 * j)
+                                + monomial(3 * (f + 1) * j * j + j)),
+    "cap1": lambda f, s, j: monomial((f + 1) * j * j, jacobi3(j + 1)),
+    "cap2": lambda f, s, j: monomial((f + 1) * j * j + j, jacobi3(j + 1)),
+    "cap2_analogue": lambda f, s, j: monomial((f + 1) * (j * j + j), jacobi3(j + 1)),
+    "double": lambda f, s, j: monomial((f + 1) * j * j - s * j, jacobi3(j + 1)),
+}
+
+
+def hand_rhs_new_fin_cap(which, L):
+    if which == 1:
+        return binomial_sum(L, 0, 1, lambda j: monomial(j * j, jacobi3(j + 1)))
+    return binomial_sum(L, 0, 1, lambda j: monomial(j * (j + 1), jacobi3(j + 1)))
+
+
+def hand_rhs_fin_cap_binomial(which, M):
+    if which == 1:
+        return binomial_sum(M, 0, 3, lambda j: monomial(3 * j * j + j))
+    if which == 2:
+        return binomial_sum(M, 1, 3, lambda j: monomial(3 * j * j + 2 * j))
+    return binomial_sum(
+        M, 0, 3, lambda j: monomial(3 * j * j - 2 * j) + monomial(3 * j * j + j))
+
+
+def hand_cor_cap2_analogue_rhs(L):
+    return binomial_sum(L, 0, 1, lambda j: monomial(j * (j - 1), jacobi3(j + 1)))
+
+
+class TestAlphaTable:
+    def test_weights_cover_every_family(self):
+        assert sorted(HAND_WEIGHTS) == sorted(FAMILIES)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_stepped_alpha_matches_hand_weights(self, family):
+        fam = FAMILIES[family]
+        for f in range(1, 5):
+            for s in range(f + 1) if fam.twisted else (0,):
+                for L in range(7):
+                    expect = binomial_sum(
+                        L, fam.a, fam.base,
+                        lambda j: HAND_WEIGHTS[family](f, s, j))
+                    assert alpha_sum(fam, f, L, s) == expect, (f, s, L)
+
+    def test_base_right_hand_sides(self):
+        for L in range(9):
+            for which, name in ((1, "cap1"), (2, "cap2")):
+                assert rhs_new_fin_cap(which, L) == hand_rhs_new_fin_cap(which, L)
+                assert alpha_sum(FAMILIES[name], 0, L) == hand_rhs_new_fin_cap(which, L)
+            for which, name in ((1, "cap1_binomial"), (2, "cap2_binomial"), (3, "sum_cap")):
+                assert (alpha_sum(FAMILIES[name], 0, L)
+                        == hand_rhs_fin_cap_binomial(which, L)), (name, L)
+            assert alpha_sum(FAMILIES["double"], 0, L, 1) == hand_cor_cap2_analogue_rhs(L)
+            assert alpha_sum(FAMILIES["cap2_analogue"], 0, L) == binomial_sum(
+                L, 1, 1, lambda j: monomial(j * (j + 1), jacobi3(j + 1)))
