@@ -73,11 +73,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("choose --case ID (repeatable) or --all", file=sys.stderr)
         return EXIT_CONFIG
 
-    for flag, value in (("--L-max", args.l_max), ("--M-max", args.m_max),
-                        ("--f-max", args.f_max), ("--nu-max", args.nu_max),
-                        ("--trunc", args.trunc)):
-        if value < 0:
-            print(f"{flag} must be >= 0, got {value}", file=sys.stderr)
+    # f and nu start at 1 (as in check_params): a zero bound would leave their
+    # cases with no instance to check
+    for flag, value, minimum in (("--L-max", args.l_max, 0), ("--M-max", args.m_max, 0),
+                                 ("--f-max", args.f_max, 1), ("--nu-max", args.nu_max, 1),
+                                 ("--trunc", args.trunc, 0)):
+        if value < minimum:
+            print(f"{flag} must be >= {minimum}, got {value}", file=sys.stderr)
             return EXIT_CONFIG
     if args.s is not None and not 0 <= args.s <= args.f_max:
         print(f"--s must satisfy 0 <= s <= --f-max ({args.f_max}), got {args.s}",

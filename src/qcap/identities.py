@@ -202,6 +202,12 @@ class HierarchyFamily:
     # the limit is the sum of their products over (q^base; q^base)_inf.
     limit_products: Callable[[int, int], tuple[tuple[tuple[int, int, int], ...], ...]]
 
+    def __post_init__(self) -> None:
+        # a twist adds N_{f-s+1}+...+N_f to the chain exponent, which is then
+        # no multiple of the base; hierarchy_finite_lhs divides by the base
+        if self.twisted and self.base != 1:
+            raise ValueError(f"twisted family {self.name!r} must have base 1")
+
 
 FAMILIES: dict[str, HierarchyFamily] = {
     "cap1_binomial": HierarchyFamily(
@@ -277,21 +283,24 @@ def _family_checked(family: str, f: int, s: int) -> HierarchyFamily:
 
 def hierarchy_finite_lhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
     """Exact multi-sum: chain quotient times the seed polynomial at n_f.  The
-    chain terms are summed per n_f first, so each seed is multiplied once."""
+    chain terms are summed per n_f first, so each seed is multiplied once.
+    Every factor of a base-b chain is a (q^b; q^b) Pochhammer and every chain
+    exponent a multiple of b, so the chain is summed in powers of q^b and
+    stretched to q^b once, just before the seed multiplies it."""
     fam = _family_checked(family, f, s)
     b, a = fam.base, fam.a
     chains: dict[int, Accumulator] = {}
     for nvec in index_vectors(f, L):
         nf = nvec[-1]
         N1 = sum(nvec)
-        den = ((L - N1, b),) + tuple((x, b) for x in nvec[:-1]) + ((2 * nf + a, b),)
-        ratio = poch_ratio(((2 * L + a, b),), den)
+        den = ((L - N1, 1),) + tuple((x, 1) for x in nvec[:-1]) + ((2 * nf + a, 1),)
+        ratio = poch_ratio(((2 * L + a, 1),), den)
         if ratio:
             chain = chains.setdefault(nf, Accumulator())
-            chain.add(ratio.shift(hierarchy_chain_exponent(fam, nvec, s)))
+            chain.add(ratio.shift(hierarchy_chain_exponent(fam, nvec, s) // b))
     total = Accumulator()
     for nf, chain in chains.items():
-        total.add(chain.value() * fam.seed(nf))
+        total.add(chain.value().substitute_q_power(b) * fam.seed(nf))
     return total.value()
 
 

@@ -296,7 +296,9 @@ Q = QSeries(1, (1,))
 
 
 def monomial(exponent: int, coefficient: int = 1) -> QSeries:
-    return QSeries(exponent, (coefficient,))
+    if not coefficient:
+        return ZERO
+    return _canonical(exponent, (coefficient,), None)
 
 
 def from_terms(terms: Mapping[int, int] | Iterable[tuple[int, int]], trunc: int | None = None) -> QSeries:

@@ -55,6 +55,14 @@ class TestVerify:
         assert out == ""
         assert flag in err
 
+    @pytest.mark.parametrize("flag", ["--f-max", "--nu-max"])
+    def test_zero_depth_bound_is_config_error(self, capsys, flag):
+        # f and nu start at 1: a zero bound would give their cases no instance
+        code, out, err = run(capsys, "verify", "--all", flag, "0")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert f"{flag} must be >= 1, got 0" in err
+
     @pytest.mark.parametrize("s", ["7", "-1"])
     def test_twist_outside_depth_bound_is_config_error(self, capsys, s):
         code, out, err = run(capsys, "verify", "--case",
@@ -93,9 +101,14 @@ DEFAULT_REPORT_SHA256 = (
 TRUNC_100_REPORT_SHA256 = (
     "0fb39e5ac7548203d95b1d6a07b3f0988c166818c292f7f89f941e6ba51aa217")
 
+# The three base-3 finite hierarchies at `--L-max 12` (the `deep` bound),
+# recorded before their chains were summed in q and stretched to q^3.
+BASE3_HIERARCHY_L12_REPORT_SHA256 = (
+    "d0e31012af86fcd775836d1ddabfa6f8f30469ee328a6ea716f9e3e68d657365")
 
-def report_sha256(capsys, *flags):
-    code, out, _ = run(capsys, "verify", "--all", "--format", "json", *flags)
+
+def report_sha256(capsys, *flags, select=("--all",)):
+    code, out, _ = run(capsys, "verify", *select, "--format", "json", *flags)
     assert code == EXIT_OK
     reports = "".join(out.splitlines(keepends=True)[:-1])
     return hashlib.sha256(reports.encode()).hexdigest()
@@ -107,6 +120,13 @@ class TestReportGuard:
 
     def test_trunc_100_reports_are_byte_identical(self, capsys):
         assert report_sha256(capsys, "--trunc", "100") == TRUNC_100_REPORT_SHA256
+
+    def test_base3_hierarchies_at_l12_are_byte_identical(self, capsys):
+        select = ("--case", "hierarchy_finite_cap1_binomial",
+                  "--case", "hierarchy_finite_cap2_binomial",
+                  "--case", "hierarchy_finite_sum_cap")
+        assert (report_sha256(capsys, "--L-max", "12", select=select)
+                == BASE3_HIERARCHY_L12_REPORT_SHA256)
 
 
 class TestSeries:

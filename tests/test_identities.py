@@ -1,6 +1,7 @@
 """Identity registry: spot values, grids, parameter validation, and the
 reduction/construction chains connecting the cases."""
 
+import dataclasses
 import math
 
 import pytest
@@ -303,6 +304,23 @@ class TestGroupedSums:
         for L in range(9):
             for M in range(9):
                 assert seed_identity_lhs(L, M) == per_term_seed_identity_lhs(L, M), (L, M)
+
+
+class TestHierarchyFamily:
+    def test_twisted_family_must_have_base_1(self):
+        with pytest.raises(ValueError, match="base 1"):
+            dataclasses.replace(FAMILIES["cap1_binomial"], twisted=True)
+        with pytest.raises(ValueError, match="base 1"):
+            dataclasses.replace(FAMILIES["double"], base=3)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_chain_exponent_is_a_multiple_of_the_base(self, family):
+        # hierarchy_finite_lhs sums each chain in powers of q^base
+        fam = FAMILIES[family]
+        for f in range(1, 4):
+            for s in range(f + 1) if fam.twisted else (0,):
+                for nvec in index_vectors(f, 6):
+                    assert hierarchy_chain_exponent(fam, nvec, s) % fam.base == 0
 
 
 # Reference forms of the Bailey-pair right-hand sides, written out by hand:

@@ -227,6 +227,12 @@ class TestCanonicalResults:
             assert type(r.coeffs) is tuple
             assert (r.offset, r.coeffs, r.trunc) == (rebuilt.offset, rebuilt.coeffs, rebuilt.trunc)
 
+    @given(st.integers(-50, 50), st.one_of(st.just(0), st.integers(-10**20, 10**20)))
+    def test_monomial_equals_the_normalising_constructor(self, e, c):
+        m, rebuilt = monomial(e, c), QSeries(e, (c,))
+        assert type(m.coeffs) is tuple
+        assert (m.offset, m.coeffs, m.trunc) == (rebuilt.offset, rebuilt.coeffs, rebuilt.trunc)
+
 
 class TestCompare:
     def test_exact_equal(self):
