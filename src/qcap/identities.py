@@ -255,14 +255,20 @@ def rhs_new_fin_cap(which: int, L: int) -> QSeries:
     return alpha_sum(FAMILIES["cap1" if which == 1 else "cap2"], 0, L)
 
 
-def hierarchy_chain_exponent(fam: HierarchyFamily, nvec: tuple[int, ...], s: int) -> int:
+def _chain_q_exponent(linear: bool, nvec: tuple[int, ...], s: int) -> int:
+    """sum N_i^2 (+ sum N_i for a linear chain) + N_{f-s+1} + ... + N_f: the
+    chain exponent in powers of q^base (a twisted family has base 1)."""
     N = suffix_sums(nvec)
-    e = fam.base * sum(x * x for x in N)
-    if fam.linear_chain:
-        e += fam.base * sum(N)
+    e = sum(x * x for x in N)
+    if linear:
+        e += sum(N)
     if s:
         e += sum(N[len(N) - s:])
     return e
+
+
+def hierarchy_chain_exponent(fam: HierarchyFamily, nvec: tuple[int, ...], s: int) -> int:
+    return fam.base * _chain_q_exponent(fam.linear_chain, nvec, s)
 
 
 def _family_checked(family: str, f: int, s: int) -> HierarchyFamily:
@@ -281,26 +287,37 @@ def _family_checked(family: str, f: int, s: int) -> HierarchyFamily:
     return fam
 
 
+@lru_cache(maxsize=None)
+def _chain_table(a: int, linear: bool, s: int, f: int,
+                 L: int) -> tuple[tuple[int, QSeries], ...]:
+    """((n_f, chain), ...): for each n_f, the sum over the index vectors that
+    end in n_f of q^{_chain_q_exponent} (q)_{2L+a} / [(q)_{L-N_1} (q)_{n_1}
+    ... (q)_{n_{f-1}} (q)_{2n_f+a}], the Bailey chain summed in q.  Beyond
+    (a, linear), families differ only in base and seed, so an untwisted table
+    serves several of them: the cache holds at most 2 * f_max * (L_max+1)."""
+    chains: dict[int, Accumulator] = {}
+    for nvec in index_vectors(f, L):
+        nf = nvec[-1]
+        den = ((L - sum(nvec), 1),) + tuple((x, 1) for x in nvec[:-1]) + ((2 * nf + a, 1),)
+        ratio = poch_ratio(((2 * L + a, 1),), den)
+        if ratio:
+            chain = chains.setdefault(nf, Accumulator())
+            chain.add(ratio.shift(_chain_q_exponent(linear, nvec, s)))
+    return tuple((nf, chain.value()) for nf, chain in chains.items())
+
+
 def hierarchy_finite_lhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
     """Exact multi-sum: chain quotient times the seed polynomial at n_f.  The
     chain terms are summed per n_f first, so each seed is multiplied once.
     Every factor of a base-b chain is a (q^b; q^b) Pochhammer and every chain
-    exponent a multiple of b, so the chain is summed in powers of q^b and
+    exponent a multiple of b, so the chain is summed in powers of q and
     stretched to q^b once, just before the seed multiplies it."""
     fam = _family_checked(family, f, s)
-    b, a = fam.base, fam.a
-    chains: dict[int, Accumulator] = {}
-    for nvec in index_vectors(f, L):
-        nf = nvec[-1]
-        N1 = sum(nvec)
-        den = ((L - N1, 1),) + tuple((x, 1) for x in nvec[:-1]) + ((2 * nf + a, 1),)
-        ratio = poch_ratio(((2 * L + a, 1),), den)
-        if ratio:
-            chain = chains.setdefault(nf, Accumulator())
-            chain.add(ratio.shift(hierarchy_chain_exponent(fam, nvec, s) // b))
+    # a twisted table (double, s >= 1) has no second user: left uncached
+    table = _chain_table if not s else _chain_table.__wrapped__
     total = Accumulator()
-    for nf, chain in chains.items():
-        total.add(chain.value().substitute_q_power(b) * fam.seed(nf))
+    for nf, chain in table(fam.a, fam.linear_chain, s, f, L):
+        total.add(chain.substitute_q_power(fam.base) * fam.seed(nf))
     return total.value()
 
 
@@ -361,16 +378,17 @@ def _middle_binomials(outer: QSeries, nvec: tuple[int, ...], N: tuple[int, ...],
     return outer
 
 
-def refinement_hierarchy_lhs(nu: int, L: int, M: int) -> QSeries:
-    """Exact parity-constrained multi-sum with the doubly bounded binomial
-    kernel [L+M-i, L]_{q^3} [L-N_1, i]_{q^3}.  The m-sum is taken before its
-    [L-N_1, i] and middle factors multiply it, and the terms of each i are
-    summed before [L+M-i, L] multiplies them."""
+@lru_cache(maxsize=1)
+def _refinement_groups(nu: int, L: int) -> tuple[tuple[int, QSeries], ...]:
+    """((i, group), ...) for i <= L: the sum over every nvec with N_1 <= L - i
+    of [L-N_1, i]_{q^3} times the middle binomials times the m-sum.  No group
+    depends on M, and M runs innermost in the s_hierarchy grid, so the one
+    table kept serves every M of an (nu, L)."""
     by_i: dict[int, Accumulator] = {}
     for nvec in index_vectors(nu, L):
         N = suffix_sums(nvec)
         sq = 3 * sum(x * x for x in N)
-        for i in range(min(M, L - N[0]) + 1):
+        for i in range(L - N[0] + 1):
             inner = Accumulator()
             for e, t3, t4 in _m_terms(nvec[-1], i, sum(N), sq, i):
                 inner.add((t3 * t4).shift(e))
@@ -379,9 +397,18 @@ def refinement_hierarchy_lhs(nu: int, L: int, M: int) -> QSeries:
                 continue
             outer = _middle_binomials(q_binomial(L - N[0], i, 3), nvec, N, i)
             by_i.setdefault(i, Accumulator()).add(outer * inner_sum)
+    return tuple((i, group.value()) for i, group in by_i.items())
+
+
+def refinement_hierarchy_lhs(nu: int, L: int, M: int) -> QSeries:
+    """Exact parity-constrained multi-sum with the doubly bounded binomial
+    kernel [L+M-i, L]_{q^3} [L-N_1, i]_{q^3}.  The m-sum is taken before its
+    [L-N_1, i] and middle factors multiply it, and the terms of each i are
+    summed (in _refinement_groups) before [L+M-i, L] multiplies them."""
     total = Accumulator()
-    for i, group in by_i.items():
-        total.add(q_binomial(L + M - i, L, 3) * group.value())
+    for i, group in _refinement_groups(nu, L):
+        if i <= M:
+            total.add(q_binomial(L + M - i, L, 3) * group)
     return total.value()
 
 

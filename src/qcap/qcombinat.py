@@ -230,7 +230,6 @@ def trinomial_t(length: int, b: int, a: int, base: int = 1) -> QSeries:
     return _trinomial_base1(length, b, a).substitute_q_power(base)
 
 
-@lru_cache(maxsize=None)
 def _warnaar_base1(big_l: int, big_m: int, a: int, b: int) -> QSeries:
     # [M+L-a-2n, M] [M-a+b, n] [M+a-b, n+a] is non-zero exactly when
     # 2n <= L-a, 0 <= n <= M-a+b and -a <= n <= M-b (M >= 0)

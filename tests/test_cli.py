@@ -106,6 +106,12 @@ TRUNC_100_REPORT_SHA256 = (
 BASE3_HIERARCHY_L12_REPORT_SHA256 = (
     "d0e31012af86fcd775836d1ddabfa6f8f30469ee328a6ea716f9e3e68d657365")
 
+# The cases whose sums the shared chain table and the per-(nu, L) S-ladder
+# table serve, at `--L-max 12 --M-max 12` (the `deep` bounds, 533 reports),
+# recorded before those tables went in.
+SHARED_TABLES_L12_REPORT_SHA256 = (
+    "93d330ad56f6a7a5366bbfae00c6cbdbfc3c6962378b33d47e235a845cb47d21")
+
 
 def report_sha256(capsys, *flags, select=("--all",)):
     code, out, _ = run(capsys, "verify", *select, "--format", "json", *flags)
@@ -127,6 +133,14 @@ class TestReportGuard:
                   "--case", "hierarchy_finite_sum_cap")
         assert (report_sha256(capsys, "--L-max", "12", select=select)
                 == BASE3_HIERARCHY_L12_REPORT_SHA256)
+
+    def test_shared_table_cases_at_l12_are_byte_identical(self, capsys):
+        select = ("--case", "s_hierarchy",
+                  "--case", "hierarchy_finite_cap1",
+                  "--case", "hierarchy_finite_cap2_analogue",
+                  "--case", "hierarchy_finite_double")
+        assert (report_sha256(capsys, "--L-max", "12", "--M-max", "12", select=select)
+                == SHARED_TABLES_L12_REPORT_SHA256)
 
 
 class TestSeries:

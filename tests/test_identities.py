@@ -3,11 +3,14 @@ reduction/construction chains connecting the cases."""
 
 import dataclasses
 import math
+import random
 
 import pytest
 
 from qcap.identities import (
     FAMILIES,
+    _chain_table,
+    _refinement_groups,
     Bounds,
     CASES,
     ParamOutOfRange,
@@ -304,6 +307,45 @@ class TestGroupedSums:
         for L in range(9):
             for M in range(9):
                 assert seed_identity_lhs(L, M) == per_term_seed_identity_lhs(L, M), (L, M)
+
+
+class TestSharedTables:
+    @pytest.mark.parametrize("first", sorted(FAMILIES))
+    def test_chain_table_serves_every_family_whichever_fills_it(self, first):
+        expected = {(name, f, L): per_term_hierarchy_finite_lhs(name, f, L, 0)
+                    for name in FAMILIES for f in range(1, 4) for L in range(6)}
+        _chain_table.cache_clear()
+        for name in [first] + sorted(set(FAMILIES) - {first}):
+            for f in range(1, 4):
+                for L in range(6):
+                    assert hierarchy_finite_lhs(name, f, L) == expected[name, f, L], (name, f, L)
+
+    def test_refinement_lhs_in_any_m_order(self):
+        # the table of an (nu, L) is built at whichever M comes first,
+        # also at M < L and at M > L
+        rng = random.Random(7)
+        for nu in (1, 2, 3):
+            for L in range(6):
+                expected = {M: per_term_refinement_hierarchy_lhs(nu, L, M) for M in range(9)}
+                ascending = list(expected)
+                for order in (ascending, ascending[::-1], rng.sample(ascending, 9)):
+                    _refinement_groups.cache_clear()
+                    for M in order:
+                        assert refinement_hierarchy_lhs(nu, L, M) == expected[M], (nu, L, M)
+
+    def test_one_table_build_per_grid_point(self):
+        bounds = Bounds()
+        _refinement_groups.cache_clear()
+        for params in iterate_grid("s_hierarchy", bounds):
+            assert verify_case("s_hierarchy", params).verdict
+        assert _refinement_groups.cache_info().misses == bounds.nu_max * (bounds.l_max + 1)
+        _chain_table.cache_clear()
+        for case_id in CASES:
+            if case_id.startswith("hierarchy_finite_"):
+                for params in iterate_grid(case_id, bounds):
+                    assert verify_case(case_id, params).verdict
+        # two (a, linear) chain shapes per (f, L); twisted tables stay out
+        assert _chain_table.cache_info().currsize <= 2 * bounds.f_max * (bounds.l_max + 1)
 
 
 class TestHierarchyFamily:
