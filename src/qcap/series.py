@@ -91,27 +91,13 @@ def _convolve_kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out.tolist()
 
 
-def _convolve(a: Sequence[int], b: Sequence[int], keep: int | None = None) -> list[int]:
-    """The product's coefficient list; with ``keep``, only its first ``keep``
-    coefficients, computed from the operands clipped to ``keep``."""
-    if keep is not None:
-        a, b = a[:keep], b[:keep]
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if not a or not b:
         return []
     if len(a) > len(b):
         a, b = b, a
     if len(a) * len(b) > _KRONECKER_CUTOFF:
-        out = _convolve_kronecker(a, b)
-        return out if keep is None else out[:keep]
-    if keep is not None:
-        # the pairs with i + j >= keep land above the kept coefficients
-        out = [0] * min(len(a) + len(b) - 1, keep)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b[:keep - i]):
-                    if cb:
-                        out[i + j] += ca * cb
-        return out
+        return _convolve_kronecker(a, b)
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -216,9 +202,10 @@ class QSeries:
             if not a or not b:
                 return ZERO
             return _canonical(self.offset + other.offset, tuple(_convolve(a, b)), None)
-        # only the first keep product coefficients have an exponent <= trunc
+        # only a[:keep] and b[:keep] reach an exponent <= trunc
         keep = max(trunc - self.offset - other.offset + 1, 0)
-        return QSeries(self.offset + other.offset, _convolve(a, b, keep), trunc)
+        coeffs = _convolve(a[:keep], b[:keep])
+        return QSeries(self.offset + other.offset, coeffs, trunc)
 
     __rmul__ = __mul__
 

@@ -333,17 +333,6 @@ class TestTruncatedMul:
         expected = QSeries(a.offset + b.offset, full, min(truncs, default=None))
         assert a * b == expected
 
-    @settings(max_examples=80, deadline=None)
-    @given(data=st.data())
-    def test_clipped_convolution_keeps_the_leading_coefficients(self, data):
-        # the naive loop, which stops each row at keep - i, takes products
-        # of at most _KRONECKER_CUTOFF pairs, the Kronecker path the rest
-        operand = st.one_of(st.lists(st.integers(-10**6, 10**6), max_size=16),
-                            kronecker_operand)
-        a, b = data.draw(operand), data.draw(operand)
-        keep = data.draw(st.integers(0, len(a) + len(b) + 2))
-        assert _convolve(a, b, keep) == _convolve(a, b)[:keep]
-
     def test_truncation_below_the_lowest_product_exponent(self):
         # q^3 q^4 = q^7 lies above trunc 6; a trunc of 2 lies below both
         # offsets and leaves the second operand zero to that order
