@@ -31,15 +31,18 @@ from qcap.series import QSeries
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
 
 
-def _bounds_from_args(args: argparse.Namespace) -> Bounds:
-    s_values = None if args.s is None else (args.s,)
-    return Bounds(
-        l_max=args.l_max, m_max=args.m_max, f_max=args.f_max,
-        nu_max=args.nu_max, s_values=s_values, trunc=args.trunc)
+class OutUnavailable(Exception):
+    """The --out path cannot be opened for writing."""
 
 
 def _open_out(path: str | None) -> TextIO:
-    return open(path, "w") if path else sys.stdout
+    """The --out file, opened before any work so a bad path costs nothing."""
+    if not path:
+        return sys.stdout
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise OutUnavailable(f"cannot open --out {path!r}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -86,17 +89,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
 
-    bounds = _bounds_from_args(args)
+    s_values = None if args.s is None else (args.s,)
+    bounds = Bounds(
+        l_max=args.l_max, m_max=args.m_max, f_max=args.f_max,
+        nu_max=args.nu_max, s_values=s_values, trunc=args.trunc)
     tasks = [(case_id, params)
              for case_id in case_ids
              for params in identities.iterate_grid(case_id, bounds)]
 
-    start = time.perf_counter()
-    reports = [identities.verify_case(*task) for task in tasks]
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-
     out = _open_out(args.out)
     try:
+        start = time.perf_counter()
+        reports = [identities.verify_case(*task) for task in tasks]
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+
         if args.format == "text":
             out.write(f"# cases={len(case_ids)} instances={len(tasks)} "
                       f"bounds: L<={bounds.l_max} M<={bounds.m_max} "
@@ -130,10 +136,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 _CLASSICAL: dict[str, Callable[[int, int], QSeries]] = {
-    "sum:jtp": lambda z, n: jtp_sum(z, 1, n),
-    "product:jtp": lambda z, n: jtp_product(z, 1, n),
-    "sum:quintuple": lambda z, n: quintuple_sum(z, 1, n),
-    "product:quintuple": lambda z, n: quintuple_product(z, 1, n),
+    "sum:jtp": jtp_sum,
+    "product:jtp": jtp_product,
+    "sum:quintuple": quintuple_sum,
+    "product:quintuple": quintuple_product,
 }
 
 
@@ -238,16 +244,6 @@ def cmd_hierarchy(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_bounds_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--L-max", dest="l_max", type=int, default=8)
-    p.add_argument("--M-max", dest="m_max", type=int, default=8)
-    p.add_argument("--f-max", dest="f_max", type=int, default=3)
-    p.add_argument("--s", type=int, default=None,
-                   help="fix the twist (default: all 0..f)")
-    p.add_argument("--nu-max", dest="nu_max", type=int, default=2)
-    p.add_argument("--trunc", type=int, default=30)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qcap")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -256,7 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--case", action="append",
                           help="case id (repeatable)")
     p_verify.add_argument("--all", action="store_true")
-    _add_bounds_flags(p_verify)
+    p_verify.add_argument("--L-max", dest="l_max", type=int, default=8)
+    p_verify.add_argument("--M-max", dest="m_max", type=int, default=8)
+    p_verify.add_argument("--f-max", dest="f_max", type=int, default=3)
+    p_verify.add_argument("--s", type=int, default=None,
+                          help="fix the twist (default: all 0..f)")
+    p_verify.add_argument("--nu-max", dest="nu_max", type=int, default=2)
+    p_verify.add_argument("--trunc", type=int, default=30)
     p_verify.add_argument("--out")
     p_verify.add_argument("--format", choices=("json", "text"), default="json")
     p_verify.set_defaults(fn=cmd_verify)
@@ -300,7 +302,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParamOutOfRange as exc:
+    except (ParamOutOfRange, OutUnavailable) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
 

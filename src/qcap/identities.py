@@ -374,7 +374,7 @@ def _middle_binomials(outer: QSeries, nvec: tuple[int, ...], N: tuple[int, ...],
                       i: int) -> QSeries:
     """outer * prod_{j < nu-1} [i - N_1 - ... - N_{j+1} + n_{j+1}, n_{j+1}]_{q^3}."""
     for j in range(len(nvec) - 1):
-        outer = outer * q_binomial(i - sum_prefix(N, j) + nvec[j], nvec[j], 3)
+        outer = outer * q_binomial(i - sum(N[:j + 1]) + nvec[j], nvec[j], 3)
     return outer
 
 
@@ -410,11 +410,6 @@ def refinement_hierarchy_lhs(nu: int, L: int, M: int) -> QSeries:
         if i <= M:
             total.add(q_binomial(L + M - i, L, 3) * group)
     return total.value()
-
-
-def sum_prefix(N: tuple[int, ...], j: int) -> int:
-    """N_1 + N_2 + ... + N_{j+1} (first j+1 suffix sums)."""
-    return sum(N[: j + 1])
 
 
 def refinement_hierarchy_rhs(nu: int, L: int, M: int) -> QSeries:
@@ -694,7 +689,6 @@ class Bounds:
     m_max: int = 8
     f_max: int = 3
     nu_max: int = 2
-    k_max: int = 3
     s_values: tuple[int, ...] | None = None  # None = all 0..f
     trunc: int = 30
 
@@ -810,7 +804,7 @@ def iterate_grid(case_id: str, bounds: Bounds) -> Iterator[dict]:
         "f": range(1, bounds.f_max + 1),
         "s": s_values,
         "nu": range(1, bounds.nu_max + 1),
-        "k": range(1, bounds.k_max + 1),
+        "k": range(1, 4),
         "b": range(3),
         "n": (bounds.trunc,),
     }

@@ -1,9 +1,9 @@
 """Brute-force partition enumeration oracle.
 
-Everything here is independent of the series machinery: partitions are
-enumerated recursively and counted directly, so these counts can serve as an
-oracle for generating-function identities.  A partition is a tuple of weakly
-decreasing positive parts; () is the unique partition of 0.
+Nothing here imports from qcap: partitions are enumerated recursively and
+counted directly, independent of the series machinery, so these counts can
+serve as an oracle for generating-function identities.  A partition is a
+tuple of weakly decreasing positive parts; () is the unique partition of 0.
 
 The counts come from generators that pick each next part under the class
 rule (class_c, class_d), so they build class members only; partitions()
@@ -12,12 +12,8 @@ filtered by in_class_c / in_class_d is the reference they are tested against.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 from typing import Callable, Iterator
-
-from qcap.series import QSeries
 
 Partition = tuple[int, ...]
 
@@ -34,10 +30,6 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
     for first in range(top, 0, -1):
         for rest in partitions(n - first, first):
             yield (first,) + rest
-
-
-def enumerate_partitions(n: int, predicate: Callable[[Partition], bool] | None = None) -> list[Partition]:
-    return [p for p in partitions(n) if predicate is None or predicate(p)]
 
 
 def is_distinct(p: Partition) -> bool:
@@ -62,16 +54,6 @@ def _gap_ok_pairform(hi: int, lo: int) -> bool:
     if d == 2:
         return lo % 3 == 2  # pair {3k-1, 3k+1}, k >= 1
     return False
-
-
-def _gap_ok_sumform(hi: int, lo: int) -> bool:
-    # Equivalent formulation, the reference the tests hold _gap_ok_pairform
-    # to: gap >= 2 always, and a gap of 2 or 3 only when the two parts sum
-    # to a multiple of 3.
-    d = hi - lo
-    if d < 2:
-        return False
-    return d >= 4 or (hi + lo) % 3 == 0
 
 
 def in_class_d(p: Partition, m: int) -> bool:
@@ -152,10 +134,6 @@ def _mu_star(p: Partition) -> int:
     return len(p) + _sigma_star(p)
 
 
-def _no_part_multiple_of_3(p: Partition) -> bool:
-    return all(part % 3 != 0 for part in p)
-
-
 _WEIGHTED = {
     # theorem id -> (left set, left sign exponent, right pi2 set, right sign exponent)
     "W1": (
@@ -182,24 +160,19 @@ _WEIGHTED = {
 def weighted_sum(theorem: str, n: int) -> tuple[int, int]:
     """Signed totals of both sides of a weighted partition theorem at size n.
 
-    Left: single sum over restricted distinct partitions with sign (-1)^mu.
+    Left: single sum over restricted distinct partitions with sign (-1)^mu,
+    enumerating the distinct partitions only.
     Right: sum over pairs (pi1, pi2) with pi1 avoiding multiples of 3 and sign
     (-1)^sigma(pi2), i.e. the convolution of the pi1 counts with the signed
-    pi2 totals.  Each per-size total is enumerated once and memoized, one int
-    per (theorem, size), so the caches grow linearly in n.
+    pi2 totals.  The pi1 counts and pi2 totals are memoized, one int per
+    (theorem, size), so the caches grow linearly in n.
     """
     if theorem not in _WEIGHTED:
         raise ValueError(f"unknown weighted theorem {theorem!r}")
     rhs = sum(_pi1_count(n1) * _pi2_total(theorem, n - n1) for n1 in range(n + 1))
-    return _lhs_total(theorem, n), rhs
-
-
-@functools.cache
-def _lhs_total(theorem: str, n: int) -> int:
-    """Signed left total at size n, over the distinct partitions only."""
     left_set, left_exp, _, _ = _WEIGHTED[theorem]
     distinct = _descend(n, n, 1, lambda hi, lo: True)
-    return sum((-1) ** left_exp(p) for p in distinct if left_set(p))
+    return sum((-1) ** left_exp(p) for p in distinct if left_set(p)), rhs
 
 
 @functools.cache
@@ -214,21 +187,3 @@ def _pi2_total(theorem: str, n: int) -> int:
     _, _, right_set, right_exp = _WEIGHTED[theorem]
     return sum((-1) ** right_exp(p) for p in partitions(n) if right_set(p))
 
-
-# ---------------------------------------------------------------------------
-# Bridges to series comparison
-# ---------------------------------------------------------------------------
-
-def gf_from_counts(counter: Callable[[int], int], n: int) -> QSeries:
-    """sum_{k<=n} counter(k) q^k with truncation n."""
-    return QSeries(0, [counter(k) for k in range(n + 1)], n)
-
-
-def counts_table(n_max: int) -> str:
-    """CSV table `n, C_1, D_1, C_2, D_2` for n = 0..n_max."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "C_1", "D_1", "C_2", "D_2"])
-    for n in range(n_max + 1):
-        writer.writerow([n, count_c(1, n), count_d(1, n), count_c(2, n), count_d(2, n)])
-    return buf.getvalue()

@@ -30,7 +30,6 @@ class UnboundedBelow(ValueError):
 # Pochhammer symbols
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def pochhammer(length: int, shift: int = 1, base: int = 1) -> QSeries:
     """(q^shift; q^base)_length as an exact polynomial; length 0 gives 1."""
     if length < 0:
@@ -280,15 +279,14 @@ def quadratic_index_range(quad: int, lin: int, limit: int) -> range:
 # Jacobi triple product / quintuple product
 # ---------------------------------------------------------------------------
 
-def jtp_sum(z_shift: int, base: int, n: int) -> QSeries:
-    """sum_j q^(j^2) z^j with z = q^z_shift, then q -> q^base, truncated at n."""
-    order = n // base
-    total = Accumulator(order)
-    for j in quadratic_index_range(1, z_shift, order):
+def jtp_sum(z_shift: int, n: int) -> QSeries:
+    """sum_j q^(j^2) z^j with z = q^z_shift, truncated at n."""
+    total = Accumulator(n)
+    for j in quadratic_index_range(1, z_shift, n):
         e = j * j + z_shift * j
-        if e <= order:
+        if e <= n:
             total.add(monomial(e))
-    return total.value().substitute_q_power(base).truncate(n)
+    return total.value()
 
 
 def _negative_valuation(shift: int, base: int) -> int:
@@ -315,33 +313,29 @@ def product_of_inf(factors: tuple[tuple[int, int, int], ...], order: int) -> QSe
     return prod.truncate(order)
 
 
-def jtp_product(z_shift: int, base: int, n: int) -> QSeries:
-    """(-zq, -q/z, q^2; q^2)_infinity with z = q^z_shift, q -> q^base."""
-    order = n // base
-    prod = product_of_inf(
-        ((1 + z_shift, 2, 1), (1 - z_shift, 2, 1), (2, 2, -1)), order
+def jtp_product(z_shift: int, n: int) -> QSeries:
+    """(-zq, -q/z, q^2; q^2)_infinity with z = q^z_shift, truncated at n."""
+    return product_of_inf(
+        ((1 + z_shift, 2, 1), (1 - z_shift, 2, 1), (2, 2, -1)), n
     )
-    return prod.substitute_q_power(base).truncate(n)
 
 
-def quintuple_sum(z_shift: int, base: int, n: int) -> QSeries:
+def quintuple_sum(z_shift: int, n: int) -> QSeries:
     """sum_j (-1)^j q^(j(3j-1)/2) z^(3j) (1 + z q^j) with z = q^z_shift."""
-    order = n // base
-    total = Accumulator(order)
-    for j in quadratic_index_range(3, 6 * z_shift - 1, 2 * order):
+    total = Accumulator(n)
+    for j in quadratic_index_range(3, 6 * z_shift - 1, 2 * n):
         e = j * (3 * j - 1) // 2 + 3 * z_shift * j
         sign = -1 if j % 2 else 1
-        if e <= order:
+        if e <= n:
             total.add(monomial(e, sign))
-        if e + z_shift + j <= order:
+        if e + z_shift + j <= n:
             total.add(monomial(e + z_shift + j, sign))
-    return total.value().substitute_q_power(base).truncate(n)
+    return total.value()
 
 
-def quintuple_product(z_shift: int, base: int, n: int) -> QSeries:
+def quintuple_product(z_shift: int, n: int) -> QSeries:
     """(q, -z, -q/z; q)_infinity (q z^2, q/z^2; q^2)_infinity with z = q^z_shift."""
-    order = n // base
-    prod = product_of_inf(
+    return product_of_inf(
         (
             (1, 1, -1),
             (z_shift, 1, 1),
@@ -349,9 +343,8 @@ def quintuple_product(z_shift: int, base: int, n: int) -> QSeries:
             (1 + 2 * z_shift, 2, -1),
             (1 - 2 * z_shift, 2, -1),
         ),
-        order,
+        n,
     )
-    return prod.substitute_q_power(base).truncate(n)
 
 
 # ---------------------------------------------------------------------------

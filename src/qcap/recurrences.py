@@ -275,12 +275,6 @@ _WITNESSES: dict[str, tuple[Callable[[int, int], QSeries], int, str, str]] = {
 }
 
 
-def short_residual(seq: Callable[[int], QSeries], L: int) -> QSeries:
-    """r_L: the short order-2 b-recurrence combination of seq at L."""
-    rec = RECURRENCES["b_short"]
-    return rec.residual(seq, L)
-
-
 @dataclass(frozen=True)
 class WitnessReport:
     which: str
@@ -312,7 +306,7 @@ def verify_factor_witness(which: str, l_range: Sequence[int]) -> WitnessReport:
     for L in l_range:
         value = ZERO
         for t in range(w_order + 1):
-            value = value + witness(L, t) * short_residual(seq, L - t)
+            value = value + witness(L, t) * short.residual(seq, L - t)
         relation.append((L, value.is_zero()))
         match = True
         for i in range(long_rec.order + 1):
@@ -367,10 +361,6 @@ def verify_initial_condition_argument(which: str, extra_terms: int = 2) -> bool:
 # ---------------------------------------------------------------------------
 # Negative controls
 # ---------------------------------------------------------------------------
-
-def constant_sequence(L: int) -> QSeries:
-    return ONE if L >= 0 else ZERO
-
 
 def perturbed(rec: Recurrence, lag: int, delta: QSeries) -> Recurrence:
     """A deliberately wrong recurrence: delta added to one coefficient."""

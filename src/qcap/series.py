@@ -14,7 +14,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from operator import add, neg
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 
 class NonDivisible(ArithmeticError):
@@ -299,15 +299,6 @@ def monomial(exponent: int, coefficient: int = 1) -> QSeries:
     if not coefficient:
         return ZERO
     return _canonical(exponent, (coefficient,), None)
-
-
-def from_terms(terms: Mapping[int, int] | Iterable[tuple[int, int]], trunc: int | None = None) -> QSeries:
-    items = dict(terms)
-    if not items:
-        return QSeries(0, (), trunc)
-    lo, hi = min(items), max(items)
-    coeffs = [items.get(e, 0) for e in range(lo, hi + 1)]
-    return QSeries(lo, coeffs, trunc)
 
 
 class Accumulator:

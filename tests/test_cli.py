@@ -90,6 +90,22 @@ class TestVerify:
                    for line in target.read_text().splitlines()]
         assert records[-1]["summary"]["verdict"] is True
 
+    def test_unopenable_out_is_config_error_before_any_case(
+            self, capsys, monkeypatch, tmp_path):
+        import qcap.identities
+
+        def no_case(*args):
+            raise AssertionError("a case ran before --out was opened")
+
+        monkeypatch.setattr(qcap.identities, "verify_case", no_case)
+        target = tmp_path / "missing" / "report.jsonl"
+        code, out, err = run(capsys, "verify", "--case", "new_fin_cap_1",
+                             "--out", str(target))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith(f"cannot open --out {str(target)!r}: ")
+
 
 # sha256 of `qcap verify --all --format json` at default bounds without the
 # summary line, recorded before the arithmetic core's fast paths went in.
@@ -233,6 +249,14 @@ class TestPartitions:
         assert code == EXIT_CONFIG
         assert out == ""
         assert "--n-max must be >= 0, got -3" in err
+
+    def test_unopenable_out_is_config_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "partitions", "counts", "--m", "1",
+                             "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith(f"cannot open --out {str(tmp_path)!r}: ")
 
     def test_invalid_m_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,19 +1,14 @@
-"""Brute-force partition oracle and its bridges to the series engine."""
+"""Brute-force partition oracle, and its counts against the series engine."""
 
 import pytest
 
 from qcap.partitions import (
     _WEIGHTED,
     _gap_ok_pairform,
-    _gap_ok_sumform,
-    _no_part_multiple_of_3,
     class_c,
     class_d,
     count_c,
     count_d,
-    counts_table,
-    enumerate_partitions,
-    gf_from_counts,
     in_class_c,
     in_class_d,
     is_distinct,
@@ -22,24 +17,38 @@ from qcap.partitions import (
 )
 from qcap.identities import dual_limit_reference
 from qcap.qcombinat import inv_pochhammer_inf, pochhammer_inf
-from qcap.series import ZERO
+from qcap.series import QSeries
+
+
+def gf(counter, n):
+    """sum_{k<=n} counter(k) q^k with truncation n."""
+    return QSeries(0, [counter(k) for k in range(n + 1)], n)
+
+
+def _gap_ok_sumform(hi, lo):
+    # the sum form of the gap rule: gap >= 2 always, and a gap of 2 or 3
+    # only when the two parts sum to a multiple of 3
+    d = hi - lo
+    if d < 2:
+        return False
+    return d >= 4 or (hi + lo) % 3 == 0
 
 
 class TestEnumeration:
     def test_partitions_of_four(self):
-        assert enumerate_partitions(4) == [
+        assert list(partitions(4)) == [
             (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
     def test_zero_has_empty_partition(self):
-        assert enumerate_partitions(0) == [()]
+        assert list(partitions(0)) == [()]
 
     def test_distinct_of_six(self):
-        assert enumerate_partitions(6, is_distinct) == [
+        assert [p for p in partitions(6) if is_distinct(p)] == [
             (6,), (5, 1), (4, 2), (3, 2, 1)]
 
     def test_counts_match_partition_numbers(self):
         expect = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
-        assert [len(enumerate_partitions(n)) for n in range(10)] == expect
+        assert [len(list(partitions(n))) for n in range(10)] == expect
 
 
 class TestClasses:
@@ -108,14 +117,14 @@ class TestGeneratingFunctions:
         product = (pochhammer_inf(2, 6, N, sign=1)
                    * pochhammer_inf(4, 6, N, sign=1)
                    * pochhammer_inf(3, 3, N, sign=1)).truncate(N)
-        assert gf_from_counts(lambda n: count_c(1, n), N) == product
+        assert gf(lambda n: count_c(1, n), N) == product
 
     def test_gf_c2_matches_product(self):
         N = 30
         product = (pochhammer_inf(1, 6, N, sign=1)
                    * pochhammer_inf(5, 6, N, sign=1)
                    * pochhammer_inf(3, 3, N, sign=1)).truncate(N)
-        assert gf_from_counts(lambda n: count_c(2, n), N) == product
+        assert gf(lambda n: count_c(2, n), N) == product
 
     @pytest.mark.parametrize("m,a,b", [(1, 2, 4), (2, 1, 5)])
     def test_gf_d_matches_product_to_60(self, m, a, b):
@@ -125,15 +134,10 @@ class TestGeneratingFunctions:
         product = (pochhammer_inf(a, 6, N, sign=1)
                    * pochhammer_inf(b, 6, N, sign=1)
                    * pochhammer_inf(3, 3, N, sign=1)).truncate(N)
-        assert gf_from_counts(lambda n: count_d(m, n), N) == product
-
-    def test_gf_zero_counter(self):
-        assert gf_from_counts(lambda n: 0, 10) == ZERO.truncate(10)
+        assert gf(lambda n: count_d(m, n), N) == product
 
     def test_gf_all_partitions(self):
-        assert gf_from_counts(
-            lambda n: len(enumerate_partitions(n)), 4
-        ) == inv_pochhammer_inf(1, 1, 4)
+        assert gf(lambda n: len(list(partitions(n))), 4) == inv_pochhammer_inf(1, 1, 4)
 
 
 def _weighted_sum_by_filtering(theorem, n):
@@ -143,7 +147,7 @@ def _weighted_sum_by_filtering(theorem, n):
     lhs = sum((-1) ** left_exp(p) for p in partitions(n) if left_set(p))
     rhs = 0
     for n1 in range(n + 1):
-        left_count = sum(1 for p in partitions(n1) if _no_part_multiple_of_3(p))
+        left_count = sum(1 for p in partitions(n1) if all(part % 3 for part in p))
         rhs += left_count * sum(
             (-1) ** right_exp(p) for p in partitions(n - n1) if right_set(p))
     return lhs, rhs
@@ -182,16 +186,8 @@ class TestWeighted:
         # Jacobi-weighted reference sum (the W3 interpretation carries a
         # global minus)
         N = 25
-        gl = gf_from_counts(lambda n: weighted_sum(theorem, n)[0], N)
-        gr = gf_from_counts(lambda n: weighted_sum(theorem, n)[1], N)
+        gl = gf(lambda n: weighted_sum(theorem, n)[0], N)
+        gr = gf(lambda n: weighted_sum(theorem, n)[1], N)
         series = (inv_pochhammer_inf(1, 3, N) * inv_pochhammer_inf(2, 3, N)
                   * dual_limit_reference(b, N) * sign).truncate(N)
         assert gl == gr == series
-
-
-class TestCsv:
-    def test_counts_table(self):
-        lines = counts_table(3).strip().splitlines()
-        assert lines[0] == "n,C_1,D_1,C_2,D_2"
-        assert lines[1] == "0,1,1,1,1"
-        assert len(lines) == 5

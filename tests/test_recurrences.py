@@ -6,19 +6,17 @@ from qcap.recurrences import (
     CATALOG,
     RECURRENCES,
     SEQUENCES,
-    constant_sequence,
     default_window,
     perturbed,
     s1_sum,
     s2_sum,
-    short_residual,
     verify_catalog,
     verify_factor_witness,
     verify_initial_condition_argument,
     verify_recurrence,
 )
 from qcap.identities import rhs_new_fin_cap
-from qcap.series import Q, ZERO
+from qcap.series import ONE, Q, ZERO
 
 
 class TestCatalog:
@@ -60,7 +58,7 @@ class TestWitnesses:
         # witness check is the coefficientwise expansion against the long form
         for seq_id in ("cap2_lhs", "cap2_rhs"):
             for L in range(2, 10):
-                assert short_residual(SEQUENCES[seq_id], L).is_zero()
+                assert RECURRENCES["b_short"].residual(SEQUENCES[seq_id], L).is_zero()
 
     def test_unknown_witness(self):
         with pytest.raises(ValueError):
@@ -80,7 +78,7 @@ class TestInitialConditions:
 class TestNegativeControls:
     def test_constant_fails_a_short(self):
         report = verify_recurrence(
-            constant_sequence, RECURRENCES["a_short"], range(2, 6))
+            lambda L: ONE, RECURRENCES["a_short"], range(2, 6))
         assert not report.ok
         assert report.first_failure() == 2
 

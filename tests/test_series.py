@@ -19,10 +19,18 @@ from qcap.series import (
     _convolve_kronecker,
     compare,
     div_exact,
-    from_terms,
     inverse,
     monomial,
 )
+
+
+def from_terms(terms, trunc=None):
+    """The series with coefficient c at each exponent e of a {e: c} map."""
+    items = dict(terms)
+    if not items:
+        return QSeries(0, (), trunc)
+    lo, hi = min(items), max(items)
+    return QSeries(lo, [items.get(e, 0) for e in range(lo, hi + 1)], trunc)
 
 
 def poly(*terms):

@@ -1,6 +1,8 @@
 """Source rules: no check may live in an ``assert`` statement, because
-``python -O`` strips them; and the two sides of a hierarchy case stay
-independent evaluators."""
+``python -O`` strips them; the two sides of a hierarchy case stay
+independent evaluators; the partition oracle imports nothing from qcap; and
+every top-level function or class is used by the package or is an entry
+point."""
 
 import ast
 from pathlib import Path
@@ -54,3 +56,86 @@ def test_bailey_names_no_direct_expansion_helper():
         if name in banned:
             found.append(name)
     assert not found, found
+
+
+def _imports_from_qcap(tree):
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").split(".")[0] == "qcap":
+                found.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] == "qcap" for a in node.names):
+                found.append(node.lineno)
+    return found
+
+
+def test_partition_oracle_imports_nothing_from_qcap():
+    # the oracle checks the series engine's generating functions, so it must
+    # not be built from that engine
+    assert not _imports_from_qcap(_tree("partitions.py"))
+
+
+def test_import_rule_sees_qcap_imports():
+    tree = ast.parse("import qcap.series\nfrom qcap import series\n"
+                     "from . import series\nimport csv\nfrom typing import Callable\n")
+    assert _imports_from_qcap(tree) == [1, 2, 3]
+
+
+# Entry points the acceptance gate and the benchmark call, which no module of
+# the package names.
+PUBLIC = (
+    "verify_bailey_theorem", "checkpoint_first_application",
+    "checkpoint_after_k_transform", "q_binomial_theorem_sides",
+    "verify_catalog", "verify_factor_witness",
+    "verify_initial_condition_argument", "perturbed", "in_class_c",
+    "in_class_d",
+)
+
+
+def _unnamed_definitions(trees):
+    """Top-level defs and classes that no module names as a Name, an
+    Attribute or an import alias, outside their own body."""
+    defined, named = {}, set()
+    for module, tree in trees.items():
+        for top in tree.body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                own = top.name
+                defined[own] = module
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    named.add(name)
+    return sorted(f"{module}:{name}" for name, module in defined.items()
+                  if name not in named)
+
+
+def _package_unnamed():
+    return _unnamed_definitions(
+        {path.name: _tree(path.name) for path in sorted(PACKAGE.glob("*.py"))})
+
+
+def test_every_definition_is_used_or_public():
+    unused = [d for d in _package_unnamed() if d.partition(":")[2] not in PUBLIC]
+    assert not unused, unused
+
+
+def test_public_names_are_defined_and_otherwise_unused():
+    # a PUBLIC entry that the package names, or that is gone, is stale
+    stale = set(PUBLIC) - {d.partition(":")[2] for d in _package_unnamed()}
+    assert not stale, sorted(stale)
+
+
+def test_usage_rule_ignores_self_reference():
+    trees = {"m.py": ast.parse(
+        "def used():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else used()\n")}
+    assert _unnamed_definitions(trees) == ["m.py:recursive"]
