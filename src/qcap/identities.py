@@ -255,20 +255,14 @@ def rhs_new_fin_cap(which: int, L: int) -> QSeries:
     return alpha_sum(FAMILIES["cap1" if which == 1 else "cap2"], 0, L)
 
 
-def _chain_q_exponent(linear: bool, nvec: tuple[int, ...], s: int) -> int:
-    """sum N_i^2 (+ sum N_i for a linear chain) + N_{f-s+1} + ... + N_f: the
-    chain exponent in powers of q^base (a twisted family has base 1)."""
-    N = suffix_sums(nvec)
-    e = sum(x * x for x in N)
-    if linear:
-        e += sum(N)
-    if s:
-        e += sum(N[len(N) - s:])
-    return e
-
-
 def hierarchy_chain_exponent(fam: HierarchyFamily, nvec: tuple[int, ...], s: int) -> int:
-    return fam.base * _chain_q_exponent(fam.linear_chain, nvec, s)
+    """base * (sum N_i^2 (+ sum N_i for a linear chain) + N_{f-s+1} + ... +
+    N_f): the exponent of one index vector's chain term."""
+    N = suffix_sums(nvec)
+    e = sum(x * x for x in N) + sum(N[len(N) - s:])
+    if fam.linear_chain:
+        e += sum(N)
+    return fam.base * e
 
 
 def _family_checked(family: str, f: int, s: int) -> HierarchyFamily:
@@ -287,36 +281,54 @@ def _family_checked(family: str, f: int, s: int) -> HierarchyFamily:
     return fam
 
 
+def _level_up(level: tuple[QSeries, ...], L: int, eps: int) -> tuple[QSeries, ...]:
+    """The next level of the nested chain sum: P_k(N) = sum_{N'=N..L}
+    q^{N'^2+eps*N'} [L-N, N'-N] P_{k-1}(N'), for N = 0..L."""
+    weighted = [p.shift(n * n + eps * n) for n, p in enumerate(level)]
+    out = []
+    for N in range(L + 1):
+        total = Accumulator()
+        for n in range(N, L + 1):
+            total.add(q_binomial(L - N, n - N) * weighted[n])
+        out.append(total.value())
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
-def _chain_table(a: int, linear: bool, s: int, f: int,
-                 L: int) -> tuple[tuple[int, QSeries], ...]:
-    """((n_f, chain), ...): for each n_f, the sum over the index vectors that
-    end in n_f of q^{_chain_q_exponent} (q)_{2L+a} / [(q)_{L-N_1} (q)_{n_1}
-    ... (q)_{n_{f-1}} (q)_{2n_f+a}], the Bailey chain summed in q.  Beyond
-    (a, linear), families differ only in base and seed, so an untwisted table
-    serves several of them: the cache holds at most 2 * f_max * (L_max+1)."""
-    chains: dict[int, Accumulator] = {}
-    for nvec in index_vectors(f, L):
-        nf = nvec[-1]
-        den = ((L - sum(nvec), 1),) + tuple((x, 1) for x in nvec[:-1]) + ((2 * nf + a, 1),)
-        ratio = poch_ratio(((2 * L + a, 1),), den)
-        if ratio:
-            chain = chains.setdefault(nf, Accumulator())
-            chain.add(ratio.shift(_chain_q_exponent(linear, nvec, s)))
-    return tuple((nf, chain.value()) for nf, chain in chains.items())
+def _chain_levels(linear: bool, L: int) -> list[tuple[QSeries, ...]]:
+    """[P_0, P_1, ...], the untwisted levels of a (linear, L) chain with P_0(N)
+    = 1; hierarchy_finite_lhs appends the deeper levels as it needs them."""
+    return [(ONE,) * (L + 1)]
 
 
 def hierarchy_finite_lhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
-    """Exact multi-sum: chain quotient times the seed polynomial at n_f.  The
-    chain terms are summed per n_f first, so each seed is multiplied once.
-    Every factor of a base-b chain is a (q^b; q^b) Pochhammer and every chain
-    exponent a multiple of b, so the chain is summed in powers of q and
-    stretched to q^b once, just before the seed multiplies it."""
+    """Exact multi-sum: chain quotient times the seed polynomial at n_f.
+
+    With N_1 >= ... >= N_f = n_f, the chain quotient is (q)_{2L+a} /
+    [(q)_{L-n_f} (q)_{2n_f+a}] times prod_{k<f} [L-N_{k+1}, N_k-N_{k+1}], so
+    the sum over index vectors nests level by level from N_1 inward, and the
+    chain of each n_f is that quotient times q^{n_f^2+eps*n_f} P_{f-1}(n_f).
+    The untwisted levels depend on neither f, a, the seed nor the base: one
+    stack per (linear, L), at most 2 * (L_max+1), serves every family and
+    depth.  A twist s adds 1 to eps on the n_f level and on the s-1 levels
+    before it, which extend the untwisted P_{f-s} and are not kept.  A
+    base-b chain is summed in powers of q and stretched to q^b once, just
+    before the seed multiplies it."""
     fam = _family_checked(family, f, s)
-    # a twisted table (double, s >= 1) has no second user: left uncached
-    table = _chain_table if not s else _chain_table.__wrapped__
+    eps = int(fam.linear_chain)
+    untwisted = f - max(s, 1)  # P_{f-1}, or the P_{f-s} a twist extends
+    levels = _chain_levels(fam.linear_chain, L)
+    while len(levels) <= untwisted:
+        levels.append(_level_up(levels[-1], L, eps))
+    level = levels[untwisted]
+    if s:
+        eps += 1
+        for _ in range(s - 1):
+            level = _level_up(level, L, eps)
     total = Accumulator()
-    for nf, chain in table(fam.a, fam.linear_chain, s, f, L):
+    for nf, inner in enumerate(level):
+        tail = poch_ratio(((2 * L + fam.a, 1),), ((L - nf, 1), (2 * nf + fam.a, 1)))
+        chain = (tail * inner).shift(nf * nf + eps * nf)
         total.add(chain.substitute_q_power(fam.base) * fam.seed(nf))
     return total.value()
 

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qcap
 from qcap.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, main
 
 
@@ -289,3 +294,24 @@ class TestHierarchy:
         assert code == EXIT_CONFIG
         assert out == ""
         assert "--L must be >= 0, got -3" in err
+
+
+class TestModuleEntryPoint:
+    def python_m_qcap(self, *argv):
+        # a checkout without an installed qcap: the package's parent on the path
+        src = str(Path(qcap.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        return subprocess.run([sys.executable, "-m", "qcap", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+
+    def test_verify_passes(self):
+        done = self.python_m_qcap("verify", "--case", "new_fin_cap_1", "--L-max", "2")
+        assert done.returncode == EXIT_OK, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1])["summary"]["verdict"] is True
+
+    def test_negative_bound_is_config_error(self):
+        done = self.python_m_qcap("verify", "--case", "new_fin_cap_1", "--L-max", "-1")
+        assert done.returncode == EXIT_CONFIG
+        assert done.stdout == ""
+        assert "--L-max" in done.stderr

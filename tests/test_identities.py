@@ -9,7 +9,7 @@ import pytest
 
 from qcap.identities import (
     FAMILIES,
-    _chain_table,
+    _chain_levels,
     _refinement_groups,
     Bounds,
     CASES,
@@ -283,7 +283,7 @@ def per_term_seed_identity_lhs(L, M):
 class TestGroupedSums:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_hierarchy_finite_lhs_matches_per_term(self, family):
-        for f in range(1, 4):
+        for f in range(1, 6):
             for s in range(f + 1) if FAMILIES[family].twisted else (0,):
                 for L in range(7):
                     assert (hierarchy_finite_lhs(family, f, L, s)
@@ -313,7 +313,7 @@ class TestSharedTables:
     def test_chain_table_serves_every_family_whichever_fills_it(self, first):
         expected = {(name, f, L): per_term_hierarchy_finite_lhs(name, f, L, 0)
                     for name in FAMILIES for f in range(1, 4) for L in range(6)}
-        _chain_table.cache_clear()
+        _chain_levels.cache_clear()
         for name in [first] + sorted(set(FAMILIES) - {first}):
             for f in range(1, 4):
                 for L in range(6):
@@ -338,13 +338,28 @@ class TestSharedTables:
         for params in iterate_grid("s_hierarchy", bounds):
             assert verify_case("s_hierarchy", params).verdict
         assert _refinement_groups.cache_info().misses == bounds.nu_max * (bounds.l_max + 1)
-        _chain_table.cache_clear()
+        _chain_levels.cache_clear()
         for case_id in CASES:
             if case_id.startswith("hierarchy_finite_"):
                 for params in iterate_grid(case_id, bounds):
                     assert verify_case(case_id, params).verdict
-        # two (a, linear) chain shapes per (f, L); twisted tables stay out
-        assert _chain_table.cache_info().currsize <= 2 * bounds.f_max * (bounds.l_max + 1)
+        # one level stack per (linear, L), whatever f, a, family or twist
+        assert _chain_levels.cache_info().currsize <= 2 * (bounds.l_max + 1)
+
+
+class TestDepthReach:
+    def test_every_finite_hierarchy_to_depth_8(self):
+        # beside the grid gates (f <= 3): every family and twist at f <= 8,
+        # L <= 8, the nested chain sum against the Bailey-pair right side
+        count = 0
+        for name, fam in FAMILIES.items():
+            for f in range(1, 9):
+                for s in range(f + 1) if fam.twisted else (0,):
+                    for L in range(9):
+                        assert (hierarchy_finite_lhs(name, f, L, s)
+                                == alpha_sum(fam, f, L, s)), (name, f, s, L)
+                        count += 1
+        assert count == 828
 
 
 class TestHierarchyFamily:
