@@ -255,16 +255,6 @@ def rhs_new_fin_cap(which: int, L: int) -> QSeries:
     return alpha_sum(FAMILIES["cap1" if which == 1 else "cap2"], 0, L)
 
 
-def hierarchy_chain_exponent(fam: HierarchyFamily, nvec: tuple[int, ...], s: int) -> int:
-    """base * (sum N_i^2 (+ sum N_i for a linear chain) + N_{f-s+1} + ... +
-    N_f): the exponent of one index vector's chain term."""
-    N = suffix_sums(nvec)
-    e = sum(x * x for x in N) + sum(N[len(N) - s:])
-    if fam.linear_chain:
-        e += sum(N)
-    return fam.base * e
-
-
 def _family_checked(family: str, f: int, s: int) -> HierarchyFamily:
     try:
         fam = FAMILIES[family]
@@ -281,15 +271,25 @@ def _family_checked(family: str, f: int, s: int) -> HierarchyFamily:
     return fam
 
 
-def _level_up(level: tuple[QSeries, ...], L: int, eps: int) -> tuple[QSeries, ...]:
-    """The next level of the nested chain sum: P_k(N) = sum_{N'=N..L}
-    q^{N'^2+eps*N'} [L-N, N'-N] P_{k-1}(N'), for N = 0..L."""
-    weighted = [p.shift(n * n + eps * n) for n, p in enumerate(level)]
+def _level_up(level: tuple[QSeries, ...], eps: int, kernel: Callable[[int, int], QSeries],
+              base: int = 1, order: int | None = None) -> tuple[QSeries, ...]:
+    """The next level of a nested chain sum: P_k(N) = sum_{N' >= N}
+    q^{base(N'^2+eps*N')} kernel(N, N') P_{k-1}(N'), for each N of the level.
+
+    At an order n, P_k(N) is kept only to order n - base(N^2+eps*N), all that
+    survives the shift the next level gives it: each kernel is clipped to
+    that order, and the terms N' whose shift lies beyond it are skipped."""
+    weights = [base * (n * n + eps * n) for n in range(len(level))]
+    weighted = [p.shift(w) for p, w in zip(level, weights)]
     out = []
-    for N in range(L + 1):
-        total = Accumulator()
-        for n in range(N, L + 1):
-            total.add(q_binomial(L - N, n - N) * weighted[n])
+    for N, w in enumerate(weights):
+        keep = None if order is None else order - w
+        total = Accumulator(keep)
+        for n in range(N, len(level)):
+            if keep is None:
+                total.add(kernel(N, n) * weighted[n])
+            elif weights[n] <= keep:
+                total.add(kernel(N, n).truncate(keep) * weighted[n])
         out.append(total.value())
     return tuple(out)
 
@@ -318,13 +318,17 @@ def hierarchy_finite_lhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
     eps = int(fam.linear_chain)
     untwisted = f - max(s, 1)  # P_{f-1}, or the P_{f-s} a twist extends
     levels = _chain_levels(fam.linear_chain, L)
+
+    def kernel(N: int, n: int) -> QSeries:
+        return q_binomial(L - N, n - N)
+
     while len(levels) <= untwisted:
-        levels.append(_level_up(levels[-1], L, eps))
+        levels.append(_level_up(levels[-1], eps, kernel))
     level = levels[untwisted]
     if s:
         eps += 1
         for _ in range(s - 1):
-            level = _level_up(level, L, eps)
+            level = _level_up(level, eps, kernel)
     total = Accumulator()
     for nf, inner in enumerate(level):
         tail = poch_ratio(((2 * L + fam.a, 1),), ((L - nf, 1), (2 * nf + fam.a, 1)))
@@ -338,21 +342,30 @@ def hierarchy_finite_rhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
 
 
 def hierarchy_limit_lhs(family: str, f: int, n: int, s: int = 0) -> QSeries:
-    """Truncated multi-sum with the [2L+a] numerator and (L-N_1) denominator
-    dropped and finite Pochhammer inverses expanded to order n."""
+    """Truncated multi-sum: the chain of hierarchy_finite_lhs with its
+    (q)_{2L+a} / (q)_{L-N_1} factor dropped and each kernel [L-N, N'-N]
+    replaced by its L -> infinity limit 1 / (q^b;q^b)_{N'-N}, nested level by
+    level at order n; n_f carries the seed and 1 / (q^b;q^b)_{2n_f+a}.  The
+    levels are summed in powers of q^b, and a twist s adds 1 to eps on the
+    n_f level and on the s-1 levels before it."""
     fam = _family_checked(family, f, s)
     b, a = fam.base, fam.a
+    eps = int(fam.linear_chain)
+
+    def kernel(N: int, m: int) -> QSeries:
+        return inv_pochhammer(m - N, b, n)
+
+    level = (ONE,) * (math.isqrt(n // b) + 1)
+    for k in range(1, f):
+        level = _level_up(level, eps + (k > f - s), kernel, b, n)
+    eps += bool(s)
     total = Accumulator(n)
-    for nvec in index_vectors(f, math.isqrt(n // b) if n >= b else 0):
-        e = hierarchy_chain_exponent(fam, nvec, s)
+    for nf, inner in enumerate(level):
+        e = b * (nf * nf + eps * nf)
         if e > n:
-            continue
-        nf = nvec[-1]
+            break
         # only order n - e survives the shift by e
-        term = _trunc_one(n - e) * fam.seed(nf)
-        for x in nvec[:-1]:
-            term = term * inv_pochhammer(x, b, n)
-        term = term * inv_pochhammer(2 * nf + a, b, n)
+        term = _trunc_one(n - e) * fam.seed(nf) * inner * inv_pochhammer(2 * nf + a, b, n)
         total.add(term.shift(e))
     return total.value()
 

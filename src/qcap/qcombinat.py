@@ -69,11 +69,13 @@ def pochhammer_inf(shift: int, base: int, n: int, sign: int = -1) -> QSeries:
     return (head * QSeries(0, tail, order)).truncate(n)
 
 
+@lru_cache(maxsize=None)
 def inv_pochhammer_inf(shift: int, base: int, n: int) -> QSeries:
     """1 / (q^shift; q^base)_infinity truncated at n; requires shift >= 1.
 
     Divides 1 by each factor (1 - q^m), m <= n, with a running sum; a factor
-    with m > n is 1 to order n.
+    with m > n is 1 to order n.  Cached: a run asks for the same few
+    (shift, base, n) again and again.
     """
     if shift < 1:
         raise UnboundedBelow("inverse infinite product needs positive exponents")

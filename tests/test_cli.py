@@ -121,6 +121,11 @@ DEFAULT_REPORT_SHA256 = (
 # it pins every truncated case at the order the `limits` benchmark runs.
 TRUNC_100_REPORT_SHA256 = (
     "0fb39e5ac7548203d95b1d6a07b3f0988c166818c292f7f89f941e6ba51aa217")
+# The same at `--trunc 57`, recorded before the limit sides were nested level
+# by level: 57 = 3 * 19 is no square, so it pins the cut-off b(N^2 + eps N) <= n
+# of the base-3 chains between two multiples of the base.
+TRUNC_57_REPORT_SHA256 = (
+    "aeb21ab9a4584c95f817bae35dcd99630421ef4587cc66bddf39545f643f3cb0")
 
 # The three base-3 finite hierarchies at `--L-max 12` (the `deep` bound),
 # recorded before their chains were summed in q and stretched to q^3.
@@ -147,6 +152,9 @@ class TestReportGuard:
 
     def test_trunc_100_reports_are_byte_identical(self, capsys):
         assert report_sha256(capsys, "--trunc", "100") == TRUNC_100_REPORT_SHA256
+
+    def test_trunc_57_reports_are_byte_identical(self, capsys):
+        assert report_sha256(capsys, "--trunc", "57") == TRUNC_57_REPORT_SHA256
 
     def test_base3_hierarchies_at_l12_are_byte_identical(self, capsys):
         select = ("--case", "hierarchy_finite_cap1_binomial",

@@ -18,8 +18,8 @@ from qcap.identities import (
     binomial_sum,
     dual_construct,
     dual_lhs,
-    hierarchy_chain_exponent,
     hierarchy_finite_lhs,
+    hierarchy_limit_lhs,
     hierarchy_limit_rhs,
     index_vectors,
     iterate_grid,
@@ -34,7 +34,7 @@ from qcap.identities import (
     verify_case,
 )
 from qcap.qcombinat import inv_pochhammer, jacobi3, poch_ratio, pochhammer, q_binomial
-from qcap.series import ONE, QSeries, ZERO, inverse, monomial
+from qcap.series import ONE, Accumulator, QSeries, ZERO, inverse, monomial
 
 
 def poly(*terms):
@@ -206,6 +206,16 @@ class TestEnumerationHelpers:
 # Reference paths for the grouped hierarchy sums: the per-term loops, with the
 # shared factor multiplied into every term.
 
+def hierarchy_chain_exponent(fam, nvec, s):
+    """base * (sum N_i^2 (+ sum N_i for a linear chain) + N_{f-s+1} + ... +
+    N_f): the exponent of one index vector's chain term."""
+    N = suffix_sums(nvec)
+    e = sum(x * x for x in N) + sum(N[len(N) - s:])
+    if fam.linear_chain:
+        e += sum(N)
+    return fam.base * e
+
+
 def per_term_hierarchy_finite_lhs(family, f, L, s):
     fam = FAMILIES[family]
     b, a = fam.base, fam.a
@@ -219,6 +229,24 @@ def per_term_hierarchy_finite_lhs(family, f, L, s):
             total = total + (ratio.shift(hierarchy_chain_exponent(fam, nvec, s))
                              * fam.seed(nf))
     return total
+
+
+def per_term_hierarchy_limit_lhs(family, f, n, s):
+    # every index vector with an exponent within n, each term at order n - e
+    fam = FAMILIES[family]
+    b, a = fam.base, fam.a
+    total = Accumulator(n)
+    for nvec in index_vectors(f, math.isqrt(n // b) if n >= b else 0):
+        e = hierarchy_chain_exponent(fam, nvec, s)
+        if e > n:
+            continue
+        nf = nvec[-1]
+        term = QSeries(0, (1,), n - e) * fam.seed(nf)
+        for x in nvec[:-1]:
+            term = term * inv_pochhammer(x, b, n)
+        term = term * inv_pochhammer(2 * nf + a, b, n)
+        total.add(term.shift(e))
+    return total.value()
 
 
 def per_term_refinement_hierarchy_lhs(nu, L, M):
@@ -288,6 +316,16 @@ class TestGroupedSums:
                 for L in range(7):
                     assert (hierarchy_finite_lhs(family, f, L, s)
                             == per_term_hierarchy_finite_lhs(family, f, L, s)), (f, s, L)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_hierarchy_limit_lhs_matches_per_term(self, family):
+        # n = 57 = 3 * 19 is no square: the cut-off b(N^2 + eps N) <= n
+        # falls between two multiples of the base
+        for f in range(1, 6):
+            for s in range(f + 1) if FAMILIES[family].twisted else (0,):
+                for n in [*range(41), 57, 100]:
+                    assert (hierarchy_limit_lhs(family, f, n, s)
+                            == per_term_hierarchy_limit_lhs(family, f, n, s)), (f, s, n)
 
     def test_refinement_hierarchy_lhs_matches_per_term(self):
         for nu in (1, 2, 3):
@@ -360,6 +398,24 @@ class TestDepthReach:
                                 == alpha_sum(fam, f, L, s)), (name, f, s, L)
                         count += 1
         assert count == 828
+
+    def test_every_limit_hierarchy_to_depth_8(self):
+        # beside the grid gates (f <= 3): every family and twist at f <= 8,
+        # n = 60, the nested limit sum against the product side
+        count = 0
+        for name, fam in FAMILIES.items():
+            for f in range(1, 9):
+                for s in range(f + 1) if fam.twisted else (0,):
+                    assert (hierarchy_limit_lhs(name, f, 60, s)
+                            == hierarchy_limit_rhs(name, f, 60, s)), (name, f, s)
+                    count += 1
+        assert count == 92
+
+    @pytest.mark.parametrize("nu", [3, 4])
+    def test_corollary_transform_at_depth_9_and_14(self, nu):
+        # the limit side at f = nu(nu+3)/2 = 9 and 14
+        report = verify_case("corollary_transform", {"nu": nu, "n": 80})
+        assert report.verdict, report.first_mismatch
 
 
 class TestHierarchyFamily:

@@ -110,6 +110,16 @@ class TestTruncatedPochhammer:
         assert inv_pochhammer_inf(shift, base, n) == inverse(
             dense_pochhammer_inf(shift, base, n), n)
 
+    def test_cached_infinite_reciprocal_is_the_finite_one_past_the_order(self):
+        # 1/(q^b;q^b)_length stops changing once b * length > n
+        for b in (1, 3):
+            for n in range(61):
+                value = inv_pochhammer_inf(b, b, n)
+                assert value == inv_pochhammer(n // b, b, n), (b, n)
+                hits = inv_pochhammer_inf.cache_info().hits
+                assert inv_pochhammer_inf(b, b, n) == value, (b, n)
+                assert inv_pochhammer_inf.cache_info().hits == hits + 1
+
 
 class TestQBinomial:
     def test_two_choose_one(self):
