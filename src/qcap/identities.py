@@ -404,16 +404,29 @@ def _middle_binomials(outer: QSeries, nvec: tuple[int, ...], N: tuple[int, ...],
 
 
 @lru_cache(maxsize=1)
-def _refinement_groups(nu: int, L: int) -> tuple[tuple[int, QSeries], ...]:
-    """((i, group), ...) for i <= L: the sum over every nvec with N_1 <= L - i
-    of [L-N_1, i]_{q^3} times the middle binomials times the m-sum.  No group
-    depends on M, and M runs innermost in the s_hierarchy grid, so the one
-    table kept serves every M of an (nu, L)."""
-    by_i: dict[int, Accumulator] = {}
+def _refinement_groups(nu: int, L: int) -> tuple[list[tuple], list[QSeries]]:
+    """(nvecs, groups) of an (nu, L): every nvec with N_1 <= L as (nvec, N,
+    3 * sum(N_k^2)), in increasing N_1, and [group_0, group_1, ...], the
+    groups built so far; refinement_hierarchy_lhs extends them to the i <= M
+    it reads.  No group depends on M, and M runs innermost in the s_hierarchy
+    grid, so the one table kept serves every M of an (nu, L)."""
+    nvecs = []
     for nvec in index_vectors(nu, L):
         N = suffix_sums(nvec)
-        sq = 3 * sum(x * x for x in N)
-        for i in range(L - N[0] + 1):
+        nvecs.append((nvec, N, 3 * sum(x * x for x in N)))
+    nvecs.sort(key=lambda entry: entry[1][0])
+    return nvecs, []
+
+
+def _refinement_group_range(nvecs: list[tuple], L: int, lo: int, hi: int) -> list[QSeries]:
+    """The groups lo <= i < hi: group i is the sum over every nvec with
+    N_1 <= L - i of [L-N_1, i]_{q^3} times the middle binomials times the
+    m-sum."""
+    by_i = [Accumulator() for _ in range(lo, hi)]
+    for nvec, N, sq in nvecs:
+        if N[0] > L - lo:
+            break
+        for i in range(lo, min(L - N[0] + 1, hi)):
             inner = Accumulator()
             for e, t3, t4 in _m_terms(nvec[-1], i, sum(N), sq, i):
                 inner.add((t3 * t4).shift(e))
@@ -421,18 +434,22 @@ def _refinement_groups(nu: int, L: int) -> tuple[tuple[int, QSeries], ...]:
             if not inner_sum:
                 continue
             outer = _middle_binomials(q_binomial(L - N[0], i, 3), nvec, N, i)
-            by_i.setdefault(i, Accumulator()).add(outer * inner_sum)
-    return tuple((i, group.value()) for i, group in by_i.items())
+            by_i[i - lo].add(outer * inner_sum)
+    return [group.value() for group in by_i]
 
 
 def refinement_hierarchy_lhs(nu: int, L: int, M: int) -> QSeries:
     """Exact parity-constrained multi-sum with the doubly bounded binomial
     kernel [L+M-i, L]_{q^3} [L-N_1, i]_{q^3}.  The m-sum is taken before its
     [L-N_1, i] and middle factors multiply it, and the terms of each i are
-    summed (in _refinement_groups) before [L+M-i, L] multiplies them."""
+    summed (in _refinement_group_range) before [L+M-i, L] multiplies them."""
+    nvecs, groups = _refinement_groups(nu, L)
+    top = min(L, M) + 1
+    if len(groups) < top:
+        groups.extend(_refinement_group_range(nvecs, L, len(groups), top))
     total = Accumulator()
-    for i, group in _refinement_groups(nu, L):
-        if i <= M:
+    for i, group in enumerate(groups[:top]):
+        if group:
             total.add(q_binomial(L + M - i, L, 3) * group)
     return total.value()
 

@@ -170,14 +170,10 @@ class QSeries:
     def __add__(self, other: QSeries | int) -> QSeries:
         if isinstance(other, int):
             other = monomial(0, other)
-        lo = min(self.offset, other.offset)
-        hi = max(self.offset + len(self.coeffs), other.offset + len(other.coeffs))
-        out = [0] * max(hi - lo, 0)
-        for i, c in enumerate(self.coeffs):
-            out[self.offset - lo + i] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.offset - lo + i] += c
-        return QSeries(lo, out, _min_trunc(self.trunc, other.trunc))
+        total = Accumulator(self.trunc)
+        total.add(self)
+        total.add(other)
+        return total.value()
 
     __radd__ = __add__
 
@@ -196,16 +192,29 @@ class QSeries:
         if isinstance(other, int):
             other = monomial(0, other)
         trunc = _min_trunc(self.trunc, other.trunc)
+        offset = self.offset + other.offset
         a, b = self.coeffs, other.coeffs
+        if trunc is not None:
+            # only a[:keep] and b[:keep] reach an exponent <= trunc
+            keep = max(trunc - offset + 1, 0)
+            a, b = a[:keep], b[:keep]
+        elif not a or not b:
+            return ZERO
+        if len(a) == 1 or len(b) == 1:
+            # c q^e times the other operand: its coefficients scaled by c
+            c, other_coeffs = (a[0], b) if len(a) == 1 else (b[0], a)
+            if c == 1:
+                coeffs = other_coeffs
+            elif c == -1:
+                coeffs = tuple(map(neg, other_coeffs))
+            else:
+                coeffs = tuple([c * x for x in other_coeffs])
+        else:
+            coeffs = _convolve(a, b)
         if trunc is None:
             # a_0 b_0 and a_last b_last are non-zero: already canonical
-            if not a or not b:
-                return ZERO
-            return _canonical(self.offset + other.offset, tuple(_convolve(a, b)), None)
-        # only a[:keep] and b[:keep] reach an exponent <= trunc
-        keep = max(trunc - self.offset - other.offset + 1, 0)
-        coeffs = _convolve(a[:keep], b[:keep])
-        return QSeries(self.offset + other.offset, coeffs, trunc)
+            return _canonical(offset, tuple(coeffs), None)
+        return QSeries(offset, coeffs, trunc)
 
     __rmul__ = __mul__
 
@@ -304,10 +313,10 @@ def monomial(exponent: int, coefficient: int = 1) -> QSeries:
 class Accumulator:
     """A running sum of QSeries, held in one growing coefficient list.
 
-    ``add(term)`` adds a term in place and ``value()`` returns the sum; the
-    result equals the left fold ``start + t1 + t2 + ...`` of ``+``, with
-    truncation the minimum over the start and every term.  An add stores no
-    coefficient above the truncation known so far.
+    ``add(term)`` adds a term in place and ``value()`` returns the sum, with
+    truncation the minimum over the starting ``trunc`` and every term; ``+``
+    on two QSeries is this sum of the two.  An add stores no coefficient
+    above the truncation known so far.
     """
 
     __slots__ = ("_offset", "_coeffs", "_trunc")

@@ -138,6 +138,12 @@ BASE3_HIERARCHY_L12_REPORT_SHA256 = (
 SHARED_TABLES_L12_REPORT_SHA256 = (
     "93d330ad56f6a7a5366bbfae00c6cbdbfc3c6962378b33d47e235a845cb47d21")
 
+# The S-ladder cases on a grid with M_max below L_max (`--L-max 10 --M-max 3`,
+# 132 reports), recorded before the per-(nu, L) table was built only to the
+# i <= M its M ask for.
+SHORT_M_GRID_REPORT_SHA256 = (
+    "3dae938ac0d28345cd39951cabc1580fd900881a2a79e809730a2b328d6f6a06")
+
 
 def report_sha256(capsys, *flags, select=("--all",)):
     code, out, _ = run(capsys, "verify", *select, "--format", "json", *flags)
@@ -170,6 +176,11 @@ class TestReportGuard:
                   "--case", "hierarchy_finite_double")
         assert (report_sha256(capsys, "--L-max", "12", "--M-max", "12", select=select)
                 == SHARED_TABLES_L12_REPORT_SHA256)
+
+    def test_s_ladder_cases_with_m_below_l_are_byte_identical(self, capsys):
+        select = ("--case", "s_hierarchy", "--case", "seed_identity")
+        assert (report_sha256(capsys, "--L-max", "10", "--M-max", "3", select=select)
+                == SHORT_M_GRID_REPORT_SHA256)
 
 
 class TestSeries:

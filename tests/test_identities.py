@@ -370,6 +370,18 @@ class TestSharedTables:
                     for M in order:
                         assert refinement_hierarchy_lhs(nu, L, M) == expected[M], (nu, L, M)
 
+    def test_refinement_table_is_built_only_to_the_largest_m_read(self):
+        # a side with M < L builds the groups i <= M only; a larger M
+        # extends the one table, and M >= L completes it at i = L
+        _refinement_groups.cache_clear()
+        largest = -1
+        for M in (0, 3, 2, 5, 11, 4):
+            assert (refinement_hierarchy_lhs(2, 8, M)
+                    == per_term_refinement_hierarchy_lhs(2, 8, M)), M
+            largest = max(largest, M)
+            assert len(_refinement_groups(2, 8)[1]) == min(largest, 8) + 1
+        assert _refinement_groups.cache_info().misses == 1
+
     def test_one_table_build_per_grid_point(self):
         bounds = Bounds()
         _refinement_groups.cache_clear()

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcap.series import (
     _KRONECKER_CUTOFF,
@@ -54,6 +54,22 @@ def naive_convolve(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def reference_add(a, b):
+    """a + b by one per-coefficient loop over each operand: the reference
+    for ``+`` and for Accumulator."""
+    if isinstance(b, int):
+        b = monomial(0, b)
+    lo = min(a.offset, b.offset)
+    hi = max(a.offset + len(a.coeffs), b.offset + len(b.coeffs))
+    out = [0] * max(hi - lo, 0)
+    for i, c in enumerate(a.coeffs):
+        out[a.offset - lo + i] += c
+    for i, c in enumerate(b.coeffs):
+        out[b.offset - lo + i] += c
+    truncs = [t for t in (a.trunc, b.trunc) if t is not None]
+    return QSeries(lo, out, min(truncs, default=None))
 
 
 # Coefficient lists long enough that any two cross _KRONECKER_CUTOFF
@@ -114,6 +130,15 @@ mul_operand = st.builds(
     QSeries,
     st.integers(min_value=-20, max_value=20),
     st.one_of(st.lists(st.integers(-10**6, 10**6), max_size=12), kronecker_operand),
+    st.one_of(st.none(), st.integers(min_value=-40, max_value=340)),
+)
+
+# Operands with one coefficient c q^e: c = +-1 or any c with |c| <= 10**30,
+# negative offsets, exact or truncated (also below e).
+one_coefficient = st.builds(
+    QSeries,
+    st.integers(min_value=-20, max_value=20),
+    st.tuples(st.one_of(st.sampled_from((1, -1)), st.integers(-10**30, 10**30).filter(bool))),
     st.one_of(st.none(), st.integers(min_value=-40, max_value=340)),
 )
 
@@ -225,9 +250,11 @@ canonical_operand = st.builds(
 
 class TestCanonicalResults:
     @settings(deadline=None)
-    @given(canonical_operand, canonical_operand, st.integers(-30, 30), st.integers(2, 6))
-    def test_equal_to_the_normalising_constructor_field_for_field(self, a, b, e, k):
-        results = [a.shift(e), -a, a.substitute_q_power(k)]
+    @given(canonical_operand, canonical_operand, one_coefficient, st.integers(-30, 30),
+           st.integers(2, 6))
+    def test_equal_to_the_normalising_constructor_field_for_field(self, a, b, m, e, k):
+        # products with a one-coefficient operand, exact or truncated, too
+        results = [a.shift(e), -a, a.substitute_q_power(k), a * m, m * a]
         if a.is_exact() and b.is_exact():
             results.append(a * b)
         for r in results:
@@ -350,6 +377,23 @@ class TestTruncatedMul:
             assert b * a == QSeries(0, (), trunc)
 
 
+class TestOneCoefficientMul:
+    @settings(max_examples=150, deadline=None)
+    @given(one_coefficient, st.one_of(mul_operand, one_coefficient), st.booleans())
+    # a truncation below the product's lowest exponent, on either operand
+    @example(QSeries(3, (7,), 2), QSeries(4, (1, 2)), True)
+    @example(QSeries(3, (-1,)), QSeries(-4, (1, 0, 5), -2), False)
+    # both operands of length 1
+    @example(QSeries(-5, (-1,)), QSeries(2, (10**30,), 0), True)
+    @example(QSeries(-5, (1,), -4), QSeries(2, (-3,)), False)
+    def test_matches_naive_convolution(self, single, other, single_on_left):
+        a, b = (single, other) if single_on_left else (other, single)
+        truncs = [t for t in (a.trunc, b.trunc) if t is not None]
+        expected = QSeries(a.offset + b.offset, naive_convolve(a.coeffs, b.coeffs),
+                           min(truncs, default=None))
+        assert a * b == expected
+
+
 class TestAccumulator:
     @given(st.one_of(st.none(), st.integers(min_value=-10, max_value=40)),
            st.lists(sum_term, max_size=20))
@@ -358,9 +402,18 @@ class TestAccumulator:
         folded = QSeries(0, (), start)
         for term in terms:
             acc.add(term)
-            folded = folded + term
+            folded = reference_add(folded, term)
             assert acc.value() == folded
         assert acc.value() == folded
+
+    @given(sum_term, st.one_of(sum_term, st.integers(-10**6, 10**6)))
+    # a truncated zero series on either side, and an int
+    @example(QSeries(0, (), 5), QSeries(-3, (1, 2, 3)))
+    @example(QSeries(-3, (1, 2, 3)), QSeries(0, (), -4))
+    @example(QSeries(0, (), 5), 7)
+    def test_plus_matches_reference_add(self, a, b):
+        assert a + b == reference_add(a, b)
+        assert b + a == reference_add(a, b)
 
 
 class TestInverse:
