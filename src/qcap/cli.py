@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from typing import Callable, Sequence, TextIO
@@ -144,13 +145,12 @@ _CLASSICAL: dict[str, Callable[[int, int], QSeries]] = {
 
 
 def _series_params(args: argparse.Namespace, names: Sequence[str]) -> dict:
-    supplied = {"L": args.L, "M": args.M, "f": args.f, "s": args.s,
-                "nu": args.nu, "k": args.k, "b": args.b, "n": args.trunc}
     params = {}
     for name in names:
-        if supplied.get(name) is None:
-            raise ParamOutOfRange(f"missing flag for parameter {name!r}")
-        params[name] = supplied[name]
+        dest = "trunc" if name == "n" else name  # every other flag is --name
+        params[name] = getattr(args, dest)
+        if params[name] is None:
+            raise ParamOutOfRange(f"missing flag --{dest} for parameter {name!r}")
     return params
 
 
@@ -172,9 +172,8 @@ def cmd_series(args: argparse.Namespace) -> int:
               f"{', '.join(sorted(identities.CASES))} "
               f"or one of: {', '.join(sorted(_CLASSICAL))}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        fn = case.side(side)
-    except KeyError:
+    fn = dict(case.sides).get(side)
+    if fn is None:
         names = ", ".join(name for name, _ in case.sides)
         print(f"case {case_id!r} has sides: {names}", file=sys.stderr)
         return EXIT_CONFIG
@@ -252,13 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--case", action="append",
                           help="case id (repeatable)")
     p_verify.add_argument("--all", action="store_true")
-    p_verify.add_argument("--L-max", dest="l_max", type=int, default=8)
-    p_verify.add_argument("--M-max", dest="m_max", type=int, default=8)
-    p_verify.add_argument("--f-max", dest="f_max", type=int, default=3)
+    p_verify.add_argument("--L-max", dest="l_max", type=int, default=Bounds.l_max)
+    p_verify.add_argument("--M-max", dest="m_max", type=int, default=Bounds.m_max)
+    p_verify.add_argument("--f-max", dest="f_max", type=int, default=Bounds.f_max)
     p_verify.add_argument("--s", type=int, default=None,
                           help="fix the twist (default: all 0..f)")
-    p_verify.add_argument("--nu-max", dest="nu_max", type=int, default=2)
-    p_verify.add_argument("--trunc", type=int, default=30)
+    p_verify.add_argument("--nu-max", dest="nu_max", type=int, default=Bounds.nu_max)
+    p_verify.add_argument("--trunc", type=int, default=Bounds.trunc)
     p_verify.add_argument("--out")
     p_verify.add_argument("--format", choices=("json", "text"), default="json")
     p_verify.set_defaults(fn=cmd_verify)
@@ -304,6 +303,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.fn(args)
     except (ParamOutOfRange, OutUnavailable) as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_CONFIG
+    except BrokenPipeError:
+        # stdout's reader is gone: the flush at exit writes to devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("stdout closed before the output was complete", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -66,10 +66,6 @@ def suffix_sums(nvec: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _trunc_one(n: int) -> QSeries:
-    return QSeries(0, (1,), n)
-
-
 # ---------------------------------------------------------------------------
 # Seed double sums (the base identities the hierarchies grow from)
 #
@@ -193,9 +189,8 @@ class HierarchyFamily:
 
     name: str
     base: int  # 1 or 3: every Pochhammer of the chain lives in q^base
-    a: int  # 0 or 1: kernel [2L+a, L-j]
+    a: int  # 0 or 1: kernel [2L+a, L-j] and chain weight q^{base(N^2+aN)}
     seed: Callable[[int], QSeries]  # exact seed LHS at inner bound n_f
-    linear_chain: bool  # chain exponent includes base * sum(N_i)
     twisted: bool  # accepts s; chain adds N_{f-s+1}+...+N_f (base 1 only)
     alpha: Callable[[int, int], QSeries]  # (s, j) -> alpha_j of the seed identity
     # (p, s) -> lists of (shift, step, sign) infinite Pochhammers, p = f + 1;
@@ -211,33 +206,33 @@ class HierarchyFamily:
 
 FAMILIES: dict[str, HierarchyFamily] = {
     "cap1_binomial": HierarchyFamily(
-        "cap1_binomial", 3, 0, seed_cap1_binomial, False, False,
+        "cap1_binomial", 3, 0, seed_cap1_binomial, False,
         lambda s, j: monomial(3 * j * j + j),
         lambda p, s: (((6 * p, 6 * p, -1), (3 * p - 1, 6 * p, 1), (3 * p + 1, 6 * p, 1)),)),
     "cap2_binomial": HierarchyFamily(
-        "cap2_binomial", 3, 1, seed_cap2_binomial, True, False,
+        "cap2_binomial", 3, 1, seed_cap2_binomial, False,
         lambda s, j: monomial(3 * j * j + 2 * j),
         lambda p, s: (((6 * p, 6 * p, -1), (1, 6 * p, 1), (6 * p - 1, 6 * p, 1)),)),
     "sum_cap": HierarchyFamily(
-        "sum_cap", 3, 0, seed_sum_cap, False, False,
+        "sum_cap", 3, 0, seed_sum_cap, False,
         lambda s, j: monomial(3 * j * j - 2 * j) + monomial(3 * j * j + j),
         lambda p, s: (((6 * p, 6 * p, -1), (3 * p - 2, 6 * p, 1), (3 * p + 2, 6 * p, 1)),
                       ((6 * p, 6 * p, -1), (3 * p - 1, 6 * p, 1), (3 * p + 1, 6 * p, 1)))),
     "cap1": HierarchyFamily(
-        "cap1", 1, 0, seed_cap1, False, False,
+        "cap1", 1, 0, seed_cap1, False,
         lambda s, j: monomial(j * j, jacobi3(j + 1)),
         lambda p, s: (((p, p, -1), (3 * p, 3 * p, 1), (2 * p, 6 * p, 1), (4 * p, 6 * p, 1)),)),
     "cap2": HierarchyFamily(
-        "cap2", 1, 0, seed_cap2, False, False,
+        "cap2", 1, 0, seed_cap2, False,
         lambda s, j: monomial(j * j + j, jacobi3(j + 1)),
         lambda p, s: (((p + 1, 6 * p, -1), (5 * p - 1, 6 * p, -1), (6 * p, 6 * p, -1),
                        (4 * p - 2, 12 * p, -1), (8 * p + 2, 12 * p, -1)),)),
     "cap2_analogue": HierarchyFamily(
-        "cap2_analogue", 1, 1, seed_cap2, True, False,
+        "cap2_analogue", 1, 1, seed_cap2, False,
         lambda s, j: monomial(j * j + j, jacobi3(j + 1)),
         lambda p, s: (((2 * p, 2 * p, -1), (2 * p, 12 * p, -1), (10 * p, 12 * p, -1)),)),
     "double": HierarchyFamily(
-        "double", 1, 0, seed_cap1, False, True,
+        "double", 1, 0, seed_cap1, True,
         lambda s, j: monomial(j * j - s * j, jacobi3(j + 1)),
         lambda p, s: (((p - s, 6 * p, -1), (5 * p + s, 6 * p, -1), (6 * p, 6 * p, -1),
                        (4 * p + 2 * s, 12 * p, -1), (8 * p - 2 * s, 12 * p, -1)),)),
@@ -295,8 +290,8 @@ def _level_up(level: tuple[QSeries, ...], eps: int, kernel: Callable[[int, int],
 
 
 @lru_cache(maxsize=None)
-def _chain_levels(linear: bool, L: int) -> list[tuple[QSeries, ...]]:
-    """[P_0, P_1, ...], the untwisted levels of a (linear, L) chain with P_0(N)
+def _chain_levels(a: int, L: int) -> list[tuple[QSeries, ...]]:
+    """[P_0, P_1, ...], the untwisted levels of an (a, L) chain with P_0(N)
     = 1; hierarchy_finite_lhs appends the deeper levels as it needs them."""
     return [(ONE,) * (L + 1)]
 
@@ -308,16 +303,16 @@ def hierarchy_finite_lhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
     [(q)_{L-n_f} (q)_{2n_f+a}] times prod_{k<f} [L-N_{k+1}, N_k-N_{k+1}], so
     the sum over index vectors nests level by level from N_1 inward, and the
     chain of each n_f is that quotient times q^{n_f^2+eps*n_f} P_{f-1}(n_f).
-    The untwisted levels depend on neither f, a, the seed nor the base: one
-    stack per (linear, L), at most 2 * (L_max+1), serves every family and
-    depth.  A twist s adds 1 to eps on the n_f level and on the s-1 levels
-    before it, which extend the untwisted P_{f-s} and are not kept.  A
-    base-b chain is summed in powers of q and stretched to q^b once, just
-    before the seed multiplies it."""
+    The untwisted levels depend on neither f, the seed nor the base: one
+    stack per (a, L), at most 2 * (L_max+1), serves every family and depth.
+    A twist s adds 1 to eps on the n_f level and on the s-1 levels before
+    it, which extend the untwisted P_{f-s} and are not kept.  A base-b chain
+    is summed in powers of q and stretched to q^b once, just before the seed
+    multiplies it."""
     fam = _family_checked(family, f, s)
-    eps = int(fam.linear_chain)
+    eps = fam.a
     untwisted = f - max(s, 1)  # P_{f-1}, or the P_{f-s} a twist extends
-    levels = _chain_levels(fam.linear_chain, L)
+    levels = _chain_levels(fam.a, L)
 
     def kernel(N: int, n: int) -> QSeries:
         return q_binomial(L - N, n - N)
@@ -350,7 +345,7 @@ def hierarchy_limit_lhs(family: str, f: int, n: int, s: int = 0) -> QSeries:
     n_f level and on the s-1 levels before it."""
     fam = _family_checked(family, f, s)
     b, a = fam.base, fam.a
-    eps = int(fam.linear_chain)
+    eps = a
 
     def kernel(N: int, m: int) -> QSeries:
         return inv_pochhammer(m - N, b, n)
@@ -365,7 +360,7 @@ def hierarchy_limit_lhs(family: str, f: int, n: int, s: int = 0) -> QSeries:
         if e > n:
             break
         # only order n - e survives the shift by e
-        term = _trunc_one(n - e) * fam.seed(nf) * inner * inv_pochhammer(2 * nf + a, b, n)
+        term = fam.seed(nf).truncate(n - e) * inner * inv_pochhammer(2 * nf + a, b, n)
         total.add(term.shift(e))
     return total.value()
 
@@ -404,51 +399,41 @@ def _middle_binomials(outer: QSeries, nvec: tuple[int, ...], N: tuple[int, ...],
 
 
 @lru_cache(maxsize=1)
-def _refinement_groups(nu: int, L: int) -> tuple[list[tuple], list[QSeries]]:
-    """(nvecs, groups) of an (nu, L): every nvec with N_1 <= L as (nvec, N,
-    3 * sum(N_k^2)), in increasing N_1, and [group_0, group_1, ...], the
-    groups built so far; refinement_hierarchy_lhs extends them to the i <= M
-    it reads.  No group depends on M, and M runs innermost in the s_hierarchy
-    grid, so the one table kept serves every M of an (nu, L)."""
-    nvecs = []
-    for nvec in index_vectors(nu, L):
+def _refinement_groups(nu: int, L: int) -> list[QSeries]:
+    """[group_0, group_1, ...], the groups of an (nu, L) built so far;
+    refinement_hierarchy_lhs appends them up to the i <= M it reads.  No
+    group depends on M, and M runs innermost in the s_hierarchy grid, so the
+    one table kept serves every M of an (nu, L)."""
+    return []
+
+
+def _refinement_group(nu: int, L: int, i: int) -> QSeries:
+    """Group i: the sum over every nvec with N_1 <= L - i of [L-N_1, i]_{q^3}
+    times the middle binomials times the m-sum."""
+    total = Accumulator()
+    for nvec in index_vectors(nu, L - i):
         N = suffix_sums(nvec)
-        nvecs.append((nvec, N, 3 * sum(x * x for x in N)))
-    nvecs.sort(key=lambda entry: entry[1][0])
-    return nvecs, []
-
-
-def _refinement_group_range(nvecs: list[tuple], L: int, lo: int, hi: int) -> list[QSeries]:
-    """The groups lo <= i < hi: group i is the sum over every nvec with
-    N_1 <= L - i of [L-N_1, i]_{q^3} times the middle binomials times the
-    m-sum."""
-    by_i = [Accumulator() for _ in range(lo, hi)]
-    for nvec, N, sq in nvecs:
-        if N[0] > L - lo:
-            break
-        for i in range(lo, min(L - N[0] + 1, hi)):
-            inner = Accumulator()
-            for e, t3, t4 in _m_terms(nvec[-1], i, sum(N), sq, i):
-                inner.add((t3 * t4).shift(e))
-            inner_sum = inner.value()
-            if not inner_sum:
-                continue
+        sq = 3 * sum(x * x for x in N)
+        inner = Accumulator()
+        for e, t3, t4 in _m_terms(nvec[-1], i, sum(N), sq, i):
+            inner.add((t3 * t4).shift(e))
+        inner_sum = inner.value()
+        if inner_sum:
             outer = _middle_binomials(q_binomial(L - N[0], i, 3), nvec, N, i)
-            by_i[i - lo].add(outer * inner_sum)
-    return [group.value() for group in by_i]
+            total.add(outer * inner_sum)
+    return total.value()
 
 
 def refinement_hierarchy_lhs(nu: int, L: int, M: int) -> QSeries:
     """Exact parity-constrained multi-sum with the doubly bounded binomial
     kernel [L+M-i, L]_{q^3} [L-N_1, i]_{q^3}.  The m-sum is taken before its
     [L-N_1, i] and middle factors multiply it, and the terms of each i are
-    summed (in _refinement_group_range) before [L+M-i, L] multiplies them."""
-    nvecs, groups = _refinement_groups(nu, L)
-    top = min(L, M) + 1
-    if len(groups) < top:
-        groups.extend(_refinement_group_range(nvecs, L, len(groups), top))
+    summed (in _refinement_group) before [L+M-i, L] multiplies them."""
+    groups = _refinement_groups(nu, L)
+    while len(groups) <= min(L, M):
+        groups.append(_refinement_group(nu, L, len(groups)))
     total = Accumulator()
-    for i, group in enumerate(groups[:top]):
+    for i, group in enumerate(groups[:min(L, M) + 1]):
         if group:
             total.add(q_binomial(L + M - i, L, 3) * group)
     return total.value()
@@ -483,7 +468,7 @@ def refinement_limit_lhs(nu: int, n: int) -> QSeries:
                 if not mid:
                     break
                 # only order n - e survives the shift by e
-                term = _trunc_one(n - e) * mid * t3 * t4 * inv_pochhammer(i, 3, n)
+                term = mid.truncate(n - e) * t3 * t4 * inv_pochhammer(i, 3, n)
                 total.add(term.shift(e))
     return total.value()
 
@@ -546,7 +531,7 @@ def cap_analytic_lhs(which: int, n: int) -> QSeries:
         while 2 * m * m + 6 * m * k + 6 * k * k <= n:
             e = 2 * m * m + 6 * m * k + 6 * k * k
             # only order n - e survives the shift by e
-            base_term = _trunc_one(n - e) * inv_pochhammer(m, 1, n) * inv_pochhammer(k, 3, n)
+            base_term = inv_pochhammer(m, 1, n).truncate(n - e) * inv_pochhammer(k, 3, n)
             if which == 1:
                 total.add(base_term.shift(e))
             else:
@@ -590,9 +575,7 @@ def rhs_rewrite_rational(which: int, L: int) -> QSeries:
     common-denominator numerator, minus the divisibility correction term."""
     js = range(-(L // 3), L // 3 + 1)
     dens = {j: ONE - monomial(L + 3 * j + 1) for j in js}
-    denominator = ONE
-    for j in js:
-        denominator = denominator * dens[j]
+    denominator = math.prod(dens.values())
     numerator = ZERO
     for j in js:
         b = q_binomial(2 * L, L + 3 * j, 1)
@@ -606,10 +589,7 @@ def rhs_rewrite_rational(which: int, L: int) -> QSeries:
             # q^{3j(3j+1)} (1 - q^{6j+2} - (1-q) q^{L+3j+1}); verified for L <= 8.
             factor = ONE - monomial(6 * j + 2) - (ONE - monomial(1)).shift(L + 3 * j + 1)
             piece = factor.shift(3 * j * (3 * j + 1)) * b
-        rest = ONE
-        for k in js:
-            if k != j:
-                rest = rest * dens[k]
+        rest = math.prod((dens[k] for k in js if k != j), start=ONE)
         numerator = numerator + piece * rest
     total = div_exact(numerator, denominator) if numerator else ZERO
     if (L - 2) % 3 == 0:
@@ -741,12 +721,6 @@ class IdentityCase:
     mode: str  # "exact" | "truncated"
     params: tuple[str, ...]
     sides: tuple[tuple[str, Callable[..., QSeries]], ...]
-
-    def side(self, name: str) -> Callable[..., QSeries]:
-        for side_name, fn in self.sides:
-            if side_name == name:
-                return fn
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ def pochhammer_inf(shift: int, base: int, n: int, sign: int = -1) -> QSeries:
             raise UnboundedBelow("vanishing (1 - q^0) factor")
         head = head * (ONE + monomial(e, sign))
         e += base
-    order = n - min(head.valuation(), 0)
+    order = n - min(head.offset, 0)
     tail = [1] + [0] * order
     step = add if sign == 1 else sub
     while e <= order:
@@ -214,24 +214,21 @@ def _poch_ratio_cached(num: tuple[tuple[int, int], ...], den: tuple[tuple[int, i
 # Trinomial refinements
 # ---------------------------------------------------------------------------
 
-def _trinomial_base1(length: int, b: int, a: int) -> QSeries:
-    if length < 0:
-        return ZERO
+def trinomial_t(length: int, b: int, a: int, base: int = 1) -> QSeries:
+    """Andrews-Baxter trinomial T(length; b, a) in base q^base."""
     total = Accumulator()
     for j in range(length + 1):
         left = _q_binomial_base1(length, j)
         right = _q_binomial_base1(length - j, j + a)
         if left and right:
             total.add((left * right).shift(j * (j + b)))
-    return total.value()
+    return total.value().substitute_q_power(base)
 
 
-def trinomial_t(length: int, b: int, a: int, base: int = 1) -> QSeries:
-    """Andrews-Baxter trinomial T(length; b, a) in base q^base."""
-    return _trinomial_base1(length, b, a).substitute_q_power(base)
-
-
-def _warnaar_base1(big_l: int, big_m: int, a: int, b: int) -> QSeries:
+def warnaar_s(big_l: int, big_m: int, a: int, b: int, base: int = 1) -> QSeries:
+    """Warnaar's doubly bounded trinomial refinement S(L, M; a, b)."""
+    if big_l < 0 or big_m < 0:
+        return ZERO
     # [M+L-a-2n, M] [M-a+b, n] [M+a-b, n+a] is non-zero exactly when
     # 2n <= L-a, 0 <= n <= M-a+b and -a <= n <= M-b (M >= 0)
     total = Accumulator()
@@ -240,14 +237,7 @@ def _warnaar_base1(big_l: int, big_m: int, a: int, b: int) -> QSeries:
         t2 = _q_binomial_base1(big_m - a + b, n)
         t3 = _q_binomial_base1(big_m + a - b, n + a)
         total.add((t1 * t2 * t3).shift(n * (n + a)))
-    return total.value()
-
-
-def warnaar_s(big_l: int, big_m: int, a: int, b: int, base: int = 1) -> QSeries:
-    """Warnaar's doubly bounded trinomial refinement S(L, M; a, b)."""
-    if big_l < 0 or big_m < 0:
-        return ZERO
-    return _warnaar_base1(big_l, big_m, a, b).substitute_q_power(base)
+    return total.value().substitute_q_power(base)
 
 
 # ---------------------------------------------------------------------------

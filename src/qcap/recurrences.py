@@ -16,22 +16,12 @@ short one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from qcap.series import ONE, QSeries, ZERO, div_exact, monomial
+from qcap.series import ONE, QSeries, ZERO, div_exact, monomial as _m
 from qcap.identities import rhs_new_fin_cap, s1_sum, s2_sum, seed_cap1, seed_cap2
-
-
-def _m(e: int) -> QSeries:
-    return monomial(e)
-
-
-def _prod(*factors: QSeries) -> QSeries:
-    out = ONE
-    for f in factors:
-        out = out * f
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +88,10 @@ def _coeff_b_proven(L: int, lag: int) -> QSeries:
                 - _m(2 * L - 3) * (ONE + _m(1)) * (ONE + _m(2)) * 2
                 + _m(4 * L - 7) * (ONE + _m(2) + _m(4))).shift(1)
     if lag == 3:
-        return -_prod(ONE + _m(2), ONE - _m(2 * L - 4), ONE - _m(2 * L - 5),
-                      ONE + _m(1) - _m(2 * L - 4)).shift(3)
-    return _prod(ONE - _m(2 * L - 4), ONE - _m(2 * L - 5),
-                 ONE - _m(2 * L - 6), ONE - _m(2 * L - 7)).shift(6)
+        return -math.prod((ONE + _m(2), ONE - _m(2 * L - 4), ONE - _m(2 * L - 5),
+                           ONE + _m(1) - _m(2 * L - 4))).shift(3)
+    return math.prod((ONE - _m(2 * L - 4), ONE - _m(2 * L - 5),
+                      ONE - _m(2 * L - 6), ONE - _m(2 * L - 7))).shift(6)
 
 
 def _coeff_s1(L: int, lag: int) -> QSeries:
@@ -113,8 +103,8 @@ def _coeff_s1(L: int, lag: int) -> QSeries:
         return ((ONE - _m(L - 1))
                 * (ONE + _m(2) + _m(3) - _m(L + 1) - _m(2 * L - 1) - _m(2 * L - 2))
                 ).shift(1)
-    return -_prod(ONE - _m(L - 1), ONE - _m(L - 2),
-                  ONE - _m(2 * L - 3), ONE - _m(2 * L - 4)).shift(4)
+    return -math.prod((ONE - _m(L - 1), ONE - _m(L - 2),
+                       ONE - _m(2 * L - 3), ONE - _m(2 * L - 4))).shift(4)
 
 
 def _coeff_s2(L: int, lag: int) -> QSeries:
@@ -125,11 +115,11 @@ def _coeff_s2(L: int, lag: int) -> QSeries:
     if lag == 1:
         return -(ONE - _m(L)) * (ONE + _m(1) + _m(2) - _m(L - 1) - _m(L))
     if lag == 2:
-        return _prod(ONE - _m(L), ONE - _m(L - 1),
-                     ONE + _m(1) + _m(2) - _m(L - 1) - _m(2 * L - 1) - _m(2 * L - 2)
-                     ).shift(1)
-    return -_prod(ONE - _m(L), ONE - _m(L - 1), ONE - _m(L - 2),
-                  ONE - _m(2 * L - 3), ONE - _m(2 * L - 4)).shift(3)
+        return math.prod((ONE - _m(L), ONE - _m(L - 1),
+                          ONE + _m(1) + _m(2) - _m(L - 1) - _m(2 * L - 1) - _m(2 * L - 2)
+                          )).shift(1)
+    return -math.prod((ONE - _m(L), ONE - _m(L - 1), ONE - _m(L - 2),
+                       ONE - _m(2 * L - 3), ONE - _m(2 * L - 4))).shift(3)
 
 
 def _coeff_c_proven(L: int, lag: int) -> QSeries:
@@ -158,11 +148,11 @@ def _coeff_c_proven(L: int, lag: int) -> QSeries:
                  - _m(L - 3) * (ONE + _m(2) + _m(3))
                  - _m(2 * L - 5) * (ONE + _m(1) + _m(2))
                  + _m(3 * L - 6))
-        return _prod(ONE - _m(L - 2), ONE - _m(2 * L - 6),
-                     ONE - _m(2 * L - 5), inner).shift(6)
-    return -_prod(ONE - _m(L - 2), ONE - _m(L - 4),
-                  ONE - _m(2 * L - 5), ONE - _m(2 * L - 6),
-                  ONE - _m(2 * L - 7), ONE - _m(2 * L - 8)).shift(10)
+        return math.prod((ONE - _m(L - 2), ONE - _m(2 * L - 6),
+                          ONE - _m(2 * L - 5), inner)).shift(6)
+    return -math.prod((ONE - _m(L - 2), ONE - _m(L - 4),
+                       ONE - _m(2 * L - 5), ONE - _m(2 * L - 6),
+                       ONE - _m(2 * L - 7), ONE - _m(2 * L - 8))).shift(10)
 
 
 RECURRENCES: dict[str, Recurrence] = {
@@ -203,12 +193,6 @@ class RecurrenceReport:
     def ok(self) -> bool:
         return all(passed for _, passed in self.checks)
 
-    def first_failure(self) -> int | None:
-        for L, passed in self.checks:
-            if not passed:
-                return L
-        return None
-
 
 def verify_recurrence(
     seq: Callable[[int], QSeries],
@@ -220,7 +204,7 @@ def verify_recurrence(
     for L in l_range:
         if L < rec.order:
             raise ValueError("L_range must start at or above the recurrence order")
-        checks.append((L, rec.residual(seq, L).is_zero()))
+        checks.append((L, not rec.residual(seq, L)))
     return RecurrenceReport(name or rec.name, tuple(checks))
 
 
@@ -264,8 +248,8 @@ def _witness_c(L: int, t: int) -> QSeries:
         return ((ONE - _m(L - 2))
                 * (ONE + _m(1) + _m(2) - _m(L - 3) - _m(2 * L - 4) - _m(2 * L - 5)
                    + _m(3 * L - 6) - _m(3 * L - 7))).shift(5)
-    return -_prod(ONE - _m(L - 2), ONE - _m(L - 4),
-                  ONE - _m(2 * L - 5), ONE - _m(2 * L - 6)).shift(9)
+    return -math.prod((ONE - _m(L - 2), ONE - _m(L - 4),
+                       ONE - _m(2 * L - 5), ONE - _m(2 * L - 6))).shift(9)
 
 
 _WITNESSES: dict[str, tuple[Callable[[int, int], QSeries], int, str, str]] = {
@@ -307,7 +291,7 @@ def verify_factor_witness(which: str, l_range: Sequence[int]) -> WitnessReport:
         value = ZERO
         for t in range(w_order + 1):
             value = value + witness(L, t) * short.residual(seq, L - t)
-        relation.append((L, value.is_zero()))
+        relation.append((L, not value))
         match = True
         for i in range(long_rec.order + 1):
             combined = ZERO

@@ -142,19 +142,9 @@ class QSeries:
 
     # -- queries ----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_exact(self) -> bool:
-        return self.trunc is None
-
     def degree(self) -> int:
         """Largest exponent with a non-zero coefficient (-1 for the zero series)."""
         return self.offset + len(self.coeffs) - 1 if self.coeffs else -1
-
-    def valuation(self) -> int:
-        """Smallest exponent with a non-zero coefficient (0 for the zero series)."""
-        return self.offset
 
     def coeff(self, exponent: int) -> int:
         i = exponent - self.offset
@@ -218,19 +208,6 @@ class QSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> QSeries:
-        if n < 0:
-            raise ValueError("negative powers are not defined; use inverse()")
-        out = ONE if self.trunc is None else QSeries(0, (1,), self.trunc)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
     def shift(self, exponent: int) -> QSeries:
         """Multiply by q**exponent."""
         trunc = None if self.trunc is None else self.trunc + exponent
@@ -260,7 +237,7 @@ class QSeries:
     def truncate(self, n: int) -> QSeries:
         return QSeries(self.offset, self.coeffs, _min_trunc(self.trunc, n))
 
-    # -- text / wire forms ------------------------------------------------
+    # -- text form --------------------------------------------------------
 
     def to_text(self) -> str:
         if not self.coeffs:
@@ -281,9 +258,6 @@ class QSeries:
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
-
-    def to_json_dict(self) -> dict:
-        return {"offset": self.offset, "coeffs": list(self.coeffs), "trunc": self.trunc}
 
     def __str__(self) -> str:
         return self.to_text()
@@ -360,9 +334,9 @@ def div_exact(a: QSeries, b: QSeries) -> QSeries:
     """
     if a.trunc is not None or b.trunc is not None:
         raise TruncatedInput("div_exact requires exact operands")
-    if b.is_zero():
+    if not b:
         raise ZeroDivisionError("division by the zero series")
-    if a.is_zero():
+    if not a:
         return ZERO
     num, den = list(a.coeffs), list(b.coeffs)
     if len(num) < len(den):
@@ -391,9 +365,9 @@ def inverse(a: QSeries, n: int) -> QSeries:
     and its inverse are known to exponent a.trunc - v, so 1/a is known to
     a.trunc - 2v.
     """
-    if a.is_zero():
+    if not a:
         raise ZeroDivisionError("inverse of the zero series")
-    v = a.valuation()
+    v = a.offset
     c0 = a.coeffs[0]
     if c0 not in (1, -1):
         raise ValueError("lowest coefficient must be a unit")
@@ -419,8 +393,6 @@ class Comparison:
     """Outcome of comparing two QSeries coefficientwise."""
 
     equal: bool
-    mode: str  # "exact" or "truncated-agreement up to N"
-    upto: int | None = None
     mismatch_exponent: int | None = None
     lhs_coeff: int | None = None
     rhs_coeff: int | None = None
@@ -433,16 +405,13 @@ def compare(a: QSeries, b: QSeries) -> Comparison:
     """Compare exactly, or up to the smaller truncation if either is truncated."""
     limit = _min_trunc(a.trunc, b.trunc)
     if limit is None and a.offset == b.offset and a.coeffs == b.coeffs:
-        return Comparison(True, "exact")
-    lo = min(a.valuation(), b.valuation())
+        return Comparison(True)
+    lo = min(a.offset, b.offset)
     hi = max(a.degree(), b.degree())
     if limit is not None:
         hi = min(hi, limit)
     for e in range(lo, hi + 1):
         ca, cb = a.coeff(e), b.coeff(e)
         if ca != cb:
-            mode = "exact" if limit is None else f"truncated-agreement up to {limit}"
-            return Comparison(False, mode, limit, e, ca, cb)
-    if limit is None:
-        return Comparison(True, "exact")
-    return Comparison(True, f"truncated-agreement up to {limit}", limit)
+            return Comparison(False, e, ca, cb)
+    return Comparison(True)

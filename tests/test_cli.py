@@ -11,6 +11,7 @@ import pytest
 
 import qcap
 from qcap.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, main
+from qcap.identities import CASES, Bounds
 
 
 def run(capsys, *argv):
@@ -84,6 +85,20 @@ class TestVerify:
         assert lines[0].startswith("# cases=1 instances=")
         assert all(line.startswith("pass") for line in lines[1:-1])
         assert "passed" in lines[-1]
+
+    def test_default_grid_is_the_bounds_default(self, capsys, monkeypatch):
+        import qcap.identities
+
+        grids = []
+
+        def no_instances(case_id, bounds):
+            grids.append(bounds)
+            return iter(())
+
+        monkeypatch.setattr(qcap.identities, "iterate_grid", no_instances)
+        code, _, _ = run(capsys, "verify", "--all")
+        assert code == EXIT_OK
+        assert grids == [Bounds()] * len(CASES)
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.jsonl"
@@ -208,7 +223,11 @@ class TestSeries:
     def test_missing_parameter(self, capsys):
         code, _, err = run(capsys, "series", "rhs:new_fin_cap_1")
         assert code == EXIT_CONFIG
-        assert "missing flag" in err
+        assert "missing flag --L for parameter 'L'" in err
+        # the order n of a truncated case is given by --trunc
+        code, _, err = run(capsys, "series", "lhs:cap_analytic_1")
+        assert code == EXIT_CONFIG
+        assert "missing flag --trunc for parameter 'n'" in err
 
     def test_classical_requires_trunc(self, capsys):
         code, _, err = run(capsys, "series", "sum:quintuple", "--z-shift", "1")
@@ -316,13 +335,15 @@ class TestHierarchy:
 
 
 class TestModuleEntryPoint:
-    def python_m_qcap(self, *argv):
+    def env(self):
         # a checkout without an installed qcap: the package's parent on the path
         src = str(Path(qcap.__file__).parent.parent)
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        return {**os.environ, "PYTHONPATH": path}
+
+    def python_m_qcap(self, *argv):
         return subprocess.run([sys.executable, "-m", "qcap", *argv],
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path})
+                              capture_output=True, text=True, env=self.env())
 
     def test_verify_passes(self):
         done = self.python_m_qcap("verify", "--case", "new_fin_cap_1", "--L-max", "2")
@@ -334,3 +355,18 @@ class TestModuleEntryPoint:
         assert done.returncode == EXIT_CONFIG
         assert done.stdout == ""
         assert "--L-max" in done.stderr
+
+    def test_closed_stdout_is_config_error_without_traceback(self):
+        # every instance passes, but the reader leaves after one line; the
+        # reports outgrow the pipe, so a later write finds it closed
+        proc = subprocess.Popen([sys.executable, "-m", "qcap", "verify", "--all"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, env=self.env())
+        proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == EXIT_CONFIG, err
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err
+        assert len(err.splitlines()) == 1

@@ -207,11 +207,11 @@ class TestEnumerationHelpers:
 # shared factor multiplied into every term.
 
 def hierarchy_chain_exponent(fam, nvec, s):
-    """base * (sum N_i^2 (+ sum N_i for a linear chain) + N_{f-s+1} + ... +
+    """base * (sum N_i^2 (+ sum N_i when a = 1) + N_{f-s+1} + ... +
     N_f): the exponent of one index vector's chain term."""
     N = suffix_sums(nvec)
     e = sum(x * x for x in N) + sum(N[len(N) - s:])
-    if fam.linear_chain:
+    if fam.a:
         e += sum(N)
     return fam.base * e
 
@@ -379,7 +379,7 @@ class TestSharedTables:
             assert (refinement_hierarchy_lhs(2, 8, M)
                     == per_term_refinement_hierarchy_lhs(2, 8, M)), M
             largest = max(largest, M)
-            assert len(_refinement_groups(2, 8)[1]) == min(largest, 8) + 1
+            assert len(_refinement_groups(2, 8)) == min(largest, 8) + 1
         assert _refinement_groups.cache_info().misses == 1
 
     def test_one_table_build_per_grid_point(self):
@@ -393,7 +393,7 @@ class TestSharedTables:
             if case_id.startswith("hierarchy_finite_"):
                 for params in iterate_grid(case_id, bounds):
                     assert verify_case(case_id, params).verdict
-        # one level stack per (linear, L), whatever f, a, family or twist
+        # one level stack per (a, L), whatever f, family or twist
         assert _chain_levels.cache_info().currsize <= 2 * (bounds.l_max + 1)
 
 

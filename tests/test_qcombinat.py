@@ -77,7 +77,7 @@ def dense_pochhammer_inf(shift, base, n, sign=-1):
             raise UnboundedBelow("vanishing (1 - q^0) factor")
         head = head * (ONE + monomial(e, sign))
         e += base
-    order = n - min(head.valuation(), 0)
+    order = n - min(head.offset, 0)
     tail = QSeries(0, (1,), order)
     while e <= order:
         tail = tail * (ONE + monomial(e, sign)).truncate(order)

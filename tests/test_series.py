@@ -176,10 +176,6 @@ class TestBasics:
         assert 2 * Q == monomial(1, 2)
         assert 1 - Q == ONE - Q
 
-    def test_pow(self):
-        assert (ONE + Q) ** 2 == poly((0, 1), (1, 2), (2, 1))
-        assert (ONE + Q) ** 0 == ONE
-
     def test_normalization_rejects_trailing_zeros(self):
         assert QSeries(0, (0, 1, 0)) == Q
         assert QSeries(5, ()) == ZERO
@@ -255,7 +251,7 @@ class TestCanonicalResults:
     def test_equal_to_the_normalising_constructor_field_for_field(self, a, b, m, e, k):
         # products with a one-coefficient operand, exact or truncated, too
         results = [a.shift(e), -a, a.substitute_q_power(k), a * m, m * a]
-        if a.is_exact() and b.is_exact():
+        if a.trunc is None and b.trunc is None:
             results.append(a * b)
         for r in results:
             rebuilt = QSeries(r.offset, r.coeffs, r.trunc)
@@ -274,15 +270,21 @@ class TestCompare:
         assert compare(ONE + Q, ONE + Q)
 
     def test_equal_coefficients_one_truncated(self):
-        for a, b in ((QSeries(0, (1, 1), 5), ONE + Q), (ONE + Q, QSeries(0, (1, 1), 5))):
-            outcome = compare(a, b)
-            assert outcome
-            assert (outcome.mode, outcome.upto) == ("truncated-agreement up to 5", 5)
+        # agreement up to 5 in either order: a difference at 6 is beyond it,
+        # one at 5 is not
+        truncated = QSeries(0, (1, 1), 5)
+        for other in (ONE + Q, ONE + Q + monomial(6)):
+            assert compare(truncated, other)
+            assert compare(other, truncated)
+        differs = ONE + Q + monomial(5)
+        assert compare(truncated, differs).mismatch_exponent == 5
+        assert compare(differs, truncated).mismatch_exponent == 5
 
     def test_truncated_agreement(self):
-        outcome = compare(QSeries(0, (1, 1), 1), ONE + Q + monomial(9))
-        assert outcome
-        assert outcome.mode == "truncated-agreement up to 1"
+        assert compare(QSeries(0, (1, 1), 1), ONE + Q + monomial(9))
+        # agreement up to 1: a difference at 1 counts, one at 2 does not
+        assert compare(QSeries(0, (1, 1), 1), ONE + Q + monomial(2))
+        assert compare(QSeries(0, (1, 1), 1), ONE + 2 * Q).mismatch_exponent == 1
 
     def test_mismatch_reported(self):
         outcome: Comparison = compare(ONE, ONE + Q)
@@ -449,8 +451,3 @@ class TestTextForms:
         assert (ONE + monomial(2) - monomial(4)).to_text() == "1 + q^2 - q^4"
         assert ZERO.to_text() == "0"
         assert monomial(-1).to_text() == "q^-1"
-
-    def test_json_roundtrip(self):
-        x = QSeries(-1, (1, 0, 3), 7)
-        d = x.to_json_dict()
-        assert QSeries(d["offset"], d["coeffs"], d["trunc"]) == x

@@ -1,8 +1,8 @@
 """Source rules: no check may live in an ``assert`` statement, because
 ``python -O`` strips them; the two sides of a hierarchy case stay
 independent evaluators; the partition oracle imports nothing from qcap; and
-every top-level function or class is used by the package or is an entry
-point."""
+every top-level function or class, and every method or property of a class,
+is used by the package or is an entry point."""
 
 import ast
 from pathlib import Path
@@ -139,3 +139,52 @@ def test_usage_rule_ignores_self_reference():
         "def used():\n    return 1\n\n"
         "def recursive(n):\n    return recursive(n - 1) if n else used()\n")}
     assert _unnamed_definitions(trees) == ["m.py:recursive"]
+
+
+# Members the benchmark reads, which no module of the package reads.
+PUBLIC_MEMBERS = ("ok",)
+
+
+def _unread_members(trees):
+    """Non-dunder methods and properties of top-level classes whose name no
+    module reads as an attribute, outside their own body."""
+    defined, read = {}, set()
+    for module, tree in trees.items():
+        for top in tree.body:
+            is_class = isinstance(top, ast.ClassDef)
+            for node in top.body if is_class else [top]:
+                own = None
+                if is_class and isinstance(node, ast.FunctionDef) and not (
+                        node.name.startswith("__") and node.name.endswith("__")):
+                    own = node.name
+                    defined[f"{module}:{top.name}.{own}"] = own
+                read.update(n.attr for n in ast.walk(node)
+                            if isinstance(n, ast.Attribute) and n.attr != own)
+    return sorted(member for member, name in defined.items() if name not in read)
+
+
+def _package_unread_members():
+    return _unread_members(
+        {path.name: _tree(path.name) for path in sorted(PACKAGE.glob("*.py"))})
+
+
+def test_every_member_is_read_or_public():
+    unread = [m for m in _package_unread_members()
+              if m.rpartition(".")[2] not in PUBLIC_MEMBERS]
+    assert not unread, unread
+
+
+def test_public_members_are_defined_and_otherwise_unread():
+    # a PUBLIC_MEMBERS entry that the package reads, or that is gone, is stale
+    stale = set(PUBLIC_MEMBERS) - {m.rpartition(".")[2] for m in _package_unread_members()}
+    assert not stale, sorted(stale)
+
+
+def test_member_rule_ignores_self_reads_and_dunders():
+    trees = {"m.py": ast.parse(
+        "class C:\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "    def used(self):\n        return 1\n\n"
+        "    def recursive(self, n):\n        return self.recursive(n - 1) if n else 0\n\n"
+        "    @property\n    def unread(self):\n        return self.used()\n")}
+    assert _unread_members(trees) == ["m.py:C.recursive", "m.py:C.unread"]
