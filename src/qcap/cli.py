@@ -6,7 +6,8 @@ Subcommands:
     partitions  enumeration tables (counts or weighted totals) with match column
     hierarchy   generate a hierarchy LHS by iterated transform and cross-check
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error.
+Exit codes: 0 success, 1 verification failure, 2 configuration error or
+output that cannot be written.
 """
 
 from __future__ import annotations
@@ -300,14 +301,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so a write that cannot land fails here, not at exit
+        return code
     except (ParamOutOfRange, OutUnavailable) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
-    except BrokenPipeError:
-        # stdout's reader is gone: the flush at exit writes to devnull instead
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("stdout closed before the output was complete", file=sys.stderr)
+    except OSError as exc:
+        # stdout or --out cannot take the output: its reader is gone, or its
+        # device is full
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # what stdout still holds would fail again at exit: devnull takes it
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"cannot write the output: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -44,29 +44,6 @@ class ParamOutOfRange(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Shared enumeration helpers
-# ---------------------------------------------------------------------------
-
-def index_vectors(length: int, total_max: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `length` non-negative integers with sum <= total_max."""
-    if length == 0:
-        yield ()
-        return
-    for first in range(total_max + 1):
-        for rest in index_vectors(length - 1, total_max - first):
-            yield (first,) + rest
-
-
-def suffix_sums(nvec: tuple[int, ...]) -> tuple[int, ...]:
-    """(N_1, ..., N_f) with N_i = n_i + n_{i+1} + ... + n_f."""
-    out, acc = [], 0
-    for n in reversed(nvec):
-        acc += n
-        out.append(acc)
-    return tuple(reversed(out))
-
-
-# ---------------------------------------------------------------------------
 # Seed double sums (the base identities the hierarchies grow from)
 #
 # Each seed evaluator returns the exact left-hand side polynomial at bound M
@@ -377,25 +354,38 @@ def hierarchy_limit_rhs(family: str, f: int, n: int, s: int = 0) -> QSeries:
 # Doubly bounded refinement hierarchy (the S-function ladder)
 # ---------------------------------------------------------------------------
 
-def _m_terms(n_last: int, i: int, SN: int, sq: int,
-             m_max: int) -> Iterator[tuple[int, QSeries, QSeries]]:
-    """(e, [3n, m], [2n + (i-m-SN)/2, 2n]_{q^3}) for every non-zero term of
-    the Warnaar-kernel m-sum, n = n_last: m runs over m = i + SN (mod 2) up
-    to min(3n, i - SN, m_max), and e = (m^2 + 3i^2 + sq) / 2.  With sq =
-    3 * sum(N_k^2) that parity makes m^2 + 3i^2 + sq even."""
+def _m_sum(n_last: int, i: int, SN: int, sq: int, m_max: int) -> QSeries:
+    """The Warnaar-kernel m-sum, n = n_last: sum q^e [3n, m] [2n + (i-m-SN)/2,
+    2n]_{q^3} over m = i + SN (mod 2) up to min(3n, i - SN, m_max), with e =
+    (m^2 + 3i^2 + sq) / 2.  With sq = 3 * sum(N_k^2) that parity makes m^2 +
+    3i^2 + sq even, and neither binomial vanishes in that range."""
+    total = Accumulator()
     for m in range((i + SN) % 2, min(3 * n_last, i - SN, m_max) + 1, 2):
         t3 = q_binomial(3 * n_last, m, 1)
         t4 = q_binomial(2 * n_last + (i - m - SN) // 2, 2 * n_last, 3)
-        if t3 and t4:
-            yield (m * m + 3 * i * i + sq) // 2, t3, t4
+        total.add((t3 * t4).shift((m * m + 3 * i * i + sq) // 2))
+    return total.value()
 
 
-def _middle_binomials(outer: QSeries, nvec: tuple[int, ...], N: tuple[int, ...],
-                      i: int) -> QSeries:
-    """outer * prod_{j < nu-1} [i - N_1 - ... - N_{j+1} + n_{j+1}, n_{j+1}]_{q^3}."""
-    for j in range(len(nvec) - 1):
-        outer = outer * q_binomial(i - sum(N[:j + 1]) + nvec[j], nvec[j], 3)
-    return outer
+def _ladder_chains(nu: int, i: int,
+                   top: int) -> Iterator[tuple[int, int, int, int, QSeries]]:
+    """(N_1, N_nu, sum N, 3 sum N^2, mid) for every chain N_1 >= ... >= N_nu
+    >= 0 with N_1 <= top and sum N <= i, where mid = prod_{k < nu} [i - C_k +
+    n_k, n_k]_{q^3}, C_k = N_1 + ... + N_k and n_k = N_k - N_{k+1}.  No other
+    chain has a term: the m-sum is empty when sum N > i, and no middle
+    binomial vanishes while every C_k <= i.  Each level's factor multiplies
+    mid once for all the chains below it."""
+    def walk(N1, level, last, C, sq, mid):
+        if level == nu:
+            yield N1, last, C, 3 * sq, mid
+            return
+        for N in range(min(last, i - C) + 1):
+            n = last - N
+            yield from walk(N1, level + 1, N, C + N, sq + N * N,
+                            mid * q_binomial(i - C + n, n, 3))
+
+    for N1 in range(min(top, i) + 1):
+        yield from walk(N1, 1, N1, N1, N1 * N1, ONE)
 
 
 @lru_cache(maxsize=1)
@@ -407,31 +397,20 @@ def _refinement_groups(nu: int, L: int) -> list[QSeries]:
     return []
 
 
-def _refinement_group(nu: int, L: int, i: int) -> QSeries:
-    """Group i: the sum over every nvec with N_1 <= L - i of [L-N_1, i]_{q^3}
-    times the middle binomials times the m-sum."""
-    total = Accumulator()
-    for nvec in index_vectors(nu, L - i):
-        N = suffix_sums(nvec)
-        sq = 3 * sum(x * x for x in N)
-        inner = Accumulator()
-        for e, t3, t4 in _m_terms(nvec[-1], i, sum(N), sq, i):
-            inner.add((t3 * t4).shift(e))
-        inner_sum = inner.value()
-        if inner_sum:
-            outer = _middle_binomials(q_binomial(L - N[0], i, 3), nvec, N, i)
-            total.add(outer * inner_sum)
-    return total.value()
-
-
 def refinement_hierarchy_lhs(nu: int, L: int, M: int) -> QSeries:
     """Exact parity-constrained multi-sum with the doubly bounded binomial
-    kernel [L+M-i, L]_{q^3} [L-N_1, i]_{q^3}.  The m-sum is taken before its
-    [L-N_1, i] and middle factors multiply it, and the terms of each i are
-    summed (in _refinement_group) before [L+M-i, L] multiplies them."""
+    kernel [L+M-i, L]_{q^3} [L-N_1, i]_{q^3}.  Group i sums, over the ladder
+    chains with N_1 <= L - i, the m-sum times [L-N_1, i] and the middle
+    binomials; [L+M-i, L] then multiplies each group."""
     groups = _refinement_groups(nu, L)
     while len(groups) <= min(L, M):
-        groups.append(_refinement_group(nu, L, len(groups)))
+        i = len(groups)
+        group = Accumulator()
+        for N1, n_last, SN, sq, mid in _ladder_chains(nu, i, L - i):
+            inner = _m_sum(n_last, i, SN, sq, i)
+            if inner:
+                group.add(q_binomial(L - N1, i, 3) * mid * inner)
+        groups.append(group.value())
     total = Accumulator()
     for i, group in enumerate(groups[:min(L, M) + 1]):
         if group:
@@ -452,24 +431,14 @@ def refinement_hierarchy_rhs(nu: int, L: int, M: int) -> QSeries:
 def refinement_limit_lhs(nu: int, n: int) -> QSeries:
     """M, L -> infinity: the two bounded binomials collapse to 1/(q^3;q^3)_i."""
     total = Accumulator(n)
-    bound = math.isqrt(2 * n // 3) + 1
-    for nvec in index_vectors(nu, bound):
-        N = suffix_sums(nvec)
-        sq = 3 * sum(x * x for x in N)
-        for i in range(bound + 1):
+    for i in range(math.isqrt(2 * n // 3) + 1):
+        for _, n_last, SN, sq, mid in _ladder_chains(nu, i, i):
             # the exponent (m^2 + 3i^2 + sq) / 2 is <= n exactly when m^2 <= room
             room = 2 * n - 3 * i * i - sq
-            if room < 0:
-                break
-            mid = None  # built at the first m term, if there is one
-            for e, t3, t4 in _m_terms(nvec[-1], i, sum(N), sq, math.isqrt(room)):
-                if mid is None:
-                    mid = _middle_binomials(ONE, nvec, N, i)
-                if not mid:
-                    break
-                # only order n - e survives the shift by e
-                term = mid.truncate(n - e) * t3 * t4 * inv_pochhammer(i, 3, n)
-                total.add(term.shift(e))
+            if room >= 0:
+                # cut at order n, the product keeps only the part of mid below it
+                inner = _m_sum(n_last, i, SN, sq, math.isqrt(room)).truncate(n)
+                total.add(mid * inner * inv_pochhammer(i, 3, n))
     return total.value()
 
 
@@ -481,10 +450,7 @@ def seed_identity_lhs(L: int, M: int) -> QSeries:
     """The m-sum of each i is taken before [L+M-i, L]_{q^3} multiplies it."""
     total = Accumulator()
     for i in range(min(M, L) + 1):
-        inner = Accumulator()
-        for e, t2, t3 in _m_terms(L - i, i, 0, 0, i):
-            inner.add((t2 * t3).shift(e))
-        total.add(q_binomial(L + M - i, L, 3) * inner.value())
+        total.add(q_binomial(L + M - i, L, 3) * _m_sum(L - i, i, 0, 0, i))
     return total.value()
 
 

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, JSON-lines output, determinism."""
 
+import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -126,6 +128,21 @@ class TestVerify:
         [line] = err.splitlines()
         assert line.startswith(f"cannot open --out {str(target)!r}: ")
 
+    def test_failed_out_write_is_config_error(self, capsys, monkeypatch):
+        import qcap.cli
+
+        class FullDevice(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(qcap.cli, "open", lambda *args: FullDevice(), raising=False)
+        code, out, err = run(capsys, "verify", "--case", "new_fin_cap_1",
+                             "--L-max", "2", "--out", "report.jsonl")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.splitlines() == [
+            f"cannot write the output: {os.strerror(errno.ENOSPC)}"]
+
 
 # sha256 of `qcap verify --all --format json` at default bounds without the
 # summary line, recorded before the arithmetic core's fast paths went in.
@@ -158,6 +175,12 @@ SHARED_TABLES_L12_REPORT_SHA256 = (
 # i <= M its M ask for.
 SHORT_M_GRID_REPORT_SHA256 = (
     "3dae938ac0d28345cd39951cabc1580fd900881a2a79e809730a2b328d6f6a06")
+
+
+# The S-ladder cases at `--nu-max 6 --L-max 8 --M-max 8`, recorded before the
+# S-ladder left sides walked only the chains with a term.
+S_LADDER_NU6_REPORT_SHA256 = (
+    "c3ede9dae18e2b30ea94f1f0a004134581d181b3c1d579318fa0fcc339126282")
 
 
 def report_sha256(capsys, *flags, select=("--all",)):
@@ -196,6 +219,13 @@ class TestReportGuard:
         select = ("--case", "s_hierarchy", "--case", "seed_identity")
         assert (report_sha256(capsys, "--L-max", "10", "--M-max", "3", select=select)
                 == SHORT_M_GRID_REPORT_SHA256)
+
+    def test_s_ladder_cases_to_depth_6_are_byte_identical(self, capsys):
+        select = ("--case", "s_hierarchy", "--case", "s_hierarchy_limit",
+                  "--case", "corollary_transform")
+        assert (report_sha256(capsys, "--nu-max", "6", "--L-max", "8", "--M-max", "8",
+                              select=select)
+                == S_LADDER_NU6_REPORT_SHA256)
 
 
 class TestSeries:
@@ -370,3 +400,22 @@ class TestModuleEntryPoint:
         assert "Traceback" not in err
         assert "Exception ignored" not in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_full_stdout_is_config_error_without_traceback(self, unbuffered):
+        # buffered, the write fails at the flush; unbuffered, at the first write
+        env = self.env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        for argv in (("verify", "--case", "new_fin_cap_1"),
+                     ("series", "rhs:new_fin_cap_1", "--L", "2"),
+                     ("partitions", "counts", "--m", "1"),
+                     ("partitions", "counts", "--m", "1", "--out", "/dev/full")):
+            with open("/dev/full", "w") as full:
+                done = subprocess.run([sys.executable, "-m", "qcap", *argv], stdout=full,
+                                      stderr=subprocess.PIPE, text=True, env=env)
+            assert done.returncode == EXIT_CONFIG, (argv, done.stderr)
+            assert done.stderr.splitlines() == [
+                f"cannot write the output: {os.strerror(errno.ENOSPC)}"], argv

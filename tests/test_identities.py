@@ -4,12 +4,14 @@ reduction/construction chains connecting the cases."""
 import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from qcap.identities import (
     FAMILIES,
     _chain_levels,
+    _ladder_chains,
     _refinement_groups,
     Bounds,
     CASES,
@@ -21,16 +23,15 @@ from qcap.identities import (
     hierarchy_finite_lhs,
     hierarchy_limit_lhs,
     hierarchy_limit_rhs,
-    index_vectors,
     iterate_grid,
     k_transform_lhs,
     refinement_hierarchy_lhs,
+    refinement_hierarchy_rhs,
     refinement_limit_lhs,
     rhs_new_fin_cap,
     roundtri_lhs,
     seed_cap1,
     seed_identity_lhs,
-    suffix_sums,
     verify_case,
 )
 from qcap.qcombinat import inv_pochhammer, jacobi3, poch_ratio, pochhammer, q_binomial
@@ -193,6 +194,35 @@ class TestReductionChains:
             assert value.offset == 0 and value.coeffs[0] == 1
 
 
+# Enumeration references: every index vector, with no pruning.
+
+def index_vectors(length, total_max):
+    """All tuples of `length` non-negative integers with sum <= total_max."""
+    if length == 0:
+        yield ()
+        return
+    for first in range(total_max + 1):
+        for rest in index_vectors(length - 1, total_max - first):
+            yield (first,) + rest
+
+
+def suffix_sums(nvec):
+    """(N_1, ..., N_f) with N_i = n_i + n_{i+1} + ... + n_f."""
+    out, acc = [], 0
+    for n in reversed(nvec):
+        acc += n
+        out.append(acc)
+    return tuple(reversed(out))
+
+
+def middle_binomials(nvec, N, i):
+    """prod_{j < nu-1} [i - N_1 - ... - N_{j+1} + n_{j+1}, n_{j+1}]_{q^3}."""
+    mid = ONE
+    for j in range(len(nvec) - 1):
+        mid = mid * q_binomial(i - sum(N[:j + 1]) + nvec[j], nvec[j], 3)
+    return mid
+
+
 class TestEnumerationHelpers:
     def test_index_vectors(self):
         assert list(index_vectors(1, 2)) == [(0,), (1,), (2,)]
@@ -201,6 +231,21 @@ class TestEnumerationHelpers:
 
     def test_suffix_sums(self):
         assert suffix_sums((1, 2, 3)) == (6, 5, 3)
+
+    def test_ladder_chains_match_every_index_vector_that_has_a_term(self):
+        # the walk yields exactly the suffix-sum chains with N_1 <= top and
+        # sum N <= i, each once, with its middle product; top < i and nu > i
+        # are among the cases
+        for nu in range(1, 7):
+            for i in range(9):
+                for top in range(9):
+                    expected = Counter(
+                        (N[0], N[-1], sum(N), 3 * sum(x * x for x in N),
+                         middle_binomials(nvec, N, i))
+                        for nvec in index_vectors(nu, top)
+                        for N in [suffix_sums(nvec)] if sum(N) <= i)
+                    walked = Counter(_ladder_chains(nu, i, top))
+                    assert walked == expected, (nu, i, top)
 
 
 # Reference paths for the grouped hierarchy sums: the per-term loops, with the
@@ -258,9 +303,7 @@ def per_term_refinement_hierarchy_lhs(nu, L, M):
         for i in range(min(M, L - N[0]) + 1):
             top1 = q_binomial(L + M - i, L, 3)
             top2 = q_binomial(L - N[0], i, 3)
-            mid = ONE
-            for j in range(nu - 1):
-                mid = mid * q_binomial(i - sum(N[:j + 1]) + nvec[j], nvec[j], 3)
+            mid = middle_binomials(nvec, N, i)
             for m in range((i + SN) % 2, min(3 * n_last, i - SN) + 1, 2):
                 half = (i - m - SN) // 2
                 t3 = q_binomial(3 * n_last, m, 1)
@@ -285,9 +328,7 @@ def per_term_refinement_limit_lhs(nu, n):
             if room < 0:
                 continue
             ms = range((i + SN) % 2, min(3 * n_last, i - SN, math.isqrt(room)) + 1, 2)
-            mid = ONE
-            for j in range(nu - 1):
-                mid = mid * q_binomial(i - sum(N[:j + 1]) + nvec[j], nvec[j], 3)
+            mid = middle_binomials(nvec, N, i)
             for m in ms:
                 e = (m * m + 3 * i * i + sq) // 2
                 t3 = q_binomial(3 * n_last, m, 1)
@@ -328,14 +369,15 @@ class TestGroupedSums:
                             == per_term_hierarchy_limit_lhs(family, f, n, s)), (f, s, n)
 
     def test_refinement_hierarchy_lhs_matches_per_term(self):
-        for nu in (1, 2, 3):
+        # nu > L is among the cases
+        for nu in range(1, 7):
             for L in range(6):
                 for M in range(6):
                     assert (refinement_hierarchy_lhs(nu, L, M)
                             == per_term_refinement_hierarchy_lhs(nu, L, M)), (nu, L, M)
 
     def test_refinement_limit_lhs_matches_per_term(self):
-        for nu in (1, 2, 3):
+        for nu in range(1, 7):
             for n in range(41):
                 assert (refinement_limit_lhs(nu, n)
                         == per_term_refinement_limit_lhs(nu, n)), (nu, n)
@@ -422,6 +464,18 @@ class TestDepthReach:
                             == hierarchy_limit_rhs(name, f, 60, s)), (name, f, s)
                     count += 1
         assert count == 92
+
+    def test_s_hierarchy_to_depth_12(self):
+        # beside the grid gates (nu <= 2): the S-ladder at nu <= 12, L, M <= 8,
+        # the chain walk against the Warnaar S sums
+        count = 0
+        for nu in range(1, 13):
+            for L in range(9):
+                for M in range(9):
+                    assert (refinement_hierarchy_lhs(nu, L, M)
+                            == refinement_hierarchy_rhs(nu, L, M)), (nu, L, M)
+                    count += 1
+        assert count == 972
 
     @pytest.mark.parametrize("nu", [3, 4])
     def test_corollary_transform_at_depth_9_and_14(self, nu):
