@@ -1,6 +1,6 @@
 """Exact q-series toolkit: polynomial/series arithmetic, q-special functions,
 an identity verification registry, a Bailey-lemma engine, recurrence checks,
-and a brute-force partition enumeration oracle."""
+and a partition oracle built from counting tables."""
 
 from qcap.series import (
     QSeries,

@@ -3,7 +3,7 @@
 Subcommands:
     verify      run identity cases over a parameter grid, JSON-lines reports
     series      print a single registered series evaluator
-    partitions  enumeration tables (counts or weighted totals) with match column
+    partitions  counting tables (counts or weighted totals) with match column
     hierarchy   generate a hierarchy LHS by iterated transform and cross-check
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error or
@@ -203,16 +203,14 @@ def cmd_partitions(args: argparse.Namespace) -> int:
         writer = csv.writer(out)
         if args.sub == "counts":
             writer.writerow(["n", f"C_{args.m}", f"D_{args.m}", "match"])
-            for n in range(args.n_max + 1):
-                c, d = partitions.count_c(args.m, n), partitions.count_d(args.m, n)
-                writer.writerow([n, c, d, c == d])
-                mismatch |= c != d
+            rows = zip(partitions.count_c(args.m, args.n_max),
+                       partitions.count_d(args.m, args.n_max))
         else:
             writer.writerow(["n", "lhs", "rhs", "match"])
-            for n in range(args.n_max + 1):
-                lhs, rhs = partitions.weighted_sum(args.theorem, n)
-                writer.writerow([n, lhs, rhs, lhs == rhs])
-                mismatch |= lhs != rhs
+            rows = partitions.weighted_sum(args.theorem, args.n_max)
+        for n, (left, right) in enumerate(rows):
+            writer.writerow([n, left, right, left == right])
+            mismatch |= left != right
     finally:
         if out is not sys.stdout:
             out.close()
@@ -272,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--trunc", type=int, default=None)
     p_series.set_defaults(fn=cmd_series)
 
-    p_part = sub.add_parser("partitions", help="enumeration tables")
+    p_part = sub.add_parser("partitions", help="counting tables")
     part_sub = p_part.add_subparsers(dest="sub", required=True)
     p_counts = part_sub.add_parser("counts")
     p_counts.add_argument("--m", type=int, choices=(1, 2), required=True)

@@ -1,19 +1,17 @@
-"""Brute-force partition enumeration oracle.
+"""Partition oracle: counting tables, and the brute-force reference.
 
-Nothing here imports from qcap: partitions are enumerated recursively and
-counted directly, independent of the series machinery, so these counts can
-serve as an oracle for generating-function identities.  A partition is a
-tuple of weakly decreasing positive parts; () is the unique partition of 0.
-
-The counts come from generators that pick each next part under the class
-rule (class_c, class_d), so they build class members only; partitions()
-filtered by in_class_c / in_class_d is the reference they are tested against.
+Nothing here imports from qcap, so the counts stay independent of the series
+machinery and can serve as an oracle for generating-function identities.
+count_c, count_d and weighted_sum each return the column n = 0..n_max of one
+plain-int table and build no partition; partitions() filtered by in_class_c,
+in_class_d and the _WEIGHTED sets is the reference they are tested against.
+A partition is a tuple of weakly decreasing positive parts; () is the unique
+partition of 0.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, Iterator
+from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
 
@@ -67,51 +65,57 @@ def in_class_d(p: Partition, m: int) -> bool:
     return True
 
 
-def _descend(n: int, top: int, step: int, ok: Callable[[int | None, int], bool],
-             hi: int | None = None) -> Iterator[Partition]:
-    """Partitions of n with parts <= top, each part at least `step` below the
-    one before it and accepted by ok(previous part or None, part), in the
-    order of partitions(): candidate parts are tried largest first, so only
-    members and their prefixes are ever built."""
-    if n < 0:
-        return
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(top, n), 0, -1):
-        if ok(hi, first):
-            for rest in _descend(n - first, first - step, step, ok, first):
-                yield (first,) + rest
-
-
 def _check_m(m: int) -> None:
     if m not in (1, 2):
         raise ValueError("m must be 1 or 2")
 
 
-def class_c(m: int, n: int) -> Iterator[Partition]:
-    """The members of C_m(n), in the order of partitions(n) filtered by
-    in_class_c: distinct parts, none congruent to +-m mod 6."""
+def _tally(n_max: int, parts: Iterable[int], period: int,
+           repeat: bool) -> list[list[int]]:
+    """table[s][j]: the partitions of s into the given parts, each used at
+    most once unless repeat, whose number of parts is j mod period."""
+    table = [[int(s == 0 and j == 0) for j in range(period)]
+             for s in range(n_max + 1)]
+    for part in parts:
+        sizes = range(part, n_max + 1)
+        for s in sizes if repeat else reversed(sizes):
+            src, dst = table[s - part], table[s]
+            for j in range(period):
+                dst[j] += src[j - 1]
+    return table
+
+
+def count_c(m: int, n_max: int) -> list[int]:
+    """|C_m(n)| for n = 0..n_max: a 0/1 knapsack over the parts not
+    congruent to +-m mod 6."""
     _check_m(m)
-    bad = (m % 6, -m % 6)
-    return _descend(n, n, 1, lambda hi, lo: lo % 6 not in bad)
+    parts = [k for k in range(1, n_max + 1) if k % 6 not in (m % 6, -m % 6)]
+    return [row[0] for row in _tally(n_max, parts, 1, False)]
 
 
-def class_d(m: int, n: int) -> Iterator[Partition]:
-    """The members of D_m(n), in the order of partitions(n) filtered by
-    in_class_d: no part equal to m, and each part lo below its predecessor
-    hi with _gap_ok_pairform(hi, lo), which needs lo <= hi - 2."""
+def count_d(m: int, n_max: int) -> list[int]:
+    """|D_m(n)| for n = 0..n_max, from upto[s][k], the members of size s
+    with largest part <= k.  A largest part top != m goes above each member
+    of size s - top whose largest part is <= top - 4 (one prefix sum, the
+    empty partition included) or is a lo with _gap_ok_pairform(top, lo)."""
     _check_m(m)
-    return _descend(n, n, 2, lambda hi, lo: lo != m and (
-        hi is None or _gap_ok_pairform(hi, lo)))
-
-
-def count_c(m: int, n: int) -> int:
-    return sum(1 for _ in class_c(m, n))
-
-
-def count_d(m: int, n: int) -> int:
-    return sum(1 for _ in class_d(m, n))
+    close = [[lo for lo in range(max(top - 3, 1), top) if _gap_ok_pairform(top, lo)]
+             for top in range(n_max + 1)]
+    upto: list[list[int]] = []
+    for s in range(n_max + 1):
+        row = [int(s == 0)]
+        for top in range(1, s + 1):
+            r = s - top
+            below = upto[r]
+            ways = 0
+            if top != m:
+                ways = below[min(max(top - 4, 0), r)]
+                for lo in close[top]:
+                    if lo <= r:
+                        ways += below[lo] - below[lo - 1]
+            row.append(row[-1] + ways)
+        upto.append(row)
+    return [row[-1] for row in upto]
 
 
 # ---------------------------------------------------------------------------
@@ -157,33 +161,28 @@ _WEIGHTED = {
 }
 
 
-def weighted_sum(theorem: str, n: int) -> tuple[int, int]:
-    """Signed totals of both sides of a weighted partition theorem at size n.
+def weighted_sum(theorem: str, n_max: int) -> list[tuple[int, int]]:
+    """Signed totals (left, right) of a weighted theorem for n = 0..n_max.
 
-    Left: single sum over restricted distinct partitions with sign (-1)^mu,
-    enumerating the distinct partitions only.
-    Right: sum over pairs (pi1, pi2) with pi1 avoiding multiples of 3 and sign
-    (-1)^sigma(pi2), i.e. the convolution of the pi1 counts with the signed
-    pi2 totals.  The pi1 counts and pi2 totals are memoized, one int per
-    (theorem, size), so the caches grow linearly in n.
+    Each _WEIGHTED set and sign depends only on distinctness and the number
+    of parts k, so it is read once off (k, ..., 1) for k < 6 on the left and
+    off (1,) * k for k < 3 for pi2.  Left: distinct partitions tabled by
+    (size, k mod 6).  Right: the pi1 counts (a knapsack over the parts not
+    divisible by 3) convolved with the signed pi2 totals (all partitions
+    tabled by (size, k mod 3)).
     """
     if theorem not in _WEIGHTED:
         raise ValueError(f"unknown weighted theorem {theorem!r}")
-    rhs = sum(_pi1_count(n1) * _pi2_total(theorem, n - n1) for n1 in range(n + 1))
-    left_set, left_exp, _, _ = _WEIGHTED[theorem]
-    distinct = _descend(n, n, 1, lambda hi, lo: True)
-    return sum((-1) ** left_exp(p) for p in distinct if left_set(p)), rhs
-
-
-@functools.cache
-def _pi1_count(n: int) -> int:
-    """Partitions of n with no part divisible by 3."""
-    return sum(1 for _ in _descend(n, n, 0, lambda hi, lo: lo % 3 != 0))
-
-
-@functools.cache
-def _pi2_total(theorem: str, n: int) -> int:
-    """Signed pi2 total at size n."""
-    _, _, right_set, right_exp = _WEIGHTED[theorem]
-    return sum((-1) ** right_exp(p) for p in partitions(n) if right_set(p))
-
+    left_set, left_exp, right_set, right_exp = _WEIGHTED[theorem]
+    left_sign = [(-1) ** left_exp(p) if left_set(p) else 0
+                 for p in (tuple(range(k, 0, -1)) for k in range(6))]
+    right_sign = [(-1) ** right_exp(p) if right_set(p) else 0
+                  for p in ((1,) * k for k in range(3))]
+    sizes = range(1, n_max + 1)
+    distinct = _tally(n_max, sizes, 6, False)
+    pi2 = [sum(c * w for c, w in zip(row, right_sign))
+           for row in _tally(n_max, sizes, 3, True)]
+    pi1 = [row[0] for row in _tally(n_max, [k for k in sizes if k % 3], 1, True)]
+    return [(sum(c * w for c, w in zip(distinct[n], left_sign)),
+             sum(pi1[n1] * pi2[n - n1] for n1 in range(n + 1)))
+            for n in range(n_max + 1)]

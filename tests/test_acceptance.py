@@ -70,22 +70,21 @@ def test_criterion_3_spot_values():
 
 
 def test_criterion_4_partition_oracle():
-    ok = all(partitions.count_c(m, n) == partitions.count_d(m, n)
-             for m in (1, 2) for n in range(41))
+    ok = all(partitions.count_c(m, 40) == partitions.count_d(m, 40)
+             for m in (1, 2))
     N = 30
     product = (pochhammer_inf(2, 6, N, sign=1)
                * pochhammer_inf(4, 6, N, sign=1)
                * pochhammer_inf(3, 3, N, sign=1)).truncate(N)
-    counts = [partitions.count_c(1, n) for n in range(N + 1)]
+    counts = partitions.count_c(1, N)
     ok &= QSeries(0, counts, N) == product
-    _report(4, "brute-force partition counts match, n<=40, gf to N=30", ok)
+    _report(4, "partition counts match, n<=40, gf to N=30", ok)
 
 
 def test_criterion_5_weighted_theorems():
-    ok = partitions.weighted_sum("W1", 3) == (2, 2)
+    ok = partitions.weighted_sum("W1", 3)[3] == (2, 2)
     for theorem in ("W1", "W2", "W3"):
-        for n in range(26):
-            lhs, rhs = partitions.weighted_sum(theorem, n)
+        for n, (lhs, rhs) in enumerate(partitions.weighted_sum(theorem, 25)):
             if lhs != rhs:
                 print(f"  mismatch: {theorem} n={n} {lhs} != {rhs}")
                 ok = False

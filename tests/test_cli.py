@@ -298,6 +298,16 @@ class TestPartitions:
         assert lines[1] == "0,1,1,True"
         assert lines[-1] == "6,2,2,True"
 
+    @pytest.mark.parametrize("m,last", [(1, "500,386039953768,386039953768,True"),
+                                        (2, "500,389103728926,389103728926,True")])
+    def test_counts_table_to_500(self, capsys, m, last):
+        code, out, _ = run(capsys, "partitions", "counts", "--m", str(m),
+                           "--n-max", "500")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert len(lines) == 502
+        assert lines[-1] == last
+
     def test_weighted_table(self, capsys):
         code, out, _ = run(capsys, "partitions", "weighted", "--theorem", "W1",
                            "--n-max", "5")
@@ -308,7 +318,8 @@ class TestPartitions:
 
     def test_count_mismatch_is_failure(self, capsys, monkeypatch):
         import qcap.partitions
-        monkeypatch.setattr(qcap.partitions, "count_d", lambda m, n: -1)
+        monkeypatch.setattr(qcap.partitions, "count_d",
+                            lambda m, n_max: [-1] * (n_max + 1))
         code, out, _ = run(capsys, "partitions", "counts", "--m", "1",
                            "--n-max", "2")
         assert code == EXIT_FAIL
