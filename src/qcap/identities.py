@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from qcap.series import (
     ONE,
@@ -243,8 +244,11 @@ def _family_checked(family: str, f: int, s: int) -> HierarchyFamily:
     return fam
 
 
-def _level_up(level: tuple[QSeries, ...], eps: int, kernel: Callable[[int, int], QSeries],
-              base: int = 1, order: int | None = None) -> tuple[QSeries, ...]:
+Level = tuple[QSeries, ...]  # P_k(N) for N = 0, 1, ...: one level of a chain
+
+
+def _level_up(level: Level, eps: int, kernel: Callable[[int, int], QSeries],
+              base: int = 1, order: int | None = None) -> Level:
     """The next level of a nested chain sum: P_k(N) = sum_{N' >= N}
     q^{base(N'^2+eps*N')} kernel(N, N') P_{k-1}(N'), for each N of the level.
 
@@ -266,11 +270,63 @@ def _level_up(level: tuple[QSeries, ...], eps: int, kernel: Callable[[int, int],
     return tuple(out)
 
 
+def _level(stack: list, depth: int, eps: int, kernel: Callable[[int, int], QSeries],
+           base: int = 1, order: int | None = None, deepest_only: bool = False) -> Level:
+    """Level `depth` of a kept chain whose top level is stack[0], where
+    stack[k+1] = _level_up(stack[k], eps, kernel, base, order): the levels
+    missing down to depth are built once and appended.  A deepest_only stack
+    keeps its top and its deepest level, packed, with None between them, so
+    a depth above its deepest is rebuilt from the top."""
+    if depth < len(stack) and stack[depth] is None:
+        del stack[1:]
+    start = min(depth, len(stack) - 1)
+    level = stack[start]
+    if deepest_only and start:
+        level = tuple(QSeries(offset, coeffs, trunc) for offset, coeffs, trunc in level)
+    for _ in range(start, depth):
+        level = _level_up(level, eps, kernel, base, order)
+        stack.append(level)
+    if deepest_only and depth > start:
+        stack[1:] = [None] * (depth - 1) + [_packed(level)]
+    return level
+
+
+def _packed(level: Level) -> tuple[tuple[int, Sequence[int], int | None], ...]:
+    """(offset, coeffs, trunc) of each series of a level, the coefficients in
+    8-byte words, a fifth of the memory of a tuple of ints, when all fit."""
+    try:
+        return tuple((p.offset, array("q", p.coeffs), p.trunc) for p in level)
+    except OverflowError:
+        return tuple((p.offset, p.coeffs, p.trunc) for p in level)
+
+
+def _inner_level(stacks: Callable[..., list], twisted: Callable[..., list], key: tuple,
+                 a: int, f: int, s: int, kernel: Callable[[int, int], QSeries],
+                 base: int = 1, order: int | None = None) -> Level:
+    """P_{f-1} of a chain of weight q^{base(N^2+aN)} whose last s-1 levels
+    add 1 to eps: the untwisted P_{f-s} (P_{f-1} for s = 0) from stacks(a,
+    *key), extended by the deepest level of twisted(a, *key, f-s).  At s = f
+    every level is twisted, which makes it the untwisted chain of a + 1."""
+    if s == f:
+        return _level(stacks(a + 1, *key), f - 1, a + 1, kernel, base, order)
+    level = _level(stacks(a, *key), f - max(s, 1), a, kernel, base, order)
+    if s:
+        level = _level(twisted(a, *key, f - s), s - 1, a + 1, kernel, base, order,
+                       deepest_only=True)
+    return level
+
+
 @lru_cache(maxsize=None)
-def _chain_levels(a: int, L: int) -> list[tuple[QSeries, ...]]:
+def _chain_levels(a: int, L: int) -> list[Level]:
     """[P_0, P_1, ...], the untwisted levels of an (a, L) chain with P_0(N)
     = 1; hierarchy_finite_lhs appends the deeper levels as it needs them."""
     return [(ONE,) * (L + 1)]
+
+
+@lru_cache(maxsize=None)
+def _twisted_chain_levels(a: int, L: int, d: int) -> list[Level | None]:
+    """The twisted levels below P_d of _chain_levels(a, L), kept deepest_only."""
+    return [_chain_levels(a, L)[d]]
 
 
 def hierarchy_finite_lhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
@@ -283,24 +339,18 @@ def hierarchy_finite_lhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
     The untwisted levels depend on neither f, the seed nor the base: one
     stack per (a, L), at most 2 * (L_max+1), serves every family and depth.
     A twist s adds 1 to eps on the n_f level and on the s-1 levels before
-    it, which extend the untwisted P_{f-s} and are not kept.  A base-b chain
-    is summed in powers of q and stretched to q^b once, just before the seed
+    it, which extend the untwisted P_{f-s}; only the deepest of them is kept
+    per (a, L, f-s), so (f, s) builds one level below what (f-1, s-1) left,
+    and a call out of that order rebuilds from P_{f-s}.  A base-b chain is
+    summed in powers of q and stretched to q^b once, just before the seed
     multiplies it."""
     fam = _family_checked(family, f, s)
-    eps = fam.a
-    untwisted = f - max(s, 1)  # P_{f-1}, or the P_{f-s} a twist extends
-    levels = _chain_levels(fam.a, L)
 
     def kernel(N: int, n: int) -> QSeries:
         return q_binomial(L - N, n - N)
 
-    while len(levels) <= untwisted:
-        levels.append(_level_up(levels[-1], eps, kernel))
-    level = levels[untwisted]
-    if s:
-        eps += 1
-        for _ in range(s - 1):
-            level = _level_up(level, eps, kernel)
+    eps = fam.a + bool(s)
+    level = _inner_level(_chain_levels, _twisted_chain_levels, (L,), fam.a, f, s, kernel)
     total = Accumulator()
     for nf, inner in enumerate(level):
         tail = poch_ratio(((2 * L + fam.a, 1),), ((L - nf, 1), (2 * nf + fam.a, 1)))
@@ -313,24 +363,35 @@ def hierarchy_finite_rhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
     return alpha_sum(_family_checked(family, f, s), f, L, s)
 
 
+@lru_cache(maxsize=None)
+def _limit_levels(a: int, b: int, n: int) -> list[Level]:
+    """[P_0, P_1, ...], the untwisted levels of a base-b limit chain at order
+    n, with P_0(N) = 1 for b N^2 <= n, as _chain_levels."""
+    return [(ONE,) * (math.isqrt(n // b) + 1)]
+
+
+@lru_cache(maxsize=None)
+def _twisted_limit_levels(a: int, b: int, n: int, d: int) -> list[Level | None]:
+    """The twisted levels below P_d of _limit_levels(a, b, n), kept deepest_only."""
+    return [_limit_levels(a, b, n)[d]]
+
+
 def hierarchy_limit_lhs(family: str, f: int, n: int, s: int = 0) -> QSeries:
     """Truncated multi-sum: the chain of hierarchy_finite_lhs with its
     (q)_{2L+a} / (q)_{L-N_1} factor dropped and each kernel [L-N, N'-N]
     replaced by its L -> infinity limit 1 / (q^b;q^b)_{N'-N}, nested level by
     level at order n; n_f carries the seed and 1 / (q^b;q^b)_{2n_f+a}.  The
-    levels are summed in powers of q^b, and a twist s adds 1 to eps on the
-    n_f level and on the s-1 levels before it."""
+    levels are summed in powers of q^b and kept as on the finite side: one
+    untwisted stack per (a, b, n), which serves every family of that a and
+    b, and the deepest twisted level per (a, b, n, f-s)."""
     fam = _family_checked(family, f, s)
     b, a = fam.base, fam.a
-    eps = a
 
     def kernel(N: int, m: int) -> QSeries:
         return inv_pochhammer(m - N, b, n)
 
-    level = (ONE,) * (math.isqrt(n // b) + 1)
-    for k in range(1, f):
-        level = _level_up(level, eps + (k > f - s), kernel, b, n)
-    eps += bool(s)
+    eps = a + bool(s)
+    level = _inner_level(_limit_levels, _twisted_limit_levels, (b, n), a, f, s, kernel, b, n)
     total = Accumulator(n)
     for nf, inner in enumerate(level):
         e = b * (nf * nf + eps * nf)
@@ -367,24 +428,29 @@ def _m_sum(n_last: int, i: int, SN: int, sq: int, m_max: int) -> QSeries:
     return total.value()
 
 
-def _ladder_chains(nu: int, i: int,
-                   top: int) -> Iterator[tuple[int, int, int, int, QSeries]]:
+def _ladder_chains(nu: int, i: int, top: int,
+                   sq_max: float = math.inf) -> Iterator[tuple[int, int, int, int, QSeries]]:
     """(N_1, N_nu, sum N, 3 sum N^2, mid) for every chain N_1 >= ... >= N_nu
-    >= 0 with N_1 <= top and sum N <= i, where mid = prod_{k < nu} [i - C_k +
-    n_k, n_k]_{q^3}, C_k = N_1 + ... + N_k and n_k = N_k - N_{k+1}.  No other
-    chain has a term: the m-sum is empty when sum N > i, and no middle
-    binomial vanishes while every C_k <= i.  Each level's factor multiplies
-    mid once for all the chains below it."""
+    >= 0 with N_1 <= top, sum N <= i and 3 sum N^2 <= sq_max, where mid =
+    prod_{k < nu} [i - C_k + n_k, n_k]_{q^3}, C_k = N_1 + ... + N_k and n_k =
+    N_k - N_{k+1}.  No other chain has a term: the m-sum is empty when sum N
+    > i, and no middle binomial vanishes while every C_k <= i.  Each level's
+    factor multiplies mid once for all the chains below it, and the walk
+    stops descending once 3 sum N^2 passes sq_max, since it only grows."""
     def walk(N1, level, last, C, sq, mid):
         if level == nu:
             yield N1, last, C, 3 * sq, mid
             return
         for N in range(min(last, i - C) + 1):
+            if 3 * (sq + N * N) > sq_max:
+                break
             n = last - N
             yield from walk(N1, level + 1, N, C + N, sq + N * N,
                             mid * q_binomial(i - C + n, n, 3))
 
     for N1 in range(min(top, i) + 1):
+        if 3 * N1 * N1 > sq_max:
+            break
         yield from walk(N1, 1, N1, N1, N1 * N1, ONE)
 
 
@@ -432,13 +498,13 @@ def refinement_limit_lhs(nu: int, n: int) -> QSeries:
     """M, L -> infinity: the two bounded binomials collapse to 1/(q^3;q^3)_i."""
     total = Accumulator(n)
     for i in range(math.isqrt(2 * n // 3) + 1):
-        for _, n_last, SN, sq, mid in _ladder_chains(nu, i, i):
-            # the exponent (m^2 + 3i^2 + sq) / 2 is <= n exactly when m^2 <= room
+        # the exponent (m^2 + 3i^2 + sq) / 2 is <= n exactly when m^2 <= room,
+        # so the walk leaves out every chain with room < 0
+        for _, n_last, SN, sq, mid in _ladder_chains(nu, i, i, 2 * n - 3 * i * i):
             room = 2 * n - 3 * i * i - sq
-            if room >= 0:
-                # cut at order n, the product keeps only the part of mid below it
-                inner = _m_sum(n_last, i, SN, sq, math.isqrt(room)).truncate(n)
-                total.add(mid * inner * inv_pochhammer(i, 3, n))
+            # cut at order n, the product keeps only the part of mid below it
+            inner = _m_sum(n_last, i, SN, sq, math.isqrt(room)).truncate(n)
+            total.add(mid * inner * inv_pochhammer(i, 3, n))
     return total.value()
 
 

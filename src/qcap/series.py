@@ -146,12 +146,6 @@ class QSeries:
         """Largest exponent with a non-zero coefficient (-1 for the zero series)."""
         return self.offset + len(self.coeffs) - 1 if self.coeffs else -1
 
-    def coeff(self, exponent: int) -> int:
-        i = exponent - self.offset
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -410,8 +404,16 @@ def compare(a: QSeries, b: QSeries) -> Comparison:
     hi = max(a.degree(), b.degree())
     if limit is not None:
         hi = min(hi, limit)
-    for e in range(lo, hi + 1):
-        ca, cb = a.coeff(e), b.coeff(e)
-        if ca != cb:
-            return Comparison(False, e, ca, cb)
-    return Comparison(True)
+    width = max(hi - lo + 1, 0)
+    ca, cb = _window(a, lo, width), _window(b, lo, width)
+    if ca == cb:
+        return Comparison(True)
+    i = next(i for i, (x, y) in enumerate(zip(ca, cb)) if x != y)
+    return Comparison(False, lo + i, ca[i], cb[i])
+
+
+def _window(a: QSeries, lo: int, width: int) -> tuple[int, ...]:
+    """The coefficients of q^lo .. q^(lo+width-1) in a, for lo <= a.offset."""
+    head = min(a.offset - lo, width)
+    body = a.coeffs[:width - head]
+    return (0,) * head + body + (0,) * (width - head - len(body))

@@ -8,11 +8,15 @@ from collections import Counter
 
 import pytest
 
+from qcap import identities
 from qcap.identities import (
     FAMILIES,
     _chain_levels,
     _ladder_chains,
+    _limit_levels,
     _refinement_groups,
+    _twisted_chain_levels,
+    _twisted_limit_levels,
     Bounds,
     CASES,
     ParamOutOfRange,
@@ -247,6 +251,17 @@ class TestEnumerationHelpers:
                     walked = Counter(_ladder_chains(nu, i, top))
                     assert walked == expected, (nu, i, top)
 
+    def test_ladder_chains_stop_at_the_square_bound(self):
+        # with sq_max, exactly the chains with 3 sum N^2 <= sq_max, each with
+        # the middle product the unbounded walk gives it
+        for nu in range(1, 5):
+            for i in range(7):
+                every = list(_ladder_chains(nu, i, i))
+                for sq_max in (-1, 0, 2, 3, 11, 12, 40, 200):
+                    expected = Counter(c for c in every if c[3] <= sq_max)
+                    walked = Counter(_ladder_chains(nu, i, i, sq_max))
+                    assert walked == expected, (nu, i, sq_max)
+
 
 # Reference paths for the grouped hierarchy sums: the per-term loops, with the
 # shared factor multiplied into every term.
@@ -382,6 +397,12 @@ class TestGroupedSums:
                 assert (refinement_limit_lhs(nu, n)
                         == per_term_refinement_limit_lhs(nu, n)), (nu, n)
 
+    def test_refinement_limit_lhs_at_depth_8_and_order_200(self):
+        # beside the per-term check (nu <= 6, n <= 40): the pruned chain walk
+        # against the limit chain of depth nu(nu+3)/2 = 44
+        report = verify_case("corollary_transform", {"nu": 8, "n": 200})
+        assert report.verdict, report.first_mismatch
+
     def test_seed_identity_lhs_matches_per_term(self):
         for L in range(9):
             for M in range(9):
@@ -398,6 +419,27 @@ class TestSharedTables:
             for f in range(1, 4):
                 for L in range(6):
                     assert hierarchy_finite_lhs(name, f, L) == expected[name, f, L], (name, f, L)
+
+    def test_twisted_levels_in_any_f_s_order(self):
+        # (f, s) ascending, descending and shuffled from cleared stores: a
+        # kept twisted level is extended only in grid order, any other
+        # (f, s) rebuilds from P_{f-s}; the limit side interleaves two
+        # orders n, whose levels are kept apart
+        rng = random.Random(11)
+        pairs = [(f, s) for f in range(1, 6) for s in range(f + 1)]
+        finite = {(f, s, L): per_term_hierarchy_finite_lhs("double", f, L, s)
+                  for f, s in pairs for L in range(7)}
+        limit = {(f, s, n): per_term_hierarchy_limit_lhs("double", f, n, s)
+                 for f, s in pairs for n in (40, 57)}
+        for order in (pairs, pairs[::-1], rng.sample(pairs, len(pairs))):
+            for store in (_chain_levels, _twisted_chain_levels, _limit_levels,
+                          _twisted_limit_levels):
+                store.cache_clear()
+            for f, s in order:
+                for L in range(7):
+                    assert hierarchy_finite_lhs("double", f, L, s) == finite[f, s, L], (f, s, L)
+                for n in (40, 57):
+                    assert hierarchy_limit_lhs("double", f, n, s) == limit[f, s, n], (f, s, n)
 
     def test_refinement_lhs_in_any_m_order(self):
         # the table of an (nu, L) is built at whichever M comes first,
@@ -424,19 +466,43 @@ class TestSharedTables:
             assert len(_refinement_groups(2, 8)) == min(largest, 8) + 1
         assert _refinement_groups.cache_info().misses == 1
 
-    def test_one_table_build_per_grid_point(self):
+    def test_one_table_build_per_grid_point(self, monkeypatch):
         bounds = Bounds()
         _refinement_groups.cache_clear()
         for params in iterate_grid("s_hierarchy", bounds):
             assert verify_case("s_hierarchy", params).verdict
         assert _refinement_groups.cache_info().misses == bounds.nu_max * (bounds.l_max + 1)
-        _chain_levels.cache_clear()
+        for store in (_chain_levels, _twisted_chain_levels, _limit_levels,
+                      _twisted_limit_levels):
+            store.cache_clear()
         for case_id in CASES:
-            if case_id.startswith("hierarchy_finite_"):
+            if case_id.startswith("hierarchy_"):
                 for params in iterate_grid(case_id, bounds):
                     assert verify_case(case_id, params).verdict
-        # one level stack per (a, L), whatever f, family or twist
+        # one level stack per (a, L), whatever f, family or twist, and one
+        # deepest twisted level per (a, L, f - s)
         assert _chain_levels.cache_info().currsize <= 2 * (bounds.l_max + 1)
+        assert (_twisted_chain_levels.cache_info().currsize
+                <= 2 * (bounds.l_max + 1) * bounds.f_max)
+        # one limit stack per (a, b) at the one order n
+        assert _limit_levels.cache_info().currsize <= 4
+        # every truncated case at n = 100 builds each distinct limit level
+        # (its input, eps, base and order) once: 11 of them, since s = f
+        # reads the a = 1 stack for the double family's a = 0 chain
+        built = []
+        level_up = identities._level_up
+
+        def counted(level, eps, kernel, base=1, order=None):
+            built.append((level, eps, base, order))
+            return level_up(level, eps, kernel, base, order)
+
+        monkeypatch.setattr(identities, "_level_up", counted)
+        at_100 = dataclasses.replace(bounds, trunc=100)
+        for case_id, case in CASES.items():
+            if case.mode == "truncated":
+                for params in iterate_grid(case_id, at_100):
+                    assert verify_case(case_id, params).verdict
+        assert len(built) == len(set(built)) == 11
 
 
 class TestDepthReach:

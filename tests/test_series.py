@@ -72,6 +72,22 @@ def reference_add(a, b):
     return QSeries(lo, out, min(truncs, default=None))
 
 
+def reference_compare(a, b):
+    """compare by one walk over every exponent of either operand, up to the
+    smaller truncation: the reference for compare."""
+    def coeff(x, e):
+        i = e - x.offset
+        return x.coeffs[i] if 0 <= i < len(x.coeffs) else 0
+
+    truncs = [t for t in (a.trunc, b.trunc) if t is not None]
+    hi = min([max(a.degree(), b.degree()), *truncs])
+    for e in range(min(a.offset, b.offset), hi + 1):
+        ca, cb = coeff(a, e), coeff(b, e)
+        if ca != cb:
+            return Comparison(False, e, ca, cb)
+    return Comparison(True)
+
+
 # Coefficient lists long enough that any two cross _KRONECKER_CUTOFF
 # (65 * 65 > 256): mixed signs, one sign, all negative, units, all zero.
 def _kronecker_lists(coeffs):
@@ -121,6 +137,15 @@ sum_term = st.builds(
         max_size=12,
     ),
     st.one_of(st.none(), st.integers(min_value=-10, max_value=40)),
+)
+
+# Compare operands: exact or truncated, offsets on either side of 0, a
+# truncation below, inside or above the coefficients.
+compare_operand = st.builds(
+    QSeries,
+    st.integers(min_value=-8, max_value=8),
+    st.lists(st.integers(-3, 3), max_size=10),
+    st.one_of(st.none(), st.integers(min_value=-12, max_value=20)),
 )
 
 # Product operands: exact or truncated, negative offsets, short lists and
@@ -291,6 +316,18 @@ class TestCompare:
         assert not outcome
         assert outcome.mismatch_exponent == 1
         assert (outcome.lhs_coeff, outcome.rhs_coeff) == (0, 1)
+
+    @given(compare_operand, compare_operand, st.booleans())
+    @example(ZERO, ZERO, False)
+    @example(QSeries(0, (), 5), monomial(-3), False)
+    @example(QSeries(4, (1, 2), 2), monomial(4, 3), False)
+    def test_matches_reference(self, a, b, near):
+        # near: b is a with one more term just past a's degree, under b's
+        # truncation, so pairs equal up to the truncation and pairs that
+        # differ at one exponent are both drawn
+        if near:
+            b = QSeries(a.offset, a.coeffs + (b.coeffs[:1] or (1,)), b.trunc)
+        assert compare(a, b) == reference_compare(a, b)
 
 
 class TestRingAxioms:
