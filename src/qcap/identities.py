@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 from qcap.series import (
     ONE,
@@ -270,49 +269,22 @@ def _level_up(level: Level, eps: int, kernel: Callable[[int, int], QSeries],
     return tuple(out)
 
 
-def _level(stack: list, depth: int, eps: int, kernel: Callable[[int, int], QSeries],
-           base: int = 1, order: int | None = None, deepest_only: bool = False) -> Level:
-    """Level `depth` of a kept chain whose top level is stack[0], where
-    stack[k+1] = _level_up(stack[k], eps, kernel, base, order): the levels
-    missing down to depth are built once and appended.  A deepest_only stack
-    keeps its top and its deepest level, packed, with None between them, so
-    a depth above its deepest is rebuilt from the top."""
-    if depth < len(stack) and stack[depth] is None:
-        del stack[1:]
-    start = min(depth, len(stack) - 1)
-    level = stack[start]
-    if deepest_only and start:
-        level = tuple(QSeries(offset, coeffs, trunc) for offset, coeffs, trunc in level)
-    for _ in range(start, depth):
-        level = _level_up(level, eps, kernel, base, order)
-        stack.append(level)
-    if deepest_only and depth > start:
-        stack[1:] = [None] * (depth - 1) + [_packed(level)]
-    return level
-
-
-def _packed(level: Level) -> tuple[tuple[int, Sequence[int], int | None], ...]:
-    """(offset, coeffs, trunc) of each series of a level, the coefficients in
-    8-byte words, a fifth of the memory of a tuple of ints, when all fit."""
-    try:
-        return tuple((p.offset, array("q", p.coeffs), p.trunc) for p in level)
-    except OverflowError:
-        return tuple((p.offset, p.coeffs, p.trunc) for p in level)
-
-
-def _inner_level(stacks: Callable[..., list], twisted: Callable[..., list], key: tuple,
-                 a: int, f: int, s: int, kernel: Callable[[int, int], QSeries],
-                 base: int = 1, order: int | None = None) -> Level:
+def _inner_level(stacks: Callable[..., list], key: tuple, a: int, f: int, s: int,
+                 kernel: Callable[[int, int], QSeries], base: int = 1,
+                 order: int | None = None) -> Level:
     """P_{f-1} of a chain of weight q^{base(N^2+aN)} whose last s-1 levels
-    add 1 to eps: the untwisted P_{f-s} (P_{f-1} for s = 0) from stacks(a,
-    *key), extended by the deepest level of twisted(a, *key, f-s).  At s = f
-    every level is twisted, which makes it the untwisted chain of a + 1."""
+    add 1 to eps: the untwisted P_{f-s} (P_{f-1} for s = 0) of the kept
+    stack stacks(a, *key), whose missing levels are built once and appended,
+    extended by s-1 twisted levels.  At s = f every level is twisted, which
+    makes it the untwisted chain of a + 1, read from that stack."""
     if s == f:
-        return _level(stacks(a + 1, *key), f - 1, a + 1, kernel, base, order)
-    level = _level(stacks(a, *key), f - max(s, 1), a, kernel, base, order)
-    if s:
-        level = _level(twisted(a, *key, f - s), s - 1, a + 1, kernel, base, order,
-                       deepest_only=True)
+        a, s = a + 1, 0
+    stack, depth = stacks(a, *key), f - max(s, 1)
+    while len(stack) <= depth:
+        stack.append(_level_up(stack[-1], a, kernel, base, order))
+    level = stack[depth]
+    for _ in range(s - 1):
+        level = _level_up(level, a + 1, kernel, base, order)
     return level
 
 
@@ -321,12 +293,6 @@ def _chain_levels(a: int, L: int) -> list[Level]:
     """[P_0, P_1, ...], the untwisted levels of an (a, L) chain with P_0(N)
     = 1; hierarchy_finite_lhs appends the deeper levels as it needs them."""
     return [(ONE,) * (L + 1)]
-
-
-@lru_cache(maxsize=None)
-def _twisted_chain_levels(a: int, L: int, d: int) -> list[Level | None]:
-    """The twisted levels below P_d of _chain_levels(a, L), kept deepest_only."""
-    return [_chain_levels(a, L)[d]]
 
 
 def hierarchy_finite_lhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
@@ -339,10 +305,9 @@ def hierarchy_finite_lhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
     The untwisted levels depend on neither f, the seed nor the base: one
     stack per (a, L), at most 2 * (L_max+1), serves every family and depth.
     A twist s adds 1 to eps on the n_f level and on the s-1 levels before
-    it, which extend the untwisted P_{f-s}; only the deepest of them is kept
-    per (a, L, f-s), so (f, s) builds one level below what (f-1, s-1) left,
-    and a call out of that order rebuilds from P_{f-s}.  A base-b chain is
-    summed in powers of q and stretched to q^b once, just before the seed
+    it, which extend the untwisted P_{f-s} and are not kept; at s = f they
+    are the untwisted levels of a + 1, read from that stack.  A base-b chain
+    is summed in powers of q and stretched to q^b once, just before the seed
     multiplies it."""
     fam = _family_checked(family, f, s)
 
@@ -350,7 +315,7 @@ def hierarchy_finite_lhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
         return q_binomial(L - N, n - N)
 
     eps = fam.a + bool(s)
-    level = _inner_level(_chain_levels, _twisted_chain_levels, (L,), fam.a, f, s, kernel)
+    level = _inner_level(_chain_levels, (L,), fam.a, f, s, kernel)
     total = Accumulator()
     for nf, inner in enumerate(level):
         tail = poch_ratio(((2 * L + fam.a, 1),), ((L - nf, 1), (2 * nf + fam.a, 1)))
@@ -370,20 +335,14 @@ def _limit_levels(a: int, b: int, n: int) -> list[Level]:
     return [(ONE,) * (math.isqrt(n // b) + 1)]
 
 
-@lru_cache(maxsize=None)
-def _twisted_limit_levels(a: int, b: int, n: int, d: int) -> list[Level | None]:
-    """The twisted levels below P_d of _limit_levels(a, b, n), kept deepest_only."""
-    return [_limit_levels(a, b, n)[d]]
-
-
 def hierarchy_limit_lhs(family: str, f: int, n: int, s: int = 0) -> QSeries:
     """Truncated multi-sum: the chain of hierarchy_finite_lhs with its
     (q)_{2L+a} / (q)_{L-N_1} factor dropped and each kernel [L-N, N'-N]
     replaced by its L -> infinity limit 1 / (q^b;q^b)_{N'-N}, nested level by
     level at order n; n_f carries the seed and 1 / (q^b;q^b)_{2n_f+a}.  The
-    levels are summed in powers of q^b and kept as on the finite side: one
+    levels are summed in powers of q^b and kept as on the finite side, one
     untwisted stack per (a, b, n), which serves every family of that a and
-    b, and the deepest twisted level per (a, b, n, f-s)."""
+    b; the twisted levels are not kept."""
     fam = _family_checked(family, f, s)
     b, a = fam.base, fam.a
 
@@ -391,7 +350,7 @@ def hierarchy_limit_lhs(family: str, f: int, n: int, s: int = 0) -> QSeries:
         return inv_pochhammer(m - N, b, n)
 
     eps = a + bool(s)
-    level = _inner_level(_limit_levels, _twisted_limit_levels, (b, n), a, f, s, kernel, b, n)
+    level = _inner_level(_limit_levels, (b, n), a, f, s, kernel, b, n)
     total = Accumulator(n)
     for nf, inner in enumerate(level):
         e = b * (nf * nf + eps * nf)

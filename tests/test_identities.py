@@ -15,8 +15,6 @@ from qcap.identities import (
     _ladder_chains,
     _limit_levels,
     _refinement_groups,
-    _twisted_chain_levels,
-    _twisted_limit_levels,
     Bounds,
     CASES,
     ParamOutOfRange,
@@ -421,10 +419,10 @@ class TestSharedTables:
                     assert hierarchy_finite_lhs(name, f, L) == expected[name, f, L], (name, f, L)
 
     def test_twisted_levels_in_any_f_s_order(self):
-        # (f, s) ascending, descending and shuffled from cleared stores: a
-        # kept twisted level is extended only in grid order, any other
-        # (f, s) rebuilds from P_{f-s}; the limit side interleaves two
-        # orders n, whose levels are kept apart
+        # (f, s) ascending, descending and shuffled from cleared stores: the
+        # twisted levels extend whatever the kept stack holds, and at s = f
+        # the a + 1 stack serves; the limit side interleaves two orders n,
+        # whose levels are kept apart
         rng = random.Random(11)
         pairs = [(f, s) for f in range(1, 6) for s in range(f + 1)]
         finite = {(f, s, L): per_term_hierarchy_finite_lhs("double", f, L, s)
@@ -432,8 +430,7 @@ class TestSharedTables:
         limit = {(f, s, n): per_term_hierarchy_limit_lhs("double", f, n, s)
                  for f, s in pairs for n in (40, 57)}
         for order in (pairs, pairs[::-1], rng.sample(pairs, len(pairs))):
-            for store in (_chain_levels, _twisted_chain_levels, _limit_levels,
-                          _twisted_limit_levels):
+            for store in (_chain_levels, _limit_levels):
                 store.cache_clear()
             for f, s in order:
                 for L in range(7):
@@ -472,18 +469,14 @@ class TestSharedTables:
         for params in iterate_grid("s_hierarchy", bounds):
             assert verify_case("s_hierarchy", params).verdict
         assert _refinement_groups.cache_info().misses == bounds.nu_max * (bounds.l_max + 1)
-        for store in (_chain_levels, _twisted_chain_levels, _limit_levels,
-                      _twisted_limit_levels):
+        for store in (_chain_levels, _limit_levels):
             store.cache_clear()
         for case_id in CASES:
             if case_id.startswith("hierarchy_"):
                 for params in iterate_grid(case_id, bounds):
                     assert verify_case(case_id, params).verdict
-        # one level stack per (a, L), whatever f, family or twist, and one
-        # deepest twisted level per (a, L, f - s)
+        # one level stack per (a, L), whatever f, family or twist
         assert _chain_levels.cache_info().currsize <= 2 * (bounds.l_max + 1)
-        assert (_twisted_chain_levels.cache_info().currsize
-                <= 2 * (bounds.l_max + 1) * bounds.f_max)
         # one limit stack per (a, b) at the one order n
         assert _limit_levels.cache_info().currsize <= 4
         # every truncated case at n = 100 builds each distinct limit level
