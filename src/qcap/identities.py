@@ -27,6 +27,7 @@ from qcap.series import (
     monomial,
 )
 from qcap.qcombinat import (
+    binomial_product_sum,
     inv_pochhammer,
     inv_pochhammer_inf,
     jacobi3,
@@ -388,29 +389,37 @@ def _m_sum(n_last: int, i: int, SN: int, sq: int, m_max: int) -> QSeries:
 
 
 def _ladder_chains(nu: int, i: int, top: int,
-                   sq_max: float = math.inf) -> Iterator[tuple[int, int, int, int, QSeries]]:
-    """(N_1, N_nu, sum N, 3 sum N^2, mid) for every chain N_1 >= ... >= N_nu
-    >= 0 with N_1 <= top, sum N <= i and 3 sum N^2 <= sq_max, where mid =
+                   sq_max: float = math.inf) -> Iterator[tuple[int, int, int, int, int, QSeries]]:
+    """(N_1, N_nu, sum N, 3 sum N^2, m_top, mid) for every chain N_1 >= ...
+    >= N_nu >= 0 with N_1 <= top and 3 sum N^2 <= sq_max whose m-sum is not
+    empty, where m_top = min(3 N_nu, i - sum N, isqrt(sq_max - 3 sum N^2)),
+    the m-sum runs over m = i + sum N (mod 2) up to m_top, and mid =
     prod_{k < nu} [i - C_k + n_k, n_k]_{q^3}, C_k = N_1 + ... + N_k and n_k =
-    N_k - N_{k+1}.  No other chain has a term: the m-sum is empty when sum N
-    > i, and no middle binomial vanishes while every C_k <= i.  Each level's
-    factor multiplies mid once for all the chains below it, and the walk
-    stops descending once 3 sum N^2 passes sq_max, since it only grows."""
-    def walk(N1, level, last, C, sq, mid):
-        if level == nu:
-            yield N1, last, C, 3 * sq, mid
-            return
+    N_k - N_{k+1}.  No other chain has a term, and no middle binomial
+    vanishes while every C_k <= i.  Each level's factor multiplies mid once
+    for all the chains below it, the last level's only for a chain with a
+    term; the walk stops descending once 3 sum N^2 passes sq_max, since it
+    only grows."""
+    def walk(level, N1, last, C, sq, mid):
+        # extends N_1, ..., N_level (sum C, sum of squares sq) by one level
         for N in range(min(last, i - C) + 1):
-            if 3 * (sq + N * N) > sq_max:
+            C_n, sq_n = C + N, sq + N * N
+            if 3 * sq_n > sq_max:
                 break
-            n = last - N
-            yield from walk(N1, level + 1, N, C + N, sq + N * N,
-                            mid * q_binomial(i - C + n, n, 3))
+            if level + 1 == nu:
+                m_top = min(3 * N, i - C_n)
+                if sq_max < math.inf:
+                    m_top = min(m_top, math.isqrt(sq_max - 3 * sq_n))
+                if m_top < (i + C_n) % 2:
+                    continue
+            N1_n = N1 if level else N
+            mid_n = mid * q_binomial(i - C + last - N, last - N, 3) if level else mid
+            if level + 1 == nu:
+                yield N1_n, N, C_n, 3 * sq_n, m_top, mid_n
+            else:
+                yield from walk(level + 1, N1_n, N, C_n, sq_n, mid_n)
 
-    for N1 in range(min(top, i) + 1):
-        if 3 * N1 * N1 > sq_max:
-            break
-        yield from walk(N1, 1, N1, N1, N1 * N1, ONE)
+    yield from walk(0, 0, top, 0, 0, ONE)
 
 
 @lru_cache(maxsize=1)
@@ -431,10 +440,9 @@ def refinement_hierarchy_lhs(nu: int, L: int, M: int) -> QSeries:
     while len(groups) <= min(L, M):
         i = len(groups)
         group = Accumulator()
-        for N1, n_last, SN, sq, mid in _ladder_chains(nu, i, L - i):
-            inner = _m_sum(n_last, i, SN, sq, i)
-            if inner:
-                group.add(q_binomial(L - N1, i, 3) * mid * inner)
+        for N1, n_last, SN, sq, m_top, mid in _ladder_chains(nu, i, L - i):
+            inner = _m_sum(n_last, i, SN, sq, m_top)
+            group.add(q_binomial(L - N1, i, 3) * mid * inner)
         groups.append(group.value())
     total = Accumulator()
     for i, group in enumerate(groups[:min(L, M) + 1]):
@@ -444,25 +452,24 @@ def refinement_hierarchy_lhs(nu: int, L: int, M: int) -> QSeries:
 
 
 def refinement_hierarchy_rhs(nu: int, L: int, M: int) -> QSeries:
+    """sum_j q^(3cj^2 + j) S(L, M; (nu+2)j, (nu+1)j)_{q^3}, c = (nu+2)(nu+1)/2,
+    summed over every (j, n) term in one binomial_product_sum pass."""
     c = (nu + 2) * (nu + 1) // 2
-    total = Accumulator()
+    terms = []
     for j in range(-(L + M + 2), M + 2):
-        s = warnaar_s(L, M, (nu + 2) * j, (nu + 1) * j, base=3)
-        if s:
-            total.add(s.shift(3 * c * j * j + j))
-    return total.value()
+        terms += warnaar_s(L, M, (nu + 2) * j, (nu + 1) * j, base=3, shift=3 * c * j * j + j)
+    return binomial_product_sum(terms, 3)
 
 
 def refinement_limit_lhs(nu: int, n: int) -> QSeries:
     """M, L -> infinity: the two bounded binomials collapse to 1/(q^3;q^3)_i."""
     total = Accumulator(n)
     for i in range(math.isqrt(2 * n // 3) + 1):
-        # the exponent (m^2 + 3i^2 + sq) / 2 is <= n exactly when m^2 <= room,
-        # so the walk leaves out every chain with room < 0
-        for _, n_last, SN, sq, mid in _ladder_chains(nu, i, i, 2 * n - 3 * i * i):
-            room = 2 * n - 3 * i * i - sq
+        # the exponent (m^2 + 3i^2 + sq) / 2 is <= n exactly when m^2 <= 2n -
+        # 3i^2 - sq, so the walk's m_top leaves out every other m
+        for _, n_last, SN, sq, m_top, mid in _ladder_chains(nu, i, i, 2 * n - 3 * i * i):
             # cut at order n, the product keeps only the part of mid below it
-            inner = _m_sum(n_last, i, SN, sq, math.isqrt(room)).truncate(n)
+            inner = _m_sum(n_last, i, SN, sq, m_top).truncate(n)
             total.add(mid * inner * inv_pochhammer(i, 3, n))
     return total.value()
 
@@ -497,17 +504,16 @@ def roundtri_lhs(which: int, L: int) -> QSeries:
 
 
 def roundtri_rhs(which: int, L: int) -> QSeries:
-    total = Accumulator()
+    """sum_j q^(3j^2 + j) T(L; 2j, 2j)_{q^3} (which 1) or sum_j q^(3j^2 + 2j)
+    T(L+1; 2j+1, 2j+1)_{q^3} (which 2), summed over every (j, term of T) in
+    one binomial_product_sum pass."""
+    terms = []
     for j in range(-(L // 2 + 2), L // 2 + 3):
         if which == 1:
-            t = trinomial_t(L, 2 * j, 2 * j, base=3)
-            if t:
-                total.add(t.shift(3 * j * j + j))
+            terms += trinomial_t(L, 2 * j, 2 * j, base=3, shift=3 * j * j + j)
         else:
-            t = trinomial_t(L + 1, 2 * j + 1, 2 * j + 1, base=3)
-            if t:
-                total.add(t.shift(3 * j * j + 2 * j))
-    return total.value()
+            terms += trinomial_t(L + 1, 2 * j + 1, 2 * j + 1, base=3, shift=3 * j * j + 2 * j)
+    return binomial_product_sum(terms, 3)
 
 
 # ---------------------------------------------------------------------------

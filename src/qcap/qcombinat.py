@@ -13,8 +13,10 @@ from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, sub
+from typing import Iterable
 
 from qcap.series import ONE, Accumulator, NonDivisible, QSeries, ZERO, inverse, monomial
+from qcap.series import _limbs
 
 
 class NegativeLength(ValueError):
@@ -211,33 +213,77 @@ def _poch_ratio_cached(num: tuple[tuple[int, int], ...], den: tuple[tuple[int, i
 
 
 # ---------------------------------------------------------------------------
-# Trinomial refinements
+# Sums of q-binomial products and the trinomial refinements
 # ---------------------------------------------------------------------------
 
-def trinomial_t(length: int, b: int, a: int, base: int = 1) -> QSeries:
-    """Andrews-Baxter trinomial T(length; b, a) in base q^base."""
-    total = Accumulator()
-    for j in range(length + 1):
-        left = _q_binomial_base1(length, j)
-        right = _q_binomial_base1(length - j, j + a)
-        if left and right:
-            total.add((left * right).shift(j * (j + b)))
-    return total.value().substitute_q_power(base)
+# q^e [top_1, k_1] [top_2, k_2] ... as (e, ((top_1, k_1), (top_2, k_2), ...)).
+Term = tuple[int, tuple[tuple[int, int], ...]]
 
 
-def warnaar_s(big_l: int, big_m: int, a: int, b: int, base: int = 1) -> QSeries:
-    """Warnaar's doubly bounded trinomial refinement S(L, M; a, b)."""
-    if big_l < 0 or big_m < 0:
+def binomial_product_sum(terms: Iterable[Term], base: int = 1) -> QSeries:
+    """The exact sum of q^e prod [top, k]_{q^base} over the terms.
+
+    A term with a vanishing binomial (k < 0 or k > top) is dropped.  Every
+    other coefficient, of a factor, a term or the sum, lies in [0, bound],
+    where bound = sum prod comb(top, k) is the sum's value at q = 1.  So with
+    unsigned limbs of w bytes, 2**(8w) > bound, each base-1 binomial packs
+    into one int, and a term's packed factors multiply, and the terms of one
+    residue class r = e mod base add at their shifts of e // base limbs, as
+    plain ints with no carry across a limb; each distinct binomial packs once
+    per call.  Each class sum unpacks once into the coefficients of q^r,
+    q^(r + base), ...  The unpacked coefficients must add up to bound;
+    otherwise raises ArithmeticError.
+    """
+    kept = [(e, factors) for e, factors in terms
+            if all(0 <= k <= top for top, k in factors)]
+    if not kept:
         return ZERO
-    # [M+L-a-2n, M] [M-a+b, n] [M+a-b, n+a] is non-zero exactly when
-    # 2n <= L-a, 0 <= n <= M-a+b and -a <= n <= M-b (M >= 0)
-    total = Accumulator()
-    for n in range(max(0, -a), min(big_m - a + b, big_m - b, (big_l - a) // 2) + 1):
-        t1 = _q_binomial_base1(big_m + big_l - a - 2 * n, big_m)
-        t2 = _q_binomial_base1(big_m - a + b, n)
-        t3 = _q_binomial_base1(big_m + a - b, n + a)
-        total.add((t1 * t2 * t3).shift(n * (n + a)))
-    return total.value().substitute_q_power(base)
+    bound = sum(math.prod(math.comb(top, k) for top, k in factors)
+                for _, factors in kept)
+    lo = min(e for e, _ in kept) // base
+    n = max(e // base + sum(k * (top - k) for top, k in factors)
+            for e, factors in kept) - lo + 1
+    limbs = _limbs(bound.bit_length(), signed=False)
+    bits = 8 * limbs.width
+    packed: dict[tuple[int, int], int] = {}
+    classes = [0] * base
+    for e, factors in kept:
+        term = 1
+        for factor in factors:
+            if factor not in packed:
+                packed[factor] = limbs.pack(_q_binomial_base1(*factor).coeffs)
+            term *= packed[factor]
+        unit, r = divmod(e, base)
+        classes[r] += term << bits * (unit - lo)
+    out = [0] * (base * n)
+    for r, total in enumerate(classes):
+        if total:
+            out[r::base] = limbs.unpack(total, n)
+    if sum(out) != bound:
+        raise ArithmeticError(f"coefficients add up to {sum(out)}, not to the bound {bound}")
+    return QSeries(base * lo, out)
+
+
+def trinomial_t(length: int, b: int, a: int, base: int = 1, shift: int = 0) -> list[Term]:
+    """The Andrews-Baxter trinomial q^shift T(length; b, a) in base q^base,
+    as terms for binomial_product_sum: T(L; b, a) = sum_j q^(j(j+b)) [L, j]
+    [L-j, j+a]."""
+    return [(shift + base * j * (j + b), ((length, j), (length - j, j + a)))
+            for j in range(length + 1)]
+
+
+def warnaar_s(big_l: int, big_m: int, a: int, b: int,
+              base: int = 1, shift: int = 0) -> list[Term]:
+    """Warnaar's doubly bounded trinomial refinement q^shift S(L, M; a, b)
+    in base q^base, as terms for binomial_product_sum: S(L, M; a, b) =
+    sum_n q^(n(n+a)) [M+L-a-2n, M] [M-a+b, n] [M+a-b, n+a]."""
+    if big_l < 0 or big_m < 0:
+        return []
+    # the binomials are non-zero exactly when 2n <= L-a, 0 <= n <= M-a+b
+    # and -a <= n <= M-b (M >= 0)
+    return [(shift + base * n * (n + a),
+             ((big_m + big_l - a - 2 * n, big_m), (big_m - a + b, n), (big_m + a - b, n + a)))
+            for n in range(max(0, -a), min(big_m - a + b, big_m - b, (big_l - a) // 2) + 1)]
 
 
 # ---------------------------------------------------------------------------

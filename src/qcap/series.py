@@ -37,9 +37,59 @@ def _min_trunc(t1: int | None, t2: int | None) -> int | None:
 # above it.  Chosen by replaying the workloads' recorded operand pairs.
 _KRONECKER_CUTOFF = 256
 
-# Signed array typecodes for 1-, 2-, 4- and 8-byte limbs, by item size.
-_LIMB_CODES = sorted((array(code).itemsize, code) for code in "bhiq")
 _BIG_ENDIAN = sys.byteorder == "big"
+
+
+class _Limbs:
+    """Integers as the w-byte little-endian limbs of one big integer, two's
+    complement when signed.  With an ``array`` typecode of item size w the
+    limbs pack and unpack in C; without one (w > 8) they go limb by limb
+    through ``to_bytes``.
+    """
+
+    __slots__ = ("width", "code", "signed")
+
+    def __init__(self, width: int, code: str | None, signed: bool) -> None:
+        self.width, self.code, self.signed = width, code, signed
+
+    def pack(self, coeffs: Sequence[int]) -> int:
+        """The non-negative int whose limbs, low first, are coeffs."""
+        if self.code is None:
+            w, signed = self.width, self.signed
+            limbs = b"".join([c.to_bytes(w, "little", signed=signed) for c in coeffs])
+        else:
+            packed = array(self.code, coeffs)
+            if _BIG_ENDIAN:
+                packed.byteswap()
+            limbs = packed.tobytes()
+        return int.from_bytes(limbs, "little")
+
+    def unpack(self, value: int, n: int) -> list[int]:
+        """The n limbs of value, low first; value must be below 2**(8wn)."""
+        w, signed = self.width, self.signed
+        raw = value.to_bytes(n * w, "little")
+        if self.code is None:
+            return [int.from_bytes(raw[i:i + w], "little", signed=signed)
+                    for i in range(0, n * w, w)]
+        out = array(self.code, raw)
+        if _BIG_ENDIAN:
+            out.byteswap()
+        return out.tolist()
+
+
+# For w = 0..8 bytes, signed and unsigned: limbs of the narrowest array item
+# ("bhiq" signed, "BHIQ" unsigned) of at least w bytes.
+_ARRAY_LIMBS = {
+    signed: [_Limbs(*min((array(c).itemsize, c) for c in codes if array(c).itemsize >= w), signed)
+             for w in range(9)]
+    for signed, codes in ((True, "bhiq"), (False, "BHIQ"))}
+
+
+def _limbs(bits: int, signed: bool) -> _Limbs:
+    """The narrowest limbs that hold ``bits`` bits: array limbs up to 8 bytes,
+    whole bytes packed one by one past them."""
+    w = (bits + 7) // 8
+    return _ARRAY_LIMBS[signed][w] if w <= 8 else _Limbs(w, None, signed)
 
 
 def _convolve_kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -54,41 +104,20 @@ def _convolve_kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
     (limbs ^ H) - H = sum c_i 2**(8wi).  After the one product, (P + H) ^ H
     maps each product coefficient back to its two's-complement limb: P + H
     has non-negative limbs c + half, so no carry crosses a limb.
-
-    w is rounded up to the item size of a signed ``array`` typecode, so the
-    limbs pack and unpack in C; only w > 8 (a coefficient or bound of 2**63
-    or more) packs limb by limb.
     """
     n = len(a) + len(b) - 1
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     if not bound:
         return [0] * n
-    w = (bound.bit_length() + 8) // 8
-    w, code = next(((size, c) for size, c in _LIMB_CODES if size >= w), (w, None))
-    half_limb = b"\x00" * (w - 1) + b"\x80"
-
-    def halves(length: int) -> int:
-        return int.from_bytes(half_limb * length, "little")
+    limbs = _limbs(bound.bit_length() + 1, signed=True)
+    half_limb = b"\x00" * (limbs.width - 1) + b"\x80"
 
     def pack(coeffs: Sequence[int]) -> int:
-        if code is None:
-            limbs = b"".join([c.to_bytes(w, "little", signed=True) for c in coeffs])
-        else:
-            packed = array(code, coeffs)
-            if _BIG_ENDIAN:
-                packed.byteswap()
-            limbs = packed.tobytes()
-        h = halves(len(coeffs))
-        return (int.from_bytes(limbs, "little") ^ h) - h
+        h = int.from_bytes(half_limb * len(coeffs), "little")
+        return (limbs.pack(coeffs) ^ h) - h
 
-    h = halves(n)
-    raw = ((pack(a) * pack(b) + h) ^ h).to_bytes(n * w, "little")
-    if code is None:
-        return [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, n * w, w)]
-    out = array(code, raw)
-    if _BIG_ENDIAN:
-        out.byteswap()
-    return out.tolist()
+    h = int.from_bytes(half_limb * n, "little")
+    return limbs.unpack((pack(a) * pack(b) + h) ^ h, n)
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:

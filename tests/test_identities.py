@@ -235,28 +235,34 @@ class TestEnumerationHelpers:
         assert suffix_sums((1, 2, 3)) == (6, 5, 3)
 
     def test_ladder_chains_match_every_index_vector_that_has_a_term(self):
-        # the walk yields exactly the suffix-sum chains with N_1 <= top and
-        # sum N <= i, each once, with its middle product; top < i and nu > i
-        # are among the cases
+        # the walk yields exactly the suffix-sum chains with N_1 <= top, sum N
+        # <= i and a non-empty m-range, each once, with the top of that range
+        # and its middle product; top < i and nu > i are among the cases
         for nu in range(1, 7):
             for i in range(9):
                 for top in range(9):
                     expected = Counter(
-                        (N[0], N[-1], sum(N), 3 * sum(x * x for x in N),
+                        (N[0], N[-1], sum(N), 3 * sum(x * x for x in N), m_top,
                          middle_binomials(nvec, N, i))
                         for nvec in index_vectors(nu, top)
-                        for N in [suffix_sums(nvec)] if sum(N) <= i)
+                        for N in [suffix_sums(nvec)] if sum(N) <= i
+                        for m_top in [min(3 * N[-1], i - sum(N))]
+                        if m_top >= (i + sum(N)) % 2)
                     walked = Counter(_ladder_chains(nu, i, top))
                     assert walked == expected, (nu, i, top)
 
     def test_ladder_chains_stop_at_the_square_bound(self):
-        # with sq_max, exactly the chains with 3 sum N^2 <= sq_max, each with
+        # with sq_max, exactly the chains with 3 sum N^2 <= sq_max whose
+        # m-range, cut at m^2 <= sq_max - 3 sum N^2, is not empty, each with
         # the middle product the unbounded walk gives it
         for nu in range(1, 5):
             for i in range(7):
                 every = list(_ladder_chains(nu, i, i))
                 for sq_max in (-1, 0, 2, 3, 11, 12, 40, 200):
-                    expected = Counter(c for c in every if c[3] <= sq_max)
+                    expected = Counter(
+                        c[:4] + (m_top, c[5]) for c in every if c[3] <= sq_max
+                        for m_top in [min(c[4], math.isqrt(sq_max - c[3]))]
+                        if m_top >= (i + c[2]) % 2)
                     walked = Counter(_ladder_chains(nu, i, i, sq_max))
                     assert walked == expected, (nu, i, sq_max)
 

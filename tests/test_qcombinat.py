@@ -1,11 +1,17 @@
 """q-special functions and classical product identities."""
 
+import math
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcap import qcombinat
+from qcap.identities import refinement_hierarchy_rhs, roundtri_rhs
 from qcap.qcombinat import (
     NegativeLength,
     UnboundedBelow,
+    binomial_product_sum,
     inv_pochhammer,
     inv_pochhammer_inf,
     jacobi3,
@@ -231,39 +237,40 @@ class TestPochRatioReference:
         assert q_binomial(top, k) == div_exact(pochhammer(top), den)
 
 
-class TestTrinomial:
-    def test_length_zero(self):
-        assert trinomial_t(0, 1, 0) == ONE
-        assert trinomial_t(0, 1, 1) == ZERO
+# Reference paths for binomial_product_sum and its term lists: one QSeries
+# product per term, each term added on its own.
 
-    def test_direct_expansion(self):
-        # T(1;0,0) = sum_j q^{j^2} [1,j][1-j,j]
-        expect = ZERO
-        for j in range(2):
-            expect = expect + (
-                q_binomial(1, j) * q_binomial(1 - j, j)).shift(j * j)
-        assert trinomial_t(1, 0, 0) == expect
-
-    def test_a_above_length_vanishes(self):
-        assert trinomial_t(2, 0, 3) == ZERO
+def per_term_sum(terms, base=1):
+    total = ZERO
+    for e, factors in terms:
+        term = monomial(e)
+        for top, k in factors:
+            term = term * q_binomial(top, k, base)
+        total = total + term
+    return total
 
 
-class TestWarnaar:
-    def test_degenerate_unit(self):
-        assert warnaar_s(0, 0, 0, 0) == ONE
+def per_term_trinomial_t(length, b, a, base=1):
+    total = ZERO
+    for j in range(length + 1):
+        left = q_binomial(length, j)
+        right = q_binomial(length - j, j + a)
+        if left and right:
+            total = total + (left * right).shift(j * (j + b))
+    return total.substitute_q_power(base)
 
-    def test_vanishing_when_a_large(self):
-        assert warnaar_s(2, 1, 4, 0) == ZERO
 
-    def test_nonzero_term_range_matches_the_full_loop(self):
-        # every (L, M) <= 8 with the (a, b) of seed_identity_rhs (nu = 0) and
-        # of refinement_hierarchy_rhs (nu = 1..3), over their j ranges
-        for L in range(9):
-            for M in range(9):
-                for nu in range(4):
-                    for j in range(-(L + M + 2), M + 2):
-                        a, b = (nu + 2) * j, (nu + 1) * j
-                        assert warnaar_s(L, M, a, b) == full_range_warnaar(L, M, a, b)
+def per_term_warnaar_s(big_l, big_m, a, b, base=1):
+    """S(L, M; a, b) over its non-zero terms only."""
+    if big_l < 0 or big_m < 0:
+        return ZERO
+    total = ZERO
+    for n in range(max(0, -a), min(big_m - a + b, big_m - b, (big_l - a) // 2) + 1):
+        t1 = q_binomial(big_m + big_l - a - 2 * n, big_m)
+        t2 = q_binomial(big_m - a + b, n)
+        t3 = q_binomial(big_m + a - b, n + a)
+        total = total + (t1 * t2 * t3).shift(n * (n + a))
+    return total.substitute_q_power(base)
 
 
 def full_range_warnaar(L, M, a, b):
@@ -276,6 +283,147 @@ def full_range_warnaar(L, M, a, b):
         if t1 and t2 and t3:
             total = total + (t1 * t2 * t3).shift(n * (n + a))
     return total
+
+
+def per_j_refinement_rhs(nu, L, M):
+    c = (nu + 2) * (nu + 1) // 2
+    total = ZERO
+    for j in range(-(L + M + 2), M + 2):
+        s = per_term_warnaar_s(L, M, (nu + 2) * j, (nu + 1) * j, base=3)
+        total = total + s.shift(3 * c * j * j + j)
+    return total
+
+
+def per_j_roundtri_rhs(which, L):
+    total = ZERO
+    for j in range(-(L // 2 + 2), L // 2 + 3):
+        if which == 1:
+            t = per_term_trinomial_t(L, 2 * j, 2 * j, base=3).shift(3 * j * j + j)
+        else:
+            t = per_term_trinomial_t(L + 1, 2 * j + 1, 2 * j + 1, base=3).shift(
+                3 * j * j + 2 * j)
+        total = total + t
+    return total
+
+
+def bound_at_one(terms):
+    """The value at q = 1 of the sum of the terms with no vanishing binomial."""
+    return sum(math.prod(math.comb(top, k) for top, k in factors)
+               for _, factors in terms if all(0 <= k <= top for top, k in factors))
+
+
+binomial_factor = st.tuples(st.integers(-2, 12), st.integers(-2, 8))
+binomial_term = st.tuples(st.integers(-30, 30), st.lists(binomial_factor, max_size=3).map(tuple))
+
+
+class TestBinomialProductSum:
+    @pytest.mark.parametrize("base", (1, 2, 3))
+    @settings(max_examples=60, deadline=None)
+    @given(terms=st.lists(binomial_term, max_size=12))
+    def test_matches_the_per_term_sum(self, base, terms):
+        # mixed residues, negative exponents, vanishing binomials and
+        # factorless terms q^e are all drawn
+        assert binomial_product_sum(terms, base) == per_term_sum(terms, base)
+
+    def test_empty_list_is_zero(self):
+        assert binomial_product_sum([], 3) == ZERO
+        assert binomial_product_sum(iter(()), 1) == ZERO
+
+    def test_terms_with_a_vanishing_binomial_are_dropped(self):
+        vanishing = [(0, ((3, 4),)), (5, ((2, -1), (4, 2))), (-7, ((-1, 0),))]
+        assert binomial_product_sum(vanishing, 3) == ZERO
+        kept = [(-4, ((4, 2),))]
+        assert binomial_product_sum(vanishing + kept, 3) == q_binomial(4, 2, 3).shift(-4)
+
+    def test_laurent_exponents_in_every_residue_class(self):
+        terms = [(e, ((5, 2), (3, 1))) for e in range(-7, 3)]
+        assert binomial_product_sum(terms, 3) == per_term_sum(terms, 3)
+
+    def test_bound_past_two_to_the_200(self):
+        # limbs wider than 8 bytes pack and unpack one by one
+        terms = [(-5, ((120, 60), (100, 50))), (1, ((110, 55),)), (3, ((90, 45), (40, 20)))]
+        assert bound_at_one(terms) > 2**200
+        for base in (1, 3):
+            assert binomial_product_sum(terms, base) == per_term_sum(terms, base)
+
+    @pytest.mark.parametrize("comb", (lambda top, k: 1,
+                                      lambda top, k: math.comb(top, k) - (k == 1)))
+    def test_an_understated_bound_raises(self, monkeypatch, comb):
+        # with limbs too narrow, or a bound a little low, the unpacked
+        # coefficients no longer add up to the bound
+        monkeypatch.setattr(qcombinat, "math", SimpleNamespace(comb=comb, prod=math.prod))
+        terms = [(0, ((9, 4), (6, 1))), (4, ((12, 6),)), (-2, ((7, 1),))]
+        for base in (1, 3):
+            with pytest.raises(ArithmeticError):
+                binomial_product_sum(terms, base)
+
+
+class TestTrinomial:
+    def test_length_zero(self):
+        assert binomial_product_sum(trinomial_t(0, 1, 0)) == ONE
+        assert binomial_product_sum(trinomial_t(0, 1, 1)) == ZERO
+
+    def test_direct_expansion(self):
+        # T(1;0,0) = sum_j q^{j^2} [1,j][1-j,j]
+        expect = ZERO
+        for j in range(2):
+            expect = expect + (
+                q_binomial(1, j) * q_binomial(1 - j, j)).shift(j * j)
+        assert binomial_product_sum(trinomial_t(1, 0, 0)) == expect
+
+    def test_a_above_length_vanishes(self):
+        assert binomial_product_sum(trinomial_t(2, 0, 3)) == ZERO
+
+    def test_terms_match_the_per_term_loop(self):
+        for length in range(7):
+            for a in range(-8, 8):
+                for b in range(-8, 8):
+                    for base, shift in ((1, 0), (3, -5)):
+                        terms = trinomial_t(length, b, a, base, shift)
+                        expected = per_term_trinomial_t(length, b, a, base).shift(shift)
+                        assert binomial_product_sum(terms, base) == expected
+
+    @pytest.mark.parametrize("which", (1, 2))
+    def test_fused_roundtri_rhs_matches_the_per_j_sum(self, which):
+        for L in range(13):
+            assert roundtri_rhs(which, L) == per_j_roundtri_rhs(which, L), L
+
+
+class TestWarnaar:
+    def test_degenerate_unit(self):
+        assert binomial_product_sum(warnaar_s(0, 0, 0, 0)) == ONE
+
+    def test_vanishing_when_a_large(self):
+        assert binomial_product_sum(warnaar_s(2, 1, 4, 0)) == ZERO
+
+    def test_nonzero_term_range_matches_the_full_loop(self):
+        # every (L, M) <= 8 with the (a, b) of seed_identity_rhs (nu = 0) and
+        # of refinement_hierarchy_rhs (nu = 1..3), over their j ranges
+        for L in range(9):
+            for M in range(9):
+                for nu in range(4):
+                    for j in range(-(L + M + 2), M + 2):
+                        a, b = (nu + 2) * j, (nu + 1) * j
+                        expected = full_range_warnaar(L, M, a, b)
+                        assert binomial_product_sum(warnaar_s(L, M, a, b)) == expected
+                        assert per_term_warnaar_s(L, M, a, b) == expected
+
+    def test_fused_rhs_matches_the_per_j_sum(self):
+        for nu in range(4):
+            for L in range(11):
+                for M in range(11):
+                    assert (refinement_hierarchy_rhs(nu, L, M)
+                            == per_j_refinement_rhs(nu, L, M)), (nu, L, M)
+
+    @pytest.mark.parametrize("nu", (0, 1))
+    def test_wide_limbs_at_l_m_24(self, nu):
+        # seed_identity (nu = 0) and s_hierarchy at nu = 1: the bound passes
+        # 2**64, so the limbs are wider than an array item
+        c = (nu + 2) * (nu + 1) // 2
+        terms = [t for j in range(-50, 26)
+                 for t in warnaar_s(24, 24, (nu + 2) * j, (nu + 1) * j, 3, 3 * c * j * j + j)]
+        assert bound_at_one(terms) >= 2**64
+        assert refinement_hierarchy_rhs(nu, 24, 24) == per_j_refinement_rhs(nu, 24, 24)
 
 
 class TestJacobi3:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qcap.series import (
     _KRONECKER_CUTOFF,
+    _limbs,
     ONE,
     Q,
     QSeries,
@@ -363,6 +364,20 @@ class TestRingAxioms:
         lhs = (a + b) * (a - b)
         rhs = a * a - b * b
         assert (lhs.offset, lhs.coeffs) == (rhs.offset, rhs.coeffs)
+
+
+class TestLimbs:
+    @pytest.mark.parametrize("signed", (False, True))
+    @pytest.mark.parametrize("bits", (1, 8, 9, 16, 17, 32, 33, 64, 65, 200))
+    def test_extreme_limbs_round_trip(self, bits, signed):
+        # the widest values the width must hold, in array limbs up to 8 bytes
+        # and in to_bytes limbs past them
+        limbs = _limbs(bits, signed)
+        assert limbs.width == next((w for w in (1, 2, 4, 8) if 8 * w >= bits), (bits + 7) // 8)
+        assert (limbs.code is None) == (bits > 64)
+        top = 2 ** (bits - 1) if signed else 2 ** bits
+        coeffs = [top - 1, 0, -top if signed else 1, top - 1, 0]
+        assert limbs.unpack(limbs.pack(coeffs), len(coeffs)) == coeffs
 
 
 class TestKronecker:

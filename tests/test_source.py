@@ -1,6 +1,8 @@
 """Source rules: no check may live in an ``assert`` statement, because
 ``python -O`` strips them; the two sides of a hierarchy case stay
-independent evaluators; the partition oracle imports nothing from qcap; and
+independent evaluators, and no left side of an S-ladder or trinomial case
+sums through the right sides' binomial-product kernel; the partition oracle
+imports nothing from qcap; and
 every top-level function or class, and every method or property of a class,
 is used by the package or is an entry point."""
 
@@ -56,6 +58,47 @@ def test_bailey_names_no_direct_expansion_helper():
         if name in banned:
             found.append(name)
     assert not found, found
+
+
+# The kernel the S-ladder and trinomial right sides sum through, and the term
+# lists that feed it.
+KERNEL = {"binomial_product_sum", "warnaar_s", "trinomial_t"}
+KERNEL_FREE_SIDES = ("seed_identity_lhs", "refinement_hierarchy_lhs",
+                     "refinement_limit_lhs", "roundtri_lhs")
+
+
+def _names_reached(tree, function):
+    """Every name that a top-level function names, or that a top-level
+    function of the same module it names (and so on) names."""
+    bodies = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    seen, todo, names = set(), [function], set()
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        for node in ast.walk(bodies[fn]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+                if node.id in bodies:
+                    todo.append(node.id)
+    return names
+
+
+def test_left_sides_do_not_reach_the_right_side_kernel():
+    # the two sides of seed_identity, s_hierarchy and fin_cap_roundtri_*
+    # must not share the kernel that sums the right sides
+    tree = _tree("identities.py")
+    found = {side: sorted(_names_reached(tree, side) & KERNEL) for side in KERNEL_FREE_SIDES}
+    assert not any(found.values()), found
+
+
+def test_kernel_rule_sees_the_right_sides():
+    tree = _tree("identities.py")
+    assert "binomial_product_sum" in _names_reached(tree, "refinement_hierarchy_rhs")
+    assert "trinomial_t" in _names_reached(tree, "roundtri_rhs")
+    # t4 is a local of _m_sum, which seed_identity_lhs calls
+    assert "t4" in _names_reached(tree, "seed_identity_lhs")
 
 
 def _imports_from_qcap(tree):
