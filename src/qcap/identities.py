@@ -25,6 +25,7 @@ from qcap.series import (
     compare,
     div_exact,
     monomial,
+    stretched_product_sum,
 )
 from qcap.qcombinat import (
     binomial_product_sum,
@@ -308,8 +309,8 @@ def hierarchy_finite_lhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
     A twist s adds 1 to eps on the n_f level and on the s-1 levels before
     it, which extend the untwisted P_{f-s} and are not kept; at s = f they
     are the untwisted levels of a + 1, read from that stack.  A base-b chain
-    is summed in powers of q and stretched to q^b once, just before the seed
-    multiplies it."""
+    is summed in powers of q, and one stretched_product_sum pass adds up
+    chain(q^b) * seed(n_f) over every n_f, by residue class of the seed."""
     fam = _family_checked(family, f, s)
 
     def kernel(N: int, n: int) -> QSeries:
@@ -317,12 +318,11 @@ def hierarchy_finite_lhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
 
     eps = fam.a + bool(s)
     level = _inner_level(_chain_levels, (L,), fam.a, f, s, kernel)
-    total = Accumulator()
+    pairs = []
     for nf, inner in enumerate(level):
         tail = poch_ratio(((2 * L + fam.a, 1),), ((L - nf, 1), (2 * nf + fam.a, 1)))
-        chain = (tail * inner).shift(nf * nf + eps * nf)
-        total.add(chain.substitute_q_power(fam.base) * fam.seed(nf))
-    return total.value()
+        pairs.append(((tail * inner).shift(nf * nf + eps * nf), fam.seed(nf)))
+    return stretched_product_sum(pairs, fam.base)
 
 
 def hierarchy_finite_rhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
@@ -426,8 +426,9 @@ def _ladder_chains(nu: int, i: int, top: int,
 def _refinement_groups(nu: int, L: int) -> list[QSeries]:
     """[group_0, group_1, ...], the groups of an (nu, L) built so far;
     refinement_hierarchy_lhs appends them up to the i <= M it reads.  No
-    group depends on M, and M runs innermost in the s_hierarchy grid, so the
-    one table kept serves every M of an (nu, L)."""
+    group depends on M, and M runs innermost in the s_hierarchy and
+    seed_identity grids, so the one table kept serves every M of an (nu, L).
+    nu = 0 is the seed identity's, whose group i is the m-sum of n = L - i."""
     return []
 
 
@@ -439,6 +440,9 @@ def refinement_hierarchy_lhs(nu: int, L: int, M: int) -> QSeries:
     groups = _refinement_groups(nu, L)
     while len(groups) <= min(L, M):
         i = len(groups)
+        if not nu:
+            groups.append(_m_sum(L - i, i, 0, 0, i))
+            continue
         group = Accumulator()
         for N1, n_last, SN, sq, m_top, mid in _ladder_chains(nu, i, L - i):
             inner = _m_sum(n_last, i, SN, sq, m_top)
@@ -479,11 +483,8 @@ def refinement_limit_lhs(nu: int, n: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 def seed_identity_lhs(L: int, M: int) -> QSeries:
-    """The m-sum of each i is taken before [L+M-i, L]_{q^3} multiplies it."""
-    total = Accumulator()
-    for i in range(min(M, L) + 1):
-        total.add(q_binomial(L + M - i, L, 3) * _m_sum(L - i, i, 0, 0, i))
-    return total.value()
+    """The nu = 0 ladder: [L+M-i, L]_{q^3} multiplies the m-sum of each i."""
+    return refinement_hierarchy_lhs(0, L, M)
 
 
 def roundtri_lhs(which: int, L: int) -> QSeries:

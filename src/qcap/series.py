@@ -42,18 +42,20 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 class _Limbs:
     """Integers as the w-byte little-endian limbs of one big integer, two's
-    complement when signed.  With an ``array`` typecode of item size w the
-    limbs pack and unpack in C; without one (w > 8) they go limb by limb
-    through ``to_bytes``.
+    complement when signed, packed as the value sum c_i 2**(8wi).  Array limbs
+    (w <= 8) pack and unpack in C, wider ones limb by limb through ``to_bytes``.
+    A signed limb with its top bit flipped reads c + 2**(8w-1), so with H those
+    flips, (limbs ^ H) - H packs and (value + H) ^ H unpacks, carry-free.
     """
 
-    __slots__ = ("width", "code", "signed")
+    __slots__ = ("width", "code", "signed", "half")
 
     def __init__(self, width: int, code: str | None, signed: bool) -> None:
         self.width, self.code, self.signed = width, code, signed
+        self.half = b"\x00" * (width - 1) + b"\x80" if signed else b""
 
     def pack(self, coeffs: Sequence[int]) -> int:
-        """The non-negative int whose limbs, low first, are coeffs."""
+        """sum c_i 2**(8wi) over coeffs, low first."""
         if self.code is None:
             w, signed = self.width, self.signed
             limbs = b"".join([c.to_bytes(w, "little", signed=signed) for c in coeffs])
@@ -62,12 +64,14 @@ class _Limbs:
             if _BIG_ENDIAN:
                 packed.byteswap()
             limbs = packed.tobytes()
-        return int.from_bytes(limbs, "little")
+        h = int.from_bytes(self.half * len(coeffs), "little")
+        return (int.from_bytes(limbs, "little") ^ h) - h
 
     def unpack(self, value: int, n: int) -> list[int]:
-        """The n limbs of value, low first; value must be below 2**(8wn)."""
+        """The n limbs of value = sum c_i 2**(8wi), low first; each must fit."""
         w, signed = self.width, self.signed
-        raw = value.to_bytes(n * w, "little")
+        h = int.from_bytes(self.half * n, "little")
+        raw = ((value + h) ^ h).to_bytes(n * w, "little")
         if self.code is None:
             return [int.from_bytes(raw[i:i + w], "little", signed=signed)
                     for i in range(0, n * w, w)]
@@ -95,29 +99,17 @@ def _limbs(bits: int, signed: bool) -> _Limbs:
 def _convolve_kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Product of two coefficient lists by one big-integer multiplication.
 
-    Every product coefficient satisfies |c| <= bound = max|a| * max|b| *
-    min(len(a), len(b)).  Limbs are w whole bytes with bound < half =
-    2**(8w-1), so every coefficient, of an operand or of the product, is a
-    w-byte two's-complement limb, and c + half lies in [0, 2**(8w)).  Flipping
-    a limb's top bit turns its two's-complement form into c + half, so an
-    operand packs, with ``H`` the all-``half`` limb pattern, as
-    (limbs ^ H) - H = sum c_i 2**(8wi).  After the one product, (P + H) ^ H
-    maps each product coefficient back to its two's-complement limb: P + H
-    has non-negative limbs c + half, so no carry crosses a limb.
+    Every coefficient, of an operand or of the product, is at most bound =
+    max|a| * max|b| * min(len(a), len(b)) in size, so w-byte signed limbs with
+    bound < 2**(8w-1) hold them all, and the packed product is the product of
+    the packed operands.
     """
     n = len(a) + len(b) - 1
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     if not bound:
         return [0] * n
     limbs = _limbs(bound.bit_length() + 1, signed=True)
-    half_limb = b"\x00" * (limbs.width - 1) + b"\x80"
-
-    def pack(coeffs: Sequence[int]) -> int:
-        h = int.from_bytes(half_limb * len(coeffs), "little")
-        return (limbs.pack(coeffs) ^ h) - h
-
-    h = int.from_bytes(half_limb * n, "little")
-    return limbs.unpack((pack(a) * pack(b) + h) ^ h, n)
+    return limbs.unpack(limbs.pack(a) * limbs.pack(b), n)
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -347,6 +339,37 @@ class Accumulator:
         if not self._coeffs and self._trunc is None:
             return ZERO  # shared, as the fold of no terms from ZERO is
         return QSeries(self._offset, self._coeffs, self._trunc)
+
+
+def stretched_product_sum(pairs: Sequence[tuple[QSeries, QSeries]], base: int) -> QSeries:
+    """sum a(q^base) * b(q) over exact pairs (a, b), in one packed pass: with
+    b_r the coefficients of b at exponents base*u + r, a(q^base) b(q) = sum_r
+    q^r (a b_r)(q^base).  A coefficient of class r of the sum, or of an a or
+    b_r in it, is at most bound_r = sum max|a| max|b_r| min(len(a), len(b_r))
+    over the pairs, so signed limbs with every bound_r < 2**(8w-1) hold them
+    all: each a and b_r packs once, their product adds at its shift into one
+    big int per class, and each class unpacks once into out[r::base]."""
+    parts, bounds = [], [0] * base
+    for a, b in pairs:
+        top = max(map(abs, a.coeffs), default=0)
+        for r in range(base):
+            j = (r - b.offset) % base
+            b_r = b.coeffs[j::base]
+            if top and any(b_r):
+                parts.append((a.coeffs, r, a.offset + (b.offset + j) // base, b_r))
+                bounds[r] += top * max(map(abs, b_r)) * min(len(a.coeffs), len(b_r))
+    lo = min((u for _, _, u, _ in parts), default=0)
+    n = max((u + len(a) + len(b_r) for a, _, u, b_r in parts), default=lo + 1) - lo - 1
+    limbs = _limbs(max(bounds).bit_length() + 1, signed=True)
+    sums, last = [0] * base, None
+    for a, r, u, b_r in parts:
+        if a is not last:
+            last, packed = a, limbs.pack(a)
+        sums[r] += packed * limbs.pack(b_r) << 8 * limbs.width * (u - lo)
+    out = [0] * (base * n)
+    for r, total in enumerate(sums):
+        out[r::base] = limbs.unpack(total, n)
+    return QSeries(base * lo, out)
 
 
 def div_exact(a: QSeries, b: QSeries) -> QSeries:

@@ -7,11 +7,13 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qcap import identities
+from qcap import identities, series
 from qcap.identities import (
     FAMILIES,
     _chain_levels,
+    _inner_level,
     _ladder_chains,
     _limit_levels,
     _refinement_groups,
@@ -295,6 +297,25 @@ def per_term_hierarchy_finite_lhs(family, f, L, s):
     return total
 
 
+def per_level_hierarchy_finite_lhs(family, f, L, s):
+    """The nested chain sum with one product per n_f: each chain is
+    stretched to q^base and multiplied by the seed on its own, and the
+    products are added one by one.  The reference for the packed pass."""
+    fam = FAMILIES[family]
+
+    def kernel(N, n):
+        return q_binomial(L - N, n - N)
+
+    eps = fam.a + bool(s)
+    level = _inner_level(_chain_levels, (L,), fam.a, f, s, kernel)
+    total = Accumulator()
+    for nf, inner in enumerate(level):
+        tail = poch_ratio(((2 * L + fam.a, 1),), ((L - nf, 1), (2 * nf + fam.a, 1)))
+        chain = (tail * inner).shift(nf * nf + eps * nf)
+        total.add(chain.substitute_q_power(fam.base) * fam.seed(nf))
+    return total.value()
+
+
 def per_term_hierarchy_limit_lhs(family, f, n, s):
     # every index vector with an exponent within n, each term at order n - e
     fam = FAMILIES[family]
@@ -413,6 +434,16 @@ class TestGroupedSums:
                 assert seed_identity_lhs(L, M) == per_term_seed_identity_lhs(L, M), (L, M)
 
 
+ORDERS = st.sampled_from(("ascending", "descending", "shuffled"))
+
+
+def in_order(items, order, rng):
+    """items ascending (as given), descending, or shuffled by rng."""
+    if order == "descending":
+        return items[::-1]
+    return rng.sample(items, len(items)) if order == "shuffled" else items
+
+
 class TestSharedTables:
     @pytest.mark.parametrize("first", sorted(FAMILIES))
     def test_chain_table_serves_every_family_whichever_fills_it(self, first):
@@ -443,6 +474,55 @@ class TestSharedTables:
                     assert hierarchy_finite_lhs("double", f, L, s) == finite[f, s, L], (f, s, L)
                 for n in (40, 57):
                     assert hierarchy_limit_lhs("double", f, n, s) == limit[f, s, n], (f, s, n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(family=st.sampled_from(sorted(FAMILIES)), L=st.integers(0, 10),
+           order=ORDERS, rng=st.randoms(use_true_random=False))
+    def test_packed_pass_matches_per_level_products_in_any_f_s_order(
+            self, family, L, order, rng):
+        # the one packed pass per call against one product per n_f, for
+        # every depth and twist at f <= 5, visited from cleared level stacks;
+        # base-3 seeds of n_f <= 1 are shorter than the base, so some of
+        # their residue classes are empty
+        pairs = [(f, s) for f in range(1, 6)
+                 for s in (range(f + 1) if FAMILIES[family].twisted else (0,))]
+        expected = {(f, s): per_level_hierarchy_finite_lhs(family, f, L, s) for f, s in pairs}
+        _chain_levels.cache_clear()
+        for f, s in in_order(pairs, order, rng):
+            assert hierarchy_finite_lhs(family, f, L, s) == expected[f, s], (f, s)
+
+    def test_packed_pass_past_8_byte_limbs(self, monkeypatch):
+        # cap2_binomial at f = 2, L = 24 is the shallowest grid point whose
+        # chain-times-seed coefficients need limbs wider than 8 bytes
+        widths, inside = [], []
+        limbs, packed_pass = series._limbs, identities.stretched_product_sum
+
+        def recorded_limbs(bits, signed):
+            chosen = limbs(bits, signed)
+            if inside:
+                widths.append(chosen.width)
+            return chosen
+
+        def recorded_pass(pairs, base):
+            inside.append(True)
+            try:
+                return packed_pass(pairs, base)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(series, "_limbs", recorded_limbs)
+        monkeypatch.setattr(identities, "stretched_product_sum", recorded_pass)
+        value = hierarchy_finite_lhs("cap2_binomial", 2, 24)
+        assert widths == [9]
+        assert value == per_level_hierarchy_finite_lhs("cap2_binomial", 2, 24, 0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(L=st.integers(0, 8), order=ORDERS, rng=st.randoms(use_true_random=False))
+    def test_seed_identity_lhs_in_any_m_order(self, L, order, rng):
+        # the nu = 0 groups of an L are built at whichever M comes first
+        _refinement_groups.cache_clear()
+        for M in in_order(list(range(11)), order, rng):
+            assert seed_identity_lhs(L, M) == per_term_seed_identity_lhs(L, M), M
 
     def test_refinement_lhs_in_any_m_order(self):
         # the table of an (nu, L) is built at whichever M comes first,

@@ -22,6 +22,7 @@ from qcap.series import (
     div_exact,
     inverse,
     monomial,
+    stretched_product_sum,
 )
 
 
@@ -379,6 +380,25 @@ class TestLimbs:
         coeffs = [top - 1, 0, -top if signed else 1, top - 1, 0]
         assert limbs.unpack(limbs.pack(coeffs), len(coeffs)) == coeffs
 
+    @pytest.mark.parametrize("signed", (False, True))
+    @pytest.mark.parametrize("width", range(1, 18))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_pack_is_the_value_at_the_limb_base(self, width, signed, data):
+        # every width, array limbs to 8 bytes and to_bytes limbs past them:
+        # a pack is sum c_i 2**(8wi), negative when the top limb is
+        limbs = _limbs(8 * width, signed)
+        assert limbs.width == next(w for w in (1, 2, 4, 8, width) if w >= width)
+        bits = 8 * limbs.width
+        lo, hi = (-2 ** (bits - 1), 2 ** (bits - 1) - 1) if signed else (0, 2 ** bits - 1)
+        coeffs = data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=12))
+        value = sum(c << bits * i for i, c in enumerate(coeffs))
+        assert limbs.pack(coeffs) == value
+        assert limbs.unpack(value, len(coeffs)) == coeffs
+        if signed:
+            assert limbs.pack([0, lo]) == lo << bits < 0
+            assert limbs.unpack(lo << bits, 2) == [0, lo]
+
 
 class TestKronecker:
     @settings(max_examples=60, deadline=None)
@@ -411,6 +431,50 @@ class TestKronecker:
         product = _convolve_kronecker(a, b)
         assert product[127] == sign * 2**127
         assert product == naive_convolve(a, b)
+
+
+def reference_stretched_product_sum(pairs, base):
+    """sum a(q^base) * b(q): each chain stretched, then one product per pair."""
+    total = Accumulator()
+    for a, b in pairs:
+        total.add(a.substitute_q_power(base) * b)
+    return total.value()
+
+
+# Exact operands for the packed pass: short ones (fewer coefficients than the
+# base, so some residue classes are empty), ones with all-zero classes, and
+# long ones with coefficients past 8-byte limbs.
+stretch_operand = st.one_of(
+    laurent,
+    st.builds(QSeries, st.integers(-6, 6), st.lists(st.integers(-3, 3), max_size=2)),
+    st.builds(lambda e, c, k: QSeries(e, [c] + [0] * k + [c]), st.integers(-6, 6),
+              st.integers(1, 9), st.sampled_from((2, 5))),
+    st.builds(QSeries, st.integers(-30, 30), _kronecker_lists(st.integers(-10**12, 10**12))),
+)
+
+
+class TestStretchedProductSum:
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.tuples(stretch_operand, stretch_operand), max_size=6),
+           st.sampled_from((1, 2, 3)))
+    # classes 1 and 2 empty, and class 1 of 1 + q^3 present but all zero
+    @example([(ONE + Q, ONE), (monomial(-2, 5), ONE + monomial(3))], 3)
+    # every pair zero, and no pair
+    @example([(ZERO, ONE + Q), (ONE, ZERO)], 2)
+    @example([], 3)
+    def test_matches_stretched_products(self, pairs, base):
+        assert stretched_product_sum(pairs, base) == reference_stretched_product_sum(pairs, base)
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_coefficient_at_the_limb_bound(self, sign):
+        # two pairs, each of bound 2**61 * 1 * 2 = 2**62, whose products meet
+        # at q^3 with coefficient sign * 2**63: 8-byte limbs would hold it
+        # only for sign -1, so the width must come from the sum of the bounds
+        a, b = QSeries(0, (2**61, 2**61)), QSeries(0, (sign, 0, 0, sign))
+        pairs = [(a, b), (a, b)]
+        value = stretched_product_sum(pairs, 3)
+        assert value.coeffs[3] == sign * 2**63
+        assert value == reference_stretched_product_sum(pairs, 3)
 
 
 class TestTruncatedMul:

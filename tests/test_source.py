@@ -1,7 +1,9 @@
 """Source rules: no check may live in an ``assert`` statement, because
 ``python -O`` strips them; the two sides of a hierarchy case stay
-independent evaluators, and no left side of an S-ladder or trinomial case
-sums through the right sides' binomial-product kernel; the partition oracle
+independent evaluators, no left side of an S-ladder or trinomial case
+sums through the right sides' binomial-product kernel, and no hierarchy
+right side through the left sides' packed pass; the half-limb constant of
+signed limbs lives only in the series module; the partition oracle
 imports nothing from qcap; and
 every top-level function or class, and every method or property of a class,
 is used by the package or is an entry point."""
@@ -99,6 +101,38 @@ def test_kernel_rule_sees_the_right_sides():
     assert "trinomial_t" in _names_reached(tree, "roundtri_rhs")
     # t4 is a local of _m_sum, which seed_identity_lhs calls
     assert "t4" in _names_reached(tree, "seed_identity_lhs")
+
+
+# The packed chain-times-seed pass of the finite hierarchy left sides.
+PACKED_PASS = "stretched_product_sum"
+PASS_FREE_SIDES = ("hierarchy_finite_rhs", "alpha_sum", "binomial_sum")
+
+
+def test_hierarchy_right_sides_do_not_reach_the_packed_pass():
+    # the two sides of each hierarchy_finite case stay independent
+    tree = _tree("identities.py")
+    found = [side for side in PASS_FREE_SIDES if PACKED_PASS in _names_reached(tree, side)]
+    assert not found, found
+
+
+def test_packed_pass_rule_sees_the_left_side():
+    assert PACKED_PASS in _names_reached(_tree("identities.py"), "hierarchy_finite_lhs")
+
+
+def _half_limb_constants(tree):
+    """Line numbers of bytes constants holding a 0x80 byte: the half-limb
+    bias of signed limbs."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, bytes)
+            and 0x80 in node.value]
+
+
+def test_half_limb_constant_lives_only_in_series():
+    # signed limbs apply their bias in series._Limbs and nowhere else
+    found = {path.name: _half_limb_constants(_tree(path.name))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "series.py"}
+    assert not any(found.values()), found
+    assert _half_limb_constants(_tree("series.py"))
 
 
 def _imports_from_qcap(tree):
