@@ -22,6 +22,7 @@ from qcap.series import (
     Comparison,
     QSeries,
     ZERO,
+    _limbs,
     compare,
     div_exact,
     monomial,
@@ -423,21 +424,42 @@ def _ladder_chains(nu: int, i: int, top: int,
 
 
 @lru_cache(maxsize=1)
-def _refinement_groups(nu: int, L: int) -> list[QSeries]:
-    """[group_0, group_1, ...], the groups of an (nu, L) built so far;
-    refinement_hierarchy_lhs appends them up to the i <= M it reads.  No
-    group depends on M, and M runs innermost in the s_hierarchy and
-    seed_identity grids, so the one table kept serves every M of an (nu, L).
-    nu = 0 is the seed identity's, whose group i is the m-sum of n = L - i."""
-    return []
+def _refinement_groups(nu: int, L: int) -> tuple[list[QSeries], list[int], dict]:
+    """(groups, ones, packs): the groups i <= M of the largest M read, their
+    values at q = 1 and packs.  No group depends on M, which runs innermost,
+    so one table serves every M.  nu = 0: group i is the m-sum of n = L - i."""
+    return [], [], {}
+
+
+def _bounded_binomial_sum(L: int, M: int, groups: list, ones: list, packs: dict) -> QSeries:
+    """sum [L+M-i, L]_{q^3} group_i over the groups i <= min(L, M), one packed
+    pass per class mod 3: a group at offset 3t + o, padded with o < 3 zeros,
+    has classes g_r = padded[r::3], term sum_r q^(r+3t) ([L+M-i, L] g_r)(q^3).
+    All coefficients lie in [0, bound], bound = sum comb(L+M-i, L) group_i(1),
+    so in unsigned limbs with 2**(8w) > bound each class adds up carry-free,
+    to bound.  packs keeps the last width's g_r and [L+k, L] for later M."""
+    ones.extend(sum(group.coeffs) for group in groups[len(ones):])
+    bound = sum(math.comb(L + M - i, L) * ones[i] for i in range(len(groups)))
+    limbs = _limbs(bound, signed=False)
+    if limbs.width not in packs:
+        packs.clear()
+    classes, binomials = packs.setdefault(limbs.width, ([], []))
+    for group in groups[len(classes):]:
+        padded = (0,) * (group.offset % 3) + group.coeffs
+        classes.append((group.offset // 3, [limbs.pack(padded[r::3]) for r in range(3)]))
+    binomials.extend(limbs.pack(q_binomial(L + k, L).coeffs) for k in range(len(binomials), M + 1))
+    sums = [sum(binomials[M - i] * packed[r] << 8 * limbs.width * t
+                for i, (t, packed) in enumerate(classes[:len(groups)])) for r in range(3)]
+    n = max(g.degree() // 3 + (M - i) * L for i, g in enumerate(groups)) + 1
+    return QSeries(0, limbs.unpack_classes(sums, n, bound))
 
 
 def refinement_hierarchy_lhs(nu: int, L: int, M: int) -> QSeries:
     """Exact parity-constrained multi-sum with the doubly bounded binomial
     kernel [L+M-i, L]_{q^3} [L-N_1, i]_{q^3}.  Group i sums, over the ladder
     chains with N_1 <= L - i, the m-sum times [L-N_1, i] and the middle
-    binomials; [L+M-i, L] then multiplies each group."""
-    groups = _refinement_groups(nu, L)
+    binomials; [L+M-i, L] then multiplies each group, in one packed pass."""
+    groups, ones, packs = _refinement_groups(nu, L)
     while len(groups) <= min(L, M):
         i = len(groups)
         if not nu:
@@ -448,11 +470,7 @@ def refinement_hierarchy_lhs(nu: int, L: int, M: int) -> QSeries:
             inner = _m_sum(n_last, i, SN, sq, m_top)
             group.add(q_binomial(L - N1, i, 3) * mid * inner)
         groups.append(group.value())
-    total = Accumulator()
-    for i, group in enumerate(groups[:min(L, M) + 1]):
-        if group:
-            total.add(q_binomial(L + M - i, L, 3) * group)
-    return total.value()
+    return _bounded_binomial_sum(L, M, groups[:min(L, M) + 1], ones, packs)
 
 
 def refinement_hierarchy_rhs(nu: int, L: int, M: int) -> QSeries:

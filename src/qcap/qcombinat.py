@@ -243,8 +243,7 @@ def binomial_product_sum(terms: Iterable[Term], base: int = 1) -> QSeries:
     lo = min(e for e, _ in kept) // base
     n = max(e // base + sum(k * (top - k) for top, k in factors)
             for e, factors in kept) - lo + 1
-    limbs = _limbs(bound.bit_length(), signed=False)
-    bits = 8 * limbs.width
+    limbs = _limbs(bound, signed=False)
     packed: dict[tuple[int, int], int] = {}
     classes = [0] * base
     for e, factors in kept:
@@ -254,14 +253,8 @@ def binomial_product_sum(terms: Iterable[Term], base: int = 1) -> QSeries:
                 packed[factor] = limbs.pack(_q_binomial_base1(*factor).coeffs)
             term *= packed[factor]
         unit, r = divmod(e, base)
-        classes[r] += term << bits * (unit - lo)
-    out = [0] * (base * n)
-    for r, total in enumerate(classes):
-        if total:
-            out[r::base] = limbs.unpack(total, n)
-    if sum(out) != bound:
-        raise ArithmeticError(f"coefficients add up to {sum(out)}, not to the bound {bound}")
-    return QSeries(base * lo, out)
+        classes[r] += term << 8 * limbs.width * (unit - lo)
+    return QSeries(base * lo, limbs.unpack_classes(classes, n, bound))
 
 
 def trinomial_t(length: int, b: int, a: int, base: int = 1, shift: int = 0) -> list[Term]:

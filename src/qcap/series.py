@@ -80,6 +80,16 @@ class _Limbs:
             out.byteswap()
         return out.tolist()
 
+    def unpack_classes(self, sums: Sequence[int], n: int, total: int | None = None) -> list[int]:
+        """The coefficients c with c[r::len(sums)] the n limbs of sums[r]; with
+        a total given, they must add up to it, or ArithmeticError is raised."""
+        out = [0] * (len(sums) * n)
+        for r, packed in enumerate(sums):
+            out[r::len(sums)] = self.unpack(packed, n)
+        if total is not None and sum(out) != total:
+            raise ArithmeticError(f"coefficients add up to {sum(out)}, not to the bound {total}")
+        return out
+
 
 # For w = 0..8 bytes, signed and unsigned: limbs of the narrowest array item
 # ("bhiq" signed, "BHIQ" unsigned) of at least w bytes.
@@ -89,10 +99,10 @@ _ARRAY_LIMBS = {
     for signed, codes in ((True, "bhiq"), (False, "BHIQ"))}
 
 
-def _limbs(bits: int, signed: bool) -> _Limbs:
-    """The narrowest limbs that hold ``bits`` bits: array limbs up to 8 bytes,
-    whole bytes packed one by one past them."""
-    w = (bits + 7) // 8
+def _limbs(bound: int, signed: bool) -> _Limbs:
+    """The narrowest limbs that hold every integer of size at most bound, and
+    its sign if signed: array limbs up to 8 bytes, whole bytes past them."""
+    w = (bound.bit_length() + signed + 7) // 8
     return _ARRAY_LIMBS[signed][w] if w <= 8 else _Limbs(w, None, signed)
 
 
@@ -108,7 +118,7 @@ def _convolve_kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     if not bound:
         return [0] * n
-    limbs = _limbs(bound.bit_length() + 1, signed=True)
+    limbs = _limbs(bound, signed=True)
     return limbs.unpack(limbs.pack(a) * limbs.pack(b), n)
 
 
@@ -351,6 +361,8 @@ def stretched_product_sum(pairs: Sequence[tuple[QSeries, QSeries]], base: int) -
     big int per class, and each class unpacks once into out[r::base]."""
     parts, bounds = [], [0] * base
     for a, b in pairs:
+        if a.trunc is not None or b.trunc is not None:
+            raise TruncatedInput("stretched_product_sum requires exact operands")
         top = max(map(abs, a.coeffs), default=0)
         for r in range(base):
             j = (r - b.offset) % base
@@ -360,16 +372,13 @@ def stretched_product_sum(pairs: Sequence[tuple[QSeries, QSeries]], base: int) -
                 bounds[r] += top * max(map(abs, b_r)) * min(len(a.coeffs), len(b_r))
     lo = min((u for _, _, u, _ in parts), default=0)
     n = max((u + len(a) + len(b_r) for a, _, u, b_r in parts), default=lo + 1) - lo - 1
-    limbs = _limbs(max(bounds).bit_length() + 1, signed=True)
+    limbs = _limbs(max(bounds), signed=True)
     sums, last = [0] * base, None
     for a, r, u, b_r in parts:
         if a is not last:
             last, packed = a, limbs.pack(a)
         sums[r] += packed * limbs.pack(b_r) << 8 * limbs.width * (u - lo)
-    out = [0] * (base * n)
-    for r, total in enumerate(sums):
-        out[r::base] = limbs.unpack(total, n)
-    return QSeries(base * lo, out)
+    return QSeries(base * lo, limbs.unpack_classes(sums, n))
 
 
 def div_exact(a: QSeries, b: QSeries) -> QSeries:

@@ -2,6 +2,7 @@
 reduction/construction chains connecting the cases."""
 
 import dataclasses
+import functools
 import math
 import random
 from collections import Counter
@@ -497,8 +498,8 @@ class TestSharedTables:
         widths, inside = [], []
         limbs, packed_pass = series._limbs, identities.stretched_product_sum
 
-        def recorded_limbs(bits, signed):
-            chosen = limbs(bits, signed)
+        def recorded_limbs(bound, signed):
+            chosen = limbs(bound, signed)
             if inside:
                 widths.append(chosen.width)
             return chosen
@@ -546,7 +547,7 @@ class TestSharedTables:
             assert (refinement_hierarchy_lhs(2, 8, M)
                     == per_term_refinement_hierarchy_lhs(2, 8, M)), M
             largest = max(largest, M)
-            assert len(_refinement_groups(2, 8)) == min(largest, 8) + 1
+            assert len(_refinement_groups(2, 8)[0]) == min(largest, 8) + 1
         assert _refinement_groups.cache_info().misses == 1
 
     def test_one_table_build_per_grid_point(self, monkeypatch):
@@ -582,6 +583,58 @@ class TestSharedTables:
                 for params in iterate_grid(case_id, at_100):
                     assert verify_case(case_id, params).verdict
         assert len(built) == len(set(built)) == 11
+
+
+@functools.lru_cache(maxsize=None)
+def per_term_ladder_lhs(nu, L, M):
+    """The S-ladder left side of nu term by term; nu = 0 is the seed identity's."""
+    return per_term_refinement_hierarchy_lhs(nu, L, M) if nu else per_term_seed_identity_lhs(L, M)
+
+
+class TestBoundedBinomialSum:
+    # the packed M-sum sum_i [L+M-i, L]_{q^3} group_i of refinement_hierarchy_lhs
+    # for nu <= 3 (nu = 0: the seed identity), from a cleared table
+
+    @settings(max_examples=40, deadline=None)
+    @given(nu=st.integers(0, 3), L=st.integers(0, 10), order=ORDERS,
+           rng=st.randoms(use_true_random=False))
+    def test_matches_per_term_in_any_m_order(self, nu, L, order, rng):
+        # M < L reads some groups and packs, a later M extends them
+        _refinement_groups.cache_clear()
+        for M in in_order(list(range(10)), order, rng):
+            assert refinement_hierarchy_lhs(nu, L, M) == per_term_ladder_lhs(nu, L, M), M
+
+    @pytest.mark.parametrize("order", ("ascending", "descending", "shuffled"))
+    def test_past_8_byte_limbs(self, monkeypatch, order):
+        # every width forced past 8 bytes, to the to_bytes limbs
+        limbs, widths = identities._limbs, set()
+
+        def wide(bound, signed):
+            chosen = limbs(max(bound, 2**80), signed)
+            widths.add(chosen.width)
+            return chosen
+
+        monkeypatch.setattr(identities, "_limbs", wide)
+        rng = random.Random(5)
+        for nu in range(4):
+            for L in (3, 6):
+                _refinement_groups.cache_clear()
+                for M in in_order(list(range(8)), order, rng):
+                    assert (refinement_hierarchy_lhs(nu, L, M)
+                            == per_term_ladder_lhs(nu, L, M)), (nu, L, M)
+        assert widths == {11}
+
+    def test_limbs_one_byte_too_narrow_raise(self, monkeypatch):
+        # negative control: at L = M = 6 some coefficient of the sum passes
+        # the narrower limbs, whose carries then lose a part of the bound
+        limbs = identities._limbs
+        monkeypatch.setattr(identities, "_limbs", lambda bound, signed: series._Limbs(
+            limbs(bound, signed).width - 1, None, signed))
+        for nu in range(4):
+            assert max(per_term_ladder_lhs(nu, 6, 6).coeffs) >= 256
+            _refinement_groups.cache_clear()
+            with pytest.raises(ArithmeticError, match="not to the bound"):
+                refinement_hierarchy_lhs(nu, 6, 6)
 
 
 class TestDepthReach:

@@ -373,7 +373,7 @@ class TestLimbs:
     def test_extreme_limbs_round_trip(self, bits, signed):
         # the widest values the width must hold, in array limbs up to 8 bytes
         # and in to_bytes limbs past them
-        limbs = _limbs(bits, signed)
+        limbs = _limbs(2 ** (bits - signed) - 1, signed)
         assert limbs.width == next((w for w in (1, 2, 4, 8) if 8 * w >= bits), (bits + 7) // 8)
         assert (limbs.code is None) == (bits > 64)
         top = 2 ** (bits - 1) if signed else 2 ** bits
@@ -387,7 +387,7 @@ class TestLimbs:
     def test_pack_is_the_value_at_the_limb_base(self, width, signed, data):
         # every width, array limbs to 8 bytes and to_bytes limbs past them:
         # a pack is sum c_i 2**(8wi), negative when the top limb is
-        limbs = _limbs(8 * width, signed)
+        limbs = _limbs(2 ** (8 * width - signed) - 1, signed)
         assert limbs.width == next(w for w in (1, 2, 4, 8, width) if w >= width)
         bits = 8 * limbs.width
         lo, hi = (-2 ** (bits - 1), 2 ** (bits - 1) - 1) if signed else (0, 2 ** bits - 1)
@@ -398,6 +398,20 @@ class TestLimbs:
         if signed:
             assert limbs.pack([0, lo]) == lo << bits < 0
             assert limbs.unpack(lo << bits, 2) == [0, lo]
+
+
+    @pytest.mark.parametrize("signed", (False, True))
+    @pytest.mark.parametrize("bound", (0, 255, 2**64, 2**100))
+    def test_unpack_classes_interleaves_and_checks_the_total(self, bound, signed):
+        # class r of the sums fills out[r::base], through array limbs and
+        # to_bytes limbs; a total that the coefficients miss raises
+        limbs = _limbs(bound, signed)
+        classes = [[bound, 0, 1], [], [-bound if signed else 0, bound]]
+        out = limbs.unpack_classes([limbs.pack(c) for c in classes], 3)
+        assert out == [bound, 0, -bound if signed else 0, 0, 0, bound, 1, 0, 0]
+        assert limbs.unpack_classes([limbs.pack(c) for c in classes], 3, sum(out)) == out
+        with pytest.raises(ArithmeticError):
+            limbs.unpack_classes([limbs.pack(c) for c in classes], 3, sum(out) + 1)
 
 
 class TestKronecker:
@@ -475,6 +489,18 @@ class TestStretchedProductSum:
         value = stretched_product_sum(pairs, 3)
         assert value.coeffs[3] == sign * 2**63
         assert value == reference_stretched_product_sum(pairs, 3)
+
+    @pytest.mark.parametrize("truncated_first", (True, False))
+    def test_a_truncated_operand_raises(self, truncated_first):
+        # the packed pass has no truncation to give its sum: a * b of these
+        # operands is (1, 3) known to q^1, which an exact (1, 3, 2) would
+        # contradict
+        a, b = QSeries(0, (1, 2, 3), 1), QSeries(0, (1, 1))
+        assert a * b == QSeries(0, (1, 3), 1)
+        pair = (a, b) if truncated_first else (b, a)
+        for base in (1, 3):
+            with pytest.raises(TruncatedInput):
+                stretched_product_sum([(ONE, ONE), pair], base)
 
 
 class TestTruncatedMul:

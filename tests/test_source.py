@@ -1,8 +1,9 @@
 """Source rules: no check may live in an ``assert`` statement, because
 ``python -O`` strips them; the two sides of a hierarchy case stay
 independent evaluators, no left side of an S-ladder or trinomial case
-sums through the right sides' binomial-product kernel, and no hierarchy
-right side through the left sides' packed pass; the half-limb constant of
+sums through the right sides' binomial-product kernel, no hierarchy right
+side through the left sides' packed pass, and no S-ladder or trinomial
+right side through the left sides' packed M-sum; the half-limb constant of
 signed limbs lives only in the series module; the partition oracle
 imports nothing from qcap; and
 every top-level function or class, and every method or property of a class,
@@ -117,6 +118,25 @@ def test_hierarchy_right_sides_do_not_reach_the_packed_pass():
 
 def test_packed_pass_rule_sees_the_left_side():
     assert PACKED_PASS in _names_reached(_tree("identities.py"), "hierarchy_finite_lhs")
+
+
+# The packed M-sum of the S-ladder and seed-identity left sides.
+M_SUM_PASS = "_bounded_binomial_sum"
+M_SUM_FREE_SIDES = ("refinement_hierarchy_rhs", "roundtri_rhs")
+
+
+def test_right_sides_do_not_reach_the_m_sum_pass():
+    # the two sides of s_hierarchy, seed_identity and fin_cap_roundtri_*
+    # stay independent
+    tree = _tree("identities.py")
+    found = [side for side in M_SUM_FREE_SIDES if M_SUM_PASS in _names_reached(tree, side)]
+    assert not found, found
+
+
+def test_m_sum_pass_rule_sees_the_left_sides():
+    tree = _tree("identities.py")
+    assert M_SUM_PASS in _names_reached(tree, "refinement_hierarchy_lhs")
+    assert M_SUM_PASS in _names_reached(tree, "seed_identity_lhs")
 
 
 def _half_limb_constants(tree):
