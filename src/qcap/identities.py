@@ -21,6 +21,7 @@ from qcap.series import (
     Accumulator,
     Comparison,
     QSeries,
+    TruncatedInput,
     ZERO,
     _limbs,
     compare,
@@ -145,16 +146,16 @@ def seed_cap2(L: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 def binomial_sum(L: int, a: int, base: int, weight: Callable[[int], QSeries]) -> QSeries:
-    """sum_j weight(j) * [2L+a, L-j] in the given base; j spans all indices
-    with a non-vanishing binomial."""
-    total = Accumulator()
+    """sum_j weight(j) * [2L+a, L-j] in the given base, over every j with a
+    non-vanishing binomial, in one binomial_product_sum pass: a term c q^e
+    [2L+a, L-j] for each non-zero coefficient c q^e of the exact weight(j)."""
+    terms = []
     for j in range(-L - a, L + a + 1):
         w = weight(j)
-        if w:
-            b = q_binomial(2 * L + a, L - j, base)
-            if b:
-                total.add(w * b)
-    return total.value()
+        if w.trunc is not None:
+            raise TruncatedInput("binomial_sum requires exact weights")
+        terms += [(w.offset + i, c, ((2 * L + a, L - j),)) for i, c in enumerate(w.coeffs) if c]
+    return binomial_product_sum(terms, base)
 
 
 # ---------------------------------------------------------------------------
@@ -623,10 +624,7 @@ def k_transform_lhs(k: int, L: int) -> QSeries:
 
 
 def k_transform_rhs(k: int, L: int) -> QSeries:
-    inner = binomial_sum(
-        L, 0, 1, lambda j: monomial(k * j * j - (k - 1) * j, jacobi3(j + 1))
-    )
-    return inner.shift(L)
+    return binomial_sum(L, 0, 1, lambda j: monomial(k * j * j - (k - 1) * j + L, jacobi3(j + 1)))
 
 
 def cor_cap2_analogue_lhs(L: int) -> QSeries:

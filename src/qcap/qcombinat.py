@@ -16,7 +16,7 @@ from operator import add, sub
 from typing import Iterable
 
 from qcap.series import ONE, Accumulator, NonDivisible, QSeries, ZERO, inverse, monomial
-from qcap.series import _limbs
+from qcap.series import _Limbs, _limbs
 
 
 class NegativeLength(ValueError):
@@ -216,52 +216,54 @@ def _poch_ratio_cached(num: tuple[tuple[int, int], ...], den: tuple[tuple[int, i
 # Sums of q-binomial products and the trinomial refinements
 # ---------------------------------------------------------------------------
 
-# q^e [top_1, k_1] [top_2, k_2] ... as (e, ((top_1, k_1), (top_2, k_2), ...)).
-Term = tuple[int, tuple[tuple[int, int], ...]]
+# c q^e [top_1, k_1] [top_2, k_2] ... as (e, c, ((top_1, k_1), (top_2, k_2), ...)).
+Term = tuple[int, int, tuple[tuple[int, int], ...]]
+
+
+@lru_cache(maxsize=None)
+def _packed_binomial(top: int, k: int, width: int) -> int:
+    """[top, k], 0 <= k <= top / 2, in base 1 packed into unsigned width-byte limbs."""
+    return _Limbs(width, None, False).pack(_q_binomial_base1(top, k).coeffs)
 
 
 def binomial_product_sum(terms: Iterable[Term], base: int = 1) -> QSeries:
-    """The exact sum of q^e prod [top, k]_{q^base} over the terms.
+    """The exact sum of c q^e prod [top, k]_{q^base} over the terms, those
+    with c = 0 or a vanishing binomial (k < 0 or k > top) dropped.
 
-    A term with a vanishing binomial (k < 0 or k > top) is dropped.  Every
-    other coefficient, of a factor, a term or the sum, lies in [0, bound],
-    where bound = sum prod comb(top, k) is the sum's value at q = 1.  So with
-    unsigned limbs of w bytes, 2**(8w) > bound, each base-1 binomial packs
-    into one int, and a term's packed factors multiply, and the terms of one
-    residue class r = e mod base add at their shifts of e // base limbs, as
-    plain ints with no carry across a limb; each distinct binomial packs once
-    per call.  Each class sum unpacks once into the coefficients of q^r,
-    q^(r + base), ...  The unpacked coefficients must add up to bound;
-    otherwise raises ArithmeticError.
+    Every coefficient, of a factor, a term or the sum, is at most bound =
+    sum |c| prod comb(top, k) in size, and not negative if no c is.  So in
+    w-byte limbs that hold it, signed only if some c < 0, each base-1
+    binomial packs once per width for the whole run ([top, k] and [top,
+    top - k] alike, unsigned, as comb(top, k) <= bound < 2**(8w-1)), a
+    term's packed factors multiply, and the terms of one class r = e mod base
+    add at shifts of e // base limbs with no carry across a limb.  Each class
+    unpacks once into the coefficients of q^r, q^(r + base), ...; they must
+    add up to the sum's value at q = 1, or ArithmeticError is raised.
     """
-    kept = [(e, factors) for e, factors in terms
-            if all(0 <= k <= top for top, k in factors)]
+    kept = [(e, c, factors, math.prod(math.comb(top, k) for top, k in factors))
+            for e, c, factors in terms if c and all(0 <= k <= top for top, k in factors)]
     if not kept:
         return ZERO
-    bound = sum(math.prod(math.comb(top, k) for top, k in factors)
-                for _, factors in kept)
-    lo = min(e for e, _ in kept) // base
+    bound = sum(abs(c) * comb for _, c, _, comb in kept)
+    lo = min(e for e, _, _, _ in kept) // base
     n = max(e // base + sum(k * (top - k) for top, k in factors)
-            for e, factors in kept) - lo + 1
-    limbs = _limbs(bound, signed=False)
-    packed: dict[tuple[int, int], int] = {}
+            for e, _, factors, _ in kept) - lo + 1
+    limbs = _limbs(bound, signed=any(c < 0 for _, c, _, _ in kept))
     classes = [0] * base
-    for e, factors in kept:
-        term = 1
-        for factor in factors:
-            if factor not in packed:
-                packed[factor] = limbs.pack(_q_binomial_base1(*factor).coeffs)
-            term *= packed[factor]
+    for e, term, factors, _ in kept:
+        for top, k in factors:
+            term *= _packed_binomial(top, min(k, top - k), limbs.width)
         unit, r = divmod(e, base)
         classes[r] += term << 8 * limbs.width * (unit - lo)
-    return QSeries(base * lo, limbs.unpack_classes(classes, n, bound))
+    total = sum(c * comb for _, c, _, comb in kept)
+    return QSeries(base * lo, limbs.unpack_classes(classes, n, total))
 
 
 def trinomial_t(length: int, b: int, a: int, base: int = 1, shift: int = 0) -> list[Term]:
     """The Andrews-Baxter trinomial q^shift T(length; b, a) in base q^base,
     as terms for binomial_product_sum: T(L; b, a) = sum_j q^(j(j+b)) [L, j]
     [L-j, j+a]."""
-    return [(shift + base * j * (j + b), ((length, j), (length - j, j + a)))
+    return [(shift + base * j * (j + b), 1, ((length, j), (length - j, j + a)))
             for j in range(length + 1)]
 
 
@@ -274,7 +276,7 @@ def warnaar_s(big_l: int, big_m: int, a: int, b: int,
         return []
     # the binomials are non-zero exactly when 2n <= L-a, 0 <= n <= M-a+b
     # and -a <= n <= M-b (M >= 0)
-    return [(shift + base * n * (n + a),
+    return [(shift + base * n * (n + a), 1,
              ((big_m + big_l - a - 2 * n, big_m), (big_m - a + b, n), (big_m + a - b, n + a)))
             for n in range(max(0, -a), min(big_m - a + b, big_m - b, (big_l - a) // 2) + 1)]
 

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcap import identities, series
+from qcap import identities, qcombinat, series
 from qcap.identities import (
     FAMILIES,
     _chain_levels,
@@ -40,7 +40,7 @@ from qcap.identities import (
     verify_case,
 )
 from qcap.qcombinat import inv_pochhammer, jacobi3, poch_ratio, pochhammer, q_binomial
-from qcap.series import ONE, Accumulator, QSeries, ZERO, inverse, monomial
+from qcap.series import ONE, Accumulator, QSeries, TruncatedInput, ZERO, inverse, monomial
 
 
 def poly(*terms):
@@ -761,3 +761,68 @@ class TestAlphaTable:
             assert alpha_sum(FAMILIES["double"], 0, L, 1) == hand_cor_cap2_analogue_rhs(L)
             assert alpha_sum(FAMILIES["cap2_analogue"], 0, L) == binomial_sum(
                 L, 1, 1, lambda j: monomial(j * (j + 1), jacobi3(j + 1)))
+
+
+def per_term_binomial_sum(L, a, base, weight):
+    """The reference for binomial_sum: one QSeries product per j, each added
+    on its own."""
+    total = Accumulator()
+    for j in range(-L - a, L + a + 1):
+        w = weight(j)
+        if w:
+            b = q_binomial(2 * L + a, L - j, base)
+            if b:
+                total.add(w * b)
+    return total.value()
+
+
+# Signed Laurent weights: per j mod 5, a list of (exponent, coefficient).
+monomials = st.lists(st.tuples(st.integers(-12, 12), st.integers(-4, 4)), max_size=3)
+signed_weights = st.lists(monomials, min_size=5, max_size=5)
+
+
+class TestBinomialSum:
+    # the one packed pass of binomial_sum against one product per j
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(sorted(FAMILIES)), f=st.integers(0, 3),
+           L=st.integers(0, 10), data=st.data())
+    def test_alpha_sums_match_per_term(self, family, f, L, data):
+        fam = FAMILIES[family]
+        s = data.draw(st.integers(0, f) if fam.twisted else st.just(0))
+        b, a = fam.base, fam.a
+        expected = per_term_binomial_sum(
+            L, a, b, lambda j: fam.alpha(s, j).shift(f * b * (j * j + a * j)))
+        assert alpha_sum(fam, f, L, s) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(L=st.integers(0, 8), a=st.integers(0, 1), base=st.integers(1, 3),
+           table=signed_weights)
+    def test_signed_laurent_weights_match_per_term(self, L, a, base, table):
+        def weight(j):
+            return poly(*table[j % 5])
+
+        assert binomial_sum(L, a, base, weight) == per_term_binomial_sum(L, a, base, weight)
+
+    def test_past_8_byte_limbs(self, monkeypatch):
+        # every width forced past 8 bytes, to the to_bytes limbs
+        limbs, widths = qcombinat._limbs, set()
+
+        def wide(bound, signed):
+            chosen = limbs(max(bound, 2**80), signed)
+            widths.add(chosen.width)
+            return chosen
+
+        monkeypatch.setattr(qcombinat, "_limbs", wide)
+        for family, fam in sorted(FAMILIES.items()):
+            for L in (0, 3, 7):
+                for f in (0, 2):
+                    expected = per_term_binomial_sum(
+                        L, fam.a, fam.base,
+                        lambda j: fam.alpha(f, j).shift(f * fam.base * (j * j + fam.a * j)))
+                    assert alpha_sum(fam, f, L, f if fam.twisted else 0) == expected
+        assert widths == {11}
+
+    def test_a_truncated_weight_raises(self):
+        with pytest.raises(TruncatedInput):
+            binomial_sum(2, 0, 1, lambda j: QSeries(j * j, (1,), 9))

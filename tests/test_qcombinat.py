@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcap import qcombinat
+from qcap import qcombinat, series
 from qcap.identities import refinement_hierarchy_rhs, roundtri_rhs
 from qcap.qcombinat import (
     NegativeLength,
@@ -242,8 +242,8 @@ class TestPochRatioReference:
 
 def per_term_sum(terms, base=1):
     total = ZERO
-    for e, factors in terms:
-        term = monomial(e)
+    for e, c, factors in terms:
+        term = monomial(e, c)
         for top, k in factors:
             term = term * q_binomial(top, k, base)
         total = total + term
@@ -307,13 +307,20 @@ def per_j_roundtri_rhs(which, L):
 
 
 def bound_at_one(terms):
-    """The value at q = 1 of the sum of the terms with no vanishing binomial."""
-    return sum(math.prod(math.comb(top, k) for top, k in factors)
-               for _, factors in terms if all(0 <= k <= top for top, k in factors))
+    """The value at q = 1 of the sum of the terms with no vanishing binomial,
+    each taken with |c|."""
+    return sum(abs(c) * math.prod(math.comb(top, k) for top, k in factors)
+               for _, c, factors in terms if all(0 <= k <= top for top, k in factors))
 
 
 binomial_factor = st.tuples(st.integers(-2, 12), st.integers(-2, 8))
-binomial_term = st.tuples(st.integers(-30, 30), st.lists(binomial_factor, max_size=3).map(tuple))
+binomial_factors = st.lists(binomial_factor, max_size=3).map(tuple)
+binomial_term = st.tuples(st.integers(-30, 30), st.just(1), binomial_factors)
+signed_term = st.tuples(st.integers(-30, 30), st.integers(-3, 3), binomial_factors)
+# terms whose sum has coefficients of both signs, some past 2**8 in size, and
+# whose bound (18,222) takes 2-byte limbs
+SIGNED = [(-3, 1, ((16, 8),)), (70, -1, ((14, 7),)), (75, -1, ((9, 4), (6, 2))),
+          (5, 2, ((6, 2),)), (-1, 0, ((9, 4),))]
 
 
 class TestBinomialProductSum:
@@ -325,26 +332,56 @@ class TestBinomialProductSum:
         # factorless terms q^e are all drawn
         assert binomial_product_sum(terms, base) == per_term_sum(terms, base)
 
+    @pytest.mark.parametrize("base", (1, 2, 3))
+    @settings(max_examples=60, deadline=None)
+    @given(terms=st.lists(signed_term, max_size=12))
+    def test_signed_terms_match_the_per_term_sum(self, base, terms):
+        # c = 0 terms are dropped, and terms cancel in part or in full
+        assert binomial_product_sum(terms, base) == per_term_sum(terms, base)
+
+    def test_signed_sum_has_both_signs(self):
+        for base in (1, 2, 3):
+            value = binomial_product_sum(SIGNED, base)
+            assert value == per_term_sum(SIGNED, base)
+            assert min(value.coeffs) < -2**7 and max(value.coeffs) > 2**8
+        cancelled = [(e, -c, f) for e, c, f in SIGNED]
+        assert binomial_product_sum(SIGNED + cancelled, 3) == ZERO
+
     def test_empty_list_is_zero(self):
         assert binomial_product_sum([], 3) == ZERO
         assert binomial_product_sum(iter(()), 1) == ZERO
 
     def test_terms_with_a_vanishing_binomial_are_dropped(self):
-        vanishing = [(0, ((3, 4),)), (5, ((2, -1), (4, 2))), (-7, ((-1, 0),))]
+        vanishing = [(0, 1, ((3, 4),)), (5, 1, ((2, -1), (4, 2))), (-7, 1, ((-1, 0),))]
         assert binomial_product_sum(vanishing, 3) == ZERO
-        kept = [(-4, ((4, 2),))]
+        kept = [(-4, 1, ((4, 2),))]
         assert binomial_product_sum(vanishing + kept, 3) == q_binomial(4, 2, 3).shift(-4)
 
     def test_laurent_exponents_in_every_residue_class(self):
-        terms = [(e, ((5, 2), (3, 1))) for e in range(-7, 3)]
+        terms = [(e, 1, ((5, 2), (3, 1))) for e in range(-7, 3)]
         assert binomial_product_sum(terms, 3) == per_term_sum(terms, 3)
+        signed = [(e, e if e % 2 else -e, ((5, 2), (3, 1))) for e in range(-7, 3)]
+        assert binomial_product_sum(signed, 3) == per_term_sum(signed, 3)
 
     def test_bound_past_two_to_the_200(self):
         # limbs wider than 8 bytes pack and unpack one by one
-        terms = [(-5, ((120, 60), (100, 50))), (1, ((110, 55),)), (3, ((90, 45), (40, 20)))]
+        terms = [(-5, 1, ((120, 60), (100, 50))), (1, 1, ((110, 55),)),
+                 (3, 1, ((90, 45), (40, 20)))]
         assert bound_at_one(terms) > 2**200
+        signed = [(e, -2 * c, f) for e, c, f in terms[:2]] + terms[2:]
         for base in (1, 3):
             assert binomial_product_sum(terms, base) == per_term_sum(terms, base)
+            assert binomial_product_sum(signed, base) == per_term_sum(signed, base)
+
+    def test_a_binomial_packs_once_per_width(self):
+        # [8, 3] and [8, 5] share one entry, and each limb width its own
+        qcombinat._packed_binomial.cache_clear()
+        for terms in ([(0, 1, ((8, 3),)), (4, 1, ((8, 5),))],
+                      [(0, 1, ((8, 3),)), (4, -1, ((8, 5),))],
+                      [(0, 300, ((8, 3),)), (4, 1, ((8, 5),))]):
+            for base in (1, 3):
+                assert binomial_product_sum(terms, base) == per_term_sum(terms, base)
+        assert qcombinat._packed_binomial.cache_info().currsize == 2
 
     @pytest.mark.parametrize("comb", (lambda top, k: 1,
                                       lambda top, k: math.comb(top, k) - (k == 1)))
@@ -352,10 +389,25 @@ class TestBinomialProductSum:
         # with limbs too narrow, or a bound a little low, the unpacked
         # coefficients no longer add up to the bound
         monkeypatch.setattr(qcombinat, "math", SimpleNamespace(comb=comb, prod=math.prod))
-        terms = [(0, ((9, 4), (6, 1))), (4, ((12, 6),)), (-2, ((7, 1),))]
+        terms = [(0, 1, ((9, 4), (6, 1))), (4, 1, ((12, 6),)), (-2, 1, ((7, 1),))]
+        signed = [(e, c, f) for (e, _, f), c in zip(terms, (1, -1, 2))]
         for base in (1, 3):
-            with pytest.raises(ArithmeticError):
-                binomial_product_sum(terms, base)
+            for listed in (terms, signed):
+                with pytest.raises(ArithmeticError):
+                    binomial_product_sum(listed, base)
+
+    def test_limbs_one_byte_too_narrow_raise(self, monkeypatch):
+        # negative control: with the bound understated by one limb, some
+        # coefficient passes the narrower limbs and the check fails
+        limbs = qcombinat._limbs
+        monkeypatch.setattr(qcombinat, "_limbs", lambda bound, signed: series._Limbs(
+            limbs(bound, signed).width - 1, None, signed))
+        unsigned = [(e, 1, f) for e, _, f in SIGNED]
+        for terms in (unsigned, SIGNED):
+            for base in (1, 2, 3):
+                assert max(map(abs, per_term_sum(terms, base).coeffs)) >= 2**8
+                with pytest.raises(ArithmeticError):
+                    binomial_product_sum(terms, base)
 
 
 class TestTrinomial:

@@ -1,9 +1,10 @@
 """Source rules: no check may live in an ``assert`` statement, because
 ``python -O`` strips them; the two sides of a hierarchy case stay
-independent evaluators, no left side of an S-ladder or trinomial case
-sums through the right sides' binomial-product kernel, no hierarchy right
-side through the left sides' packed pass, and no S-ladder or trinomial
-right side through the left sides' packed M-sum; the half-limb constant of
+independent evaluators, no side compared with one that sums through the
+binomial-product kernel (the S-ladder, trinomial and theta-type binomial
+right sides) sums through it too, no hierarchy right side through the left
+sides' packed pass, and no S-ladder or trinomial right side through the
+left sides' packed M-sum, which keeps its own packs; the half-limb constant of
 signed limbs lives only in the series module; the partition oracle
 imports nothing from qcap; and
 every top-level function or class, and every method or property of a class,
@@ -63,11 +64,15 @@ def test_bailey_names_no_direct_expansion_helper():
     assert not found, found
 
 
-# The kernel the S-ladder and trinomial right sides sum through, and the term
-# lists that feed it.
-KERNEL = {"binomial_product_sum", "warnaar_s", "trinomial_t"}
+# The kernel the S-ladder, trinomial and theta-type binomial right sides sum
+# through, and the term lists that feed it.
+KERNEL = {"binomial_product_sum", "warnaar_s", "trinomial_t", "binomial_sum"}
+# Every side a case compares with one that sums through the kernel.
 KERNEL_FREE_SIDES = ("seed_identity_lhs", "refinement_hierarchy_lhs",
-                     "refinement_limit_lhs", "roundtri_lhs")
+                     "refinement_limit_lhs", "roundtri_lhs", "hierarchy_finite_lhs",
+                     "seed_cap1_binomial", "seed_cap2_binomial", "seed_sum_cap",
+                     "seed_cap1", "seed_cap2", "cor_cap2_analogue_lhs",
+                     "rhs_rewrite_split", "rhs_rewrite_rational", "dual_lhs")
 
 
 def _names_reached(tree, function):
@@ -89,8 +94,9 @@ def _names_reached(tree, function):
 
 
 def test_left_sides_do_not_reach_the_right_side_kernel():
-    # the two sides of seed_identity, s_hierarchy and fin_cap_roundtri_*
-    # must not share the kernel that sums the right sides
+    # the two sides of seed_identity, s_hierarchy, fin_cap_roundtri_*, the
+    # finite hierarchies and the cases with a binomial_sum side must not
+    # share the kernel that sums the right sides
     tree = _tree("identities.py")
     found = {side: sorted(_names_reached(tree, side) & KERNEL) for side in KERNEL_FREE_SIDES}
     assert not any(found.values()), found
@@ -100,6 +106,8 @@ def test_kernel_rule_sees_the_right_sides():
     tree = _tree("identities.py")
     assert "binomial_product_sum" in _names_reached(tree, "refinement_hierarchy_rhs")
     assert "trinomial_t" in _names_reached(tree, "roundtri_rhs")
+    assert "binomial_product_sum" in _names_reached(tree, "binomial_sum")
+    assert "binomial_sum" in _names_reached(tree, "hierarchy_finite_rhs")
     # t4 is a local of _m_sum, which seed_identity_lhs calls
     assert "t4" in _names_reached(tree, "seed_identity_lhs")
 
@@ -137,6 +145,13 @@ def test_m_sum_pass_rule_sees_the_left_sides():
     tree = _tree("identities.py")
     assert M_SUM_PASS in _names_reached(tree, "refinement_hierarchy_lhs")
     assert M_SUM_PASS in _names_reached(tree, "seed_identity_lhs")
+
+
+def test_m_sum_pass_keeps_its_own_packs():
+    # the S-ladder left side packs its binomials in its own table, so no
+    # packed value is shared with the right side's pass
+    assert "_packed_binomial" not in _names_reached(_tree("identities.py"), M_SUM_PASS)
+    assert "_packed_binomial" in _names_reached(_tree("qcombinat.py"), "binomial_product_sum")
 
 
 def _half_limb_constants(tree):
