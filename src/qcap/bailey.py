@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache
-from typing import Callable
+from typing import Callable, Iterable
 
-from qcap.series import ONE, Accumulator, QSeries, ZERO, monomial
+from qcap.series import ONE, Accumulator, QSeries, TruncatedInput, ZERO, monomial
 from qcap.identities import (
     FAMILIES,
     ParamOutOfRange,
@@ -46,7 +46,13 @@ class BaileyAlpha:
 
 def bailey_f(alpha: BaileyAlpha, L: int) -> QSeries:
     """F_a(L) = sum_j alpha(j) [2L+a, L-j]; support |j| <= L+a."""
-    return binomial_sum(L, alpha.a, alpha.base, alpha.alpha)
+    def pairs(j: int) -> Iterable[tuple[int, int]]:
+        w = alpha.alpha(j)
+        if w.trunc is not None:
+            raise TruncatedInput("bailey_f requires exact alphas")
+        return enumerate(w.coeffs, w.offset)
+
+    return binomial_sum(L, alpha.a, alpha.base, pairs)
 
 
 def bailey_step(alpha: BaileyAlpha) -> BaileyAlpha:
@@ -97,7 +103,8 @@ def _unit(j: int) -> QSeries:
 
 def _family_alpha(name: str, family: str, s: int = 0) -> BaileyAlpha:
     fam = FAMILIES[family]
-    return BaileyAlpha(name, lambda j: fam.alpha(s, j), a=fam.a, base=fam.base)
+    return BaileyAlpha(name, lambda j: sum((monomial(e, c) for e, c in fam.alpha(s, j)), ZERO),
+                       a=fam.a, base=fam.base)
 
 
 ALPHAS: dict[str, BaileyAlpha] = {

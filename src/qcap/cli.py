@@ -145,26 +145,31 @@ _CLASSICAL: dict[str, Callable[[int, int], QSeries]] = {
 }
 
 
-def _series_params(args: argparse.Namespace, names: Sequence[str]) -> dict:
+# The parameter flags of `qcap series`: each is --name, but n is --trunc.
+_SERIES_FLAGS = {"L": "L", "M": "M", "f": "f", "s": "s", "nu": "nu", "k": "k", "b": "b", "n": "trunc"}
+
+
+def _series_params(args: argparse.Namespace, owner: str, names: Sequence[str]) -> dict:
+    """owner's parameters from their flags; a flag for none of them is an error."""
     params = {}
-    for name in names:
-        dest = "trunc" if name == "n" else name  # every other flag is --name
-        params[name] = getattr(args, dest)
-        if params[name] is None:
-            raise ParamOutOfRange(f"missing flag --{dest} for parameter {name!r}")
+    for name, dest in _SERIES_FLAGS.items():
+        value = getattr(args, dest)
+        if name in names:
+            if value is None:
+                raise ParamOutOfRange(f"missing flag --{dest} for parameter {name!r}")
+            params[name] = value
+        elif value is not None:
+            raise ParamOutOfRange(f"{owner}: no parameter takes the flag --{dest}")
     return params
 
 
 def cmd_series(args: argparse.Namespace) -> int:
     expr = args.expr
     if expr in _CLASSICAL:
-        if args.trunc is None:
-            print("--trunc required for classical products", file=sys.stderr)
-            return EXIT_CONFIG
-        if args.trunc < 0:
-            print(f"--trunc must be >= 0, got {args.trunc}", file=sys.stderr)
-            return EXIT_CONFIG
-        print(_CLASSICAL[expr](args.z_shift, args.trunc).to_text())
+        n = _series_params(args, expr, ("n",))["n"]
+        if n < 0:
+            raise ParamOutOfRange(f"--trunc must be >= 0, got {n}")
+        print(_CLASSICAL[expr](args.z_shift, n).to_text())
         return EXIT_OK
     side, _, case_id = expr.partition(":")
     case = identities.CASES.get(case_id)
@@ -178,14 +183,11 @@ def cmd_series(args: argparse.Namespace) -> int:
         names = ", ".join(name for name, _ in case.sides)
         print(f"case {case_id!r} has sides: {names}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        params = _series_params(args, case.params)
-        identities.check_params(case, params)
-        value = fn(**params)
-    except ParamOutOfRange as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONFIG
-    print(value.to_text())
+    if args.z_shift:
+        raise ParamOutOfRange(f"{case_id}: no parameter takes the flag --z-shift")
+    params = _series_params(args, case_id, case.params)
+    identities.check_params(case, params)
+    print(fn(**params).to_text())
     return EXIT_OK
 
 
@@ -263,11 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_series = sub.add_parser("series", help="print a registered series")
     p_series.add_argument("expr", help="side:case_id or e.g. product:jtp")
-    for flag, name in (("--L", "L"), ("--M", "M"), ("--f", "f"), ("--s", "s"),
-                       ("--nu", "nu"), ("--k", "k"), ("--b", "b")):
-        p_series.add_argument(flag, dest=name, type=int, default=None)
+    for dest in _SERIES_FLAGS.values():
+        p_series.add_argument(f"--{dest}", dest=dest, type=int, default=None)
     p_series.add_argument("--z-shift", dest="z_shift", type=int, default=0)
-    p_series.add_argument("--trunc", type=int, default=None)
     p_series.set_defaults(fn=cmd_series)
 
     p_part = sub.add_parser("partitions", help="counting tables")

@@ -14,15 +14,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from qcap.series import (
     ONE,
     Accumulator,
     Comparison,
     QSeries,
-    TruncatedInput,
     ZERO,
+    _Classes,
     _limbs,
     compare,
     div_exact,
@@ -55,22 +55,23 @@ class ParamOutOfRange(ValueError):
 # because the grouped Pochhammer quotients are themselves polynomials.
 # ---------------------------------------------------------------------------
 
-def _base3_terms(M: int) -> Iterator[tuple[int, int, int, QSeries]]:
-    """(m, n, e, ratio) for every term of the base-3 seed sums at bound M:
-    e = 2m^2+6mn+6n^2 and ratio = (q^3)_M / [(q)_m (q^3)_n (q^3)_{M-2n-m}]."""
+def _base3_sum(M: int, shifts: Callable[[int, int, int], tuple[int, ...]]) -> QSeries:
+    """sum ratio q^x over the terms (m, n) of the base-3 seed sums at bound M
+    and each x in shifts(m, n, e): e = 2m^2+6mn+6n^2 and ratio = (q^3)_M /
+    [(q)_m (q^3)_n (q^3)_{M-2n-m}]."""
+    total = Accumulator()
     for n in range(M // 2 + 1):
         for m in range(M - 2 * n + 1):
             ratio = poch_ratio(((M, 3),), ((m, 1), (n, 3), (M - 2 * n - m, 3)))
-            yield m, n, 2 * m * m + 6 * m * n + 6 * n * n, ratio
+            for x in shifts(m, n, 2 * m * m + 6 * m * n + 6 * n * n):
+                total.add(ratio.shift(x))
+    return total.value()
 
 
 @lru_cache(maxsize=None)
 def seed_cap1_binomial(M: int) -> QSeries:
     """sum q^{2m^2+6mn+6n^2} (q^3)_M / [(q)_m (q^3)_n (q^3)_{M-2n-m}]."""
-    total = Accumulator()
-    for m, n, e, ratio in _base3_terms(M):
-        total.add(ratio.shift(e))
-    return total.value()
+    return _base3_sum(M, lambda m, n, e: (e,))
 
 
 @lru_cache(maxsize=None)
@@ -78,61 +79,46 @@ def seed_cap2_binomial(M: int) -> QSeries:
     """The printed two-sum layout over the seed_cap1_binomial quotient: the
     first sum has exponent 2m^2+6mn+6n^2+m+3n, the second carries the
     prefactor q and exponent 2m^2+6mn+6n^2+3m+6n."""
-    total = Accumulator()
-    for m, n, e, ratio in _base3_terms(M):
-        total.add(ratio.shift(e + m + 3 * n))
-        total.add(ratio.shift(e + 3 * m + 6 * n + 1))
-    return total.value()
+    return _base3_sum(M, lambda m, n, e: (e + m + 3 * n, e + 3 * m + 6 * n + 1))
 
 
 @lru_cache(maxsize=None)
 def seed_sum_cap(M: int) -> QSeries:
     """sum q^{2m^2+6mn+6n^2-2m-3n} (1+q^{3M}) (q^3)_M / [...] (same quotient)."""
+    return _base3_sum(M, lambda m, n, e: (e - 2 * m - 3 * n, e - 2 * m - 3 * n + 3 * M))
+
+
+def _base1_sum(L: int, shifts: Callable[[int, int, int], tuple[int, ...]],
+               drop: int = 0) -> QSeries:
+    """sum ratio q^x over the terms (m, n) of the base-1 seed sums at bound L
+    and each x in shifts(m, n, e): e = 2m^2+6mn+6n^2 and ratio = (q)_L /
+    [(q)_{L-3n-2m-drop} (q)_m (q^3)_n], zero if L - 3n - 2m - drop < 0."""
     total = Accumulator()
-    for m, n, e, ratio in _base3_terms(M):
-        term = ratio.shift(e - 2 * m - 3 * n)
-        total.add(term)
-        total.add(term.shift(3 * M))
-    return total.value()
-
-
-def _base1_terms(L: int, drop: int = 0) -> Iterator[tuple[int, int, int, QSeries]]:
-    """(m, n, e, ratio) for every non-zero term of the base-1 seed sums at
-    bound L: e = 2m^2+6mn+6n^2 and ratio = (q)_L / [(q)_{L-3n-2m-drop} (q)_m
-    (q^3)_n].  Empty for L < 0."""
     for n in range(L // 3 + 1):
         for m in range((L - 3 * n) // 2 + 1):
             ratio = poch_ratio(((L, 1),), ((L - 3 * n - 2 * m - drop, 1), (m, 1), (n, 3)))
-            if ratio:
-                yield m, n, 2 * m * m + 6 * m * n + 6 * n * n, ratio
+            for x in shifts(m, n, 2 * m * m + 6 * m * n + 6 * n * n):
+                total.add(ratio.shift(x))
+    return total.value()
 
 
 @lru_cache(maxsize=None)
 def seed_cap1(L: int) -> QSeries:
     """sum q^{2m^2+6mn+6n^2} (q)_L / [(q)_{L-3n-2m} (q)_m (q^3)_n]."""
-    total = Accumulator()
-    for m, n, e, ratio in _base1_terms(L):
-        total.add(ratio.shift(e))
-    return total.value()
+    return _base1_sum(L, lambda m, n, e: (e,))
 
 
 @lru_cache(maxsize=None)
 def s1_sum(L: int) -> QSeries:
     """First double sum of seed_cap2: the seed_cap1 summand times q^{m+3n}."""
-    total = Accumulator()
-    for m, n, e, ratio in _base1_terms(L):
-        total.add(ratio.shift(e + m + 3 * n))
-    return total.value()
+    return _base1_sum(L, lambda m, n, e: (e + m + 3 * n,))
 
 
 @lru_cache(maxsize=None)
 def s2_sum(L: int) -> QSeries:
     """Second double sum of seed_cap2: prefactor q, exponent 2m^2+6mn+6n^2
     +3m+6n, and residual length L-3n-2m-1 (kept as printed, not absorbed)."""
-    total = Accumulator()
-    for m, n, e, ratio in _base1_terms(L, drop=1):
-        total.add(ratio.shift(e + 3 * m + 6 * n + 1))
-    return total.value()
+    return _base1_sum(L, lambda m, n, e: (e + 3 * m + 6 * n + 1,), drop=1)
 
 
 @lru_cache(maxsize=None)
@@ -145,17 +131,13 @@ def seed_cap2(L: int) -> QSeries:
 # Theta-style right-hand sides
 # ---------------------------------------------------------------------------
 
-def binomial_sum(L: int, a: int, base: int, weight: Callable[[int], QSeries]) -> QSeries:
+def binomial_sum(L: int, a: int, base: int,
+                 weight: Callable[[int], Iterable[tuple[int, int]]]) -> QSeries:
     """sum_j weight(j) * [2L+a, L-j] in the given base, over every j with a
     non-vanishing binomial, in one binomial_product_sum pass: a term c q^e
-    [2L+a, L-j] for each non-zero coefficient c q^e of the exact weight(j)."""
-    terms = []
-    for j in range(-L - a, L + a + 1):
-        w = weight(j)
-        if w.trunc is not None:
-            raise TruncatedInput("binomial_sum requires exact weights")
-        terms += [(w.offset + i, c, ((2 * L + a, L - j),)) for i, c in enumerate(w.coeffs) if c]
-    return binomial_product_sum(terms, base)
+    [2L+a, L-j] for each pair (e, c) of weight(j)."""
+    return binomial_product_sum([(e, c, ((2 * L + a, L - j),))
+                                 for j in range(-L - a, L + a + 1) for e, c in weight(j)], base)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +155,7 @@ class HierarchyFamily:
     a: int  # 0 or 1: kernel [2L+a, L-j] and chain weight q^{base(N^2+aN)}
     seed: Callable[[int], QSeries]  # exact seed LHS at inner bound n_f
     twisted: bool  # accepts s; chain adds N_{f-s+1}+...+N_f (base 1 only)
-    alpha: Callable[[int, int], QSeries]  # (s, j) -> alpha_j of the seed identity
+    alpha: Callable[[int, int], Iterable[tuple[int, int]]]  # (s, j) -> alpha_j as (e, c) pairs
     # (p, s) -> lists of (shift, step, sign) infinite Pochhammers, p = f + 1;
     # the limit is the sum of their products over (q^base; q^base)_inf.
     limit_products: Callable[[int, int], tuple[tuple[tuple[int, int, int], ...], ...]]
@@ -188,33 +170,33 @@ class HierarchyFamily:
 FAMILIES: dict[str, HierarchyFamily] = {
     "cap1_binomial": HierarchyFamily(
         "cap1_binomial", 3, 0, seed_cap1_binomial, False,
-        lambda s, j: monomial(3 * j * j + j),
+        lambda s, j: ((3 * j * j + j, 1),),
         lambda p, s: (((6 * p, 6 * p, -1), (3 * p - 1, 6 * p, 1), (3 * p + 1, 6 * p, 1)),)),
     "cap2_binomial": HierarchyFamily(
         "cap2_binomial", 3, 1, seed_cap2_binomial, False,
-        lambda s, j: monomial(3 * j * j + 2 * j),
+        lambda s, j: ((3 * j * j + 2 * j, 1),),
         lambda p, s: (((6 * p, 6 * p, -1), (1, 6 * p, 1), (6 * p - 1, 6 * p, 1)),)),
     "sum_cap": HierarchyFamily(
         "sum_cap", 3, 0, seed_sum_cap, False,
-        lambda s, j: monomial(3 * j * j - 2 * j) + monomial(3 * j * j + j),
+        lambda s, j: ((3 * j * j - 2 * j, 1), (3 * j * j + j, 1)),
         lambda p, s: (((6 * p, 6 * p, -1), (3 * p - 2, 6 * p, 1), (3 * p + 2, 6 * p, 1)),
                       ((6 * p, 6 * p, -1), (3 * p - 1, 6 * p, 1), (3 * p + 1, 6 * p, 1)))),
     "cap1": HierarchyFamily(
         "cap1", 1, 0, seed_cap1, False,
-        lambda s, j: monomial(j * j, jacobi3(j + 1)),
+        lambda s, j: ((j * j, jacobi3(j + 1)),),
         lambda p, s: (((p, p, -1), (3 * p, 3 * p, 1), (2 * p, 6 * p, 1), (4 * p, 6 * p, 1)),)),
     "cap2": HierarchyFamily(
         "cap2", 1, 0, seed_cap2, False,
-        lambda s, j: monomial(j * j + j, jacobi3(j + 1)),
+        lambda s, j: ((j * j + j, jacobi3(j + 1)),),
         lambda p, s: (((p + 1, 6 * p, -1), (5 * p - 1, 6 * p, -1), (6 * p, 6 * p, -1),
                        (4 * p - 2, 12 * p, -1), (8 * p + 2, 12 * p, -1)),)),
     "cap2_analogue": HierarchyFamily(
         "cap2_analogue", 1, 1, seed_cap2, False,
-        lambda s, j: monomial(j * j + j, jacobi3(j + 1)),
+        lambda s, j: ((j * j + j, jacobi3(j + 1)),),
         lambda p, s: (((2 * p, 2 * p, -1), (2 * p, 12 * p, -1), (10 * p, 12 * p, -1)),)),
     "double": HierarchyFamily(
         "double", 1, 0, seed_cap1, True,
-        lambda s, j: monomial(j * j - s * j, jacobi3(j + 1)),
+        lambda s, j: ((j * j - s * j, jacobi3(j + 1)),),
         lambda p, s: (((p - s, 6 * p, -1), (5 * p + s, 6 * p, -1), (6 * p, 6 * p, -1),
                        (4 * p + 2 * s, 12 * p, -1), (8 * p - 2 * s, 12 * p, -1)),)),
 }
@@ -224,9 +206,11 @@ def alpha_sum(fam: HierarchyFamily, f: int, L: int, s: int = 0) -> QSeries:
     """sum_j alpha_j q^{f*base*(j^2+aj)} [2L+a, L-j]_{q^base}: the seed
     identity's right-hand side after f Bailey steps (f = 0: the seed's own)."""
     b, a = fam.base, fam.a
-    return binomial_sum(L, a, b, lambda j: fam.alpha(s, j).shift(f * b * (j * j + a * j)))
+    return binomial_sum(L, a, b, lambda j: [(e + f * b * (j * j + a * j), c)
+                                            for e, c in fam.alpha(s, j)])
 
 
+@lru_cache(maxsize=None)
 def rhs_new_fin_cap(which: int, L: int) -> QSeries:
     return alpha_sum(FAMILIES["cap1" if which == 1 else "cap2"], 0, L)
 
@@ -299,6 +283,18 @@ def _chain_levels(a: int, L: int) -> list[Level]:
     return [(ONE,) * (L + 1)]
 
 
+@lru_cache(maxsize=None)
+def _chain_tails(a: int, L: int) -> Level:
+    """(q)_{2L+a} / [(q)_{L-n} (q)_{2n+a}] for n = 0..L: the tails of an (a, L) chain."""
+    return tuple(poch_ratio(((2 * L + a, 1),), ((L - n, 1), (2 * n + a, 1))) for n in range(L + 1))
+
+
+@lru_cache(maxsize=None)
+def _seed_classes(seed: Callable[[int], QSeries], n: int, base: int) -> _Classes:
+    """seed(n) split by exponent mod base, its classes packed once per limb width."""
+    return _Classes(seed(n), base)
+
+
 def hierarchy_finite_lhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
     """Exact multi-sum: chain quotient times the seed polynomial at n_f.
 
@@ -312,7 +308,8 @@ def hierarchy_finite_lhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
     it, which extend the untwisted P_{f-s} and are not kept; at s = f they
     are the untwisted levels of a + 1, read from that stack.  A base-b chain
     is summed in powers of q, and one stretched_product_sum pass adds up
-    chain(q^b) * seed(n_f) over every n_f, by residue class of the seed."""
+    chain(q^b) * seed(n_f) over every n_f, by residue class of the seed; the
+    tails of an (a, L) and the seeds' classes are tabled once per run."""
     fam = _family_checked(family, f, s)
 
     def kernel(N: int, n: int) -> QSeries:
@@ -320,11 +317,9 @@ def hierarchy_finite_lhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
 
     eps = fam.a + bool(s)
     level = _inner_level(_chain_levels, (L,), fam.a, f, s, kernel)
-    pairs = []
-    for nf, inner in enumerate(level):
-        tail = poch_ratio(((2 * L + fam.a, 1),), ((L - nf, 1), (2 * nf + fam.a, 1)))
-        pairs.append(((tail * inner).shift(nf * nf + eps * nf), fam.seed(nf)))
-    return stretched_product_sum(pairs, fam.base)
+    return stretched_product_sum(
+        [((tail * inner).shift(nf * nf + eps * nf), _seed_classes(fam.seed, nf, fam.base))
+         for nf, (tail, inner) in enumerate(zip(_chain_tails(fam.a, L), level))], fam.base)
 
 
 def hierarchy_finite_rhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
@@ -425,33 +420,31 @@ def _ladder_chains(nu: int, i: int, top: int,
 
 
 @lru_cache(maxsize=1)
-def _refinement_groups(nu: int, L: int) -> tuple[list[QSeries], list[int], dict]:
-    """(groups, ones, packs): the groups i <= M of the largest M read, their
-    values at q = 1 and packs.  No group depends on M, which runs innermost,
+def _refinement_groups(nu: int, L: int) -> tuple[list[_Classes], dict]:
+    """(groups, packs): the groups i <= M of the largest M read, split by
+    exponent mod 3, and packs.  No group depends on M, which runs innermost,
     so one table serves every M.  nu = 0: group i is the m-sum of n = L - i."""
-    return [], [], {}
+    return [], {}
 
 
-def _bounded_binomial_sum(L: int, M: int, groups: list, ones: list, packs: dict) -> QSeries:
+def _bounded_binomial_sum(L: int, M: int, groups: list[_Classes], packs: dict) -> QSeries:
     """sum [L+M-i, L]_{q^3} group_i over the groups i <= min(L, M), one packed
-    pass per class mod 3: a group at offset 3t + o, padded with o < 3 zeros,
-    has classes g_r = padded[r::3], term sum_r q^(r+3t) ([L+M-i, L] g_r)(q^3).
-    All coefficients lie in [0, bound], bound = sum comb(L+M-i, L) group_i(1),
-    so in unsigned limbs with 2**(8w) > bound each class adds up carry-free,
-    to bound.  packs keeps the last width's g_r and [L+k, L] for later M."""
-    ones.extend(sum(group.coeffs) for group in groups[len(ones):])
-    bound = sum(math.comb(L + M - i, L) * ones[i] for i in range(len(groups)))
+    pass per class mod 3: with group_i = sum_r q^r g_r(q^3), its term is sum_r
+    q^r ([L+M-i, L] g_r)(q^3).  All coefficients lie in [0, bound], bound =
+    sum comb(L+M-i, L) group_i(1), so in unsigned limbs with 2**(8w) > bound
+    each class adds up carry-free, to bound.  The groups keep their classes
+    packed per width, and packs the last width's [L+k, L] for later M."""
+    bound = sum(math.comb(L + M - i, L) * group.one for i, group in enumerate(groups))
     limbs = _limbs(bound, signed=False)
     if limbs.width not in packs:
         packs.clear()
-    classes, binomials = packs.setdefault(limbs.width, ([], []))
-    for group in groups[len(classes):]:
-        padded = (0,) * (group.offset % 3) + group.coeffs
-        classes.append((group.offset // 3, [limbs.pack(padded[r::3]) for r in range(3)]))
+    binomials = packs.setdefault(limbs.width, [])
     binomials.extend(limbs.pack(q_binomial(L + k, L).coeffs) for k in range(len(binomials), M + 1))
-    sums = [sum(binomials[M - i] * packed[r] << 8 * limbs.width * t
-                for i, (t, packed) in enumerate(classes[:len(groups)])) for r in range(3)]
-    n = max(g.degree() // 3 + (M - i) * L for i, g in enumerate(groups)) + 1
+    sums = [0] * 3
+    for i, group in enumerate(groups):
+        for (r, u, _, _), packed in zip(group.parts, group.packed(limbs)):
+            sums[r] += binomials[M - i] * packed << 8 * limbs.width * u
+    n = max(g.b.degree() // 3 + (M - i) * L for i, g in enumerate(groups)) + 1
     return QSeries(0, limbs.unpack_classes(sums, n, bound))
 
 
@@ -460,18 +453,18 @@ def refinement_hierarchy_lhs(nu: int, L: int, M: int) -> QSeries:
     kernel [L+M-i, L]_{q^3} [L-N_1, i]_{q^3}.  Group i sums, over the ladder
     chains with N_1 <= L - i, the m-sum times [L-N_1, i] and the middle
     binomials; [L+M-i, L] then multiplies each group, in one packed pass."""
-    groups, ones, packs = _refinement_groups(nu, L)
+    groups, packs = _refinement_groups(nu, L)
     while len(groups) <= min(L, M):
         i = len(groups)
         if not nu:
-            groups.append(_m_sum(L - i, i, 0, 0, i))
+            groups.append(_Classes(_m_sum(L - i, i, 0, 0, i), 3))
             continue
         group = Accumulator()
         for N1, n_last, SN, sq, m_top, mid in _ladder_chains(nu, i, L - i):
             inner = _m_sum(n_last, i, SN, sq, m_top)
             group.add(q_binomial(L - N1, i, 3) * mid * inner)
-        groups.append(group.value())
-    return _bounded_binomial_sum(L, M, groups[:min(L, M) + 1], ones, packs)
+        groups.append(_Classes(group.value(), 3))
+    return _bounded_binomial_sum(L, M, groups[:min(L, M) + 1], packs)
 
 
 def refinement_hierarchy_rhs(nu: int, L: int, M: int) -> QSeries:
@@ -616,15 +609,15 @@ def rhs_rewrite_rational(which: int, L: int) -> QSeries:
 
 def vanishing_aux_sum(L: int) -> QSeries:
     """sum_j jacobi3(j) q^{j^2} [2L, L-j]: antisymmetric, hence zero."""
-    return binomial_sum(L, 0, 1, lambda j: monomial(j * j, jacobi3(j)))
+    return binomial_sum(L, 0, 1, lambda j: ((j * j, jacobi3(j)),))
 
 
 def k_transform_lhs(k: int, L: int) -> QSeries:
-    return binomial_sum(L, 0, 1, lambda j: monomial(k * j * (j - 1), jacobi3(j + 1)))
+    return binomial_sum(L, 0, 1, lambda j: ((k * j * (j - 1), jacobi3(j + 1)),))
 
 
 def k_transform_rhs(k: int, L: int) -> QSeries:
-    return binomial_sum(L, 0, 1, lambda j: monomial(k * j * j - (k - 1) * j + L, jacobi3(j + 1)))
+    return binomial_sum(L, 0, 1, lambda j: ((k * j * j - (k - 1) * j + L, jacobi3(j + 1)),))
 
 
 def cor_cap2_analogue_lhs(L: int) -> QSeries:
@@ -658,8 +651,8 @@ def dual_lhs(which: int, L: int) -> QSeries:
 
 def dual_rhs(which: int, L: int) -> QSeries:
     if which == 1:
-        return binomial_sum(L, 0, 1, lambda j: monomial(0, jacobi3(j + 1)))
-    return binomial_sum(L, 0, 1, lambda j: monomial(L - j, jacobi3(j + 1)))
+        return binomial_sum(L, 0, 1, lambda j: ((0, jacobi3(j + 1)),))
+    return binomial_sum(L, 0, 1, lambda j: ((L - j, jacobi3(j + 1)),))
 
 
 def dual_construct(which: int, side: str, L: int) -> QSeries:

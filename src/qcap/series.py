@@ -351,34 +351,54 @@ class Accumulator:
         return QSeries(self._offset, self._coeffs, self._trunc)
 
 
-def stretched_product_sum(pairs: Sequence[tuple[QSeries, QSeries]], base: int) -> QSeries:
-    """sum a(q^base) * b(q) over exact pairs (a, b), in one packed pass: with
-    b_r the coefficients of b at exponents base*u + r, a(q^base) b(q) = sum_r
-    q^r (a b_r)(q^base).  A coefficient of class r of the sum, or of an a or
-    b_r in it, is at most bound_r = sum max|a| max|b_r| min(len(a), len(b_r))
-    over the pairs, so signed limbs with every bound_r < 2**(8w-1) hold them
-    all: each a and b_r packs once, their product adds at its shift into one
-    big int per class, and each class unpacks once into out[r::base]."""
-    parts, bounds = [], [0] * base
+class _Classes:
+    """An exact b(q) = sum_r q^r b_r(q^base), split for the packed left-side
+    passes: b(1), each non-zero class b_r as (r, offset, length, max|b_r|),
+    and the classes packed per limb width, each width on first use."""
+
+    def __init__(self, b: QSeries, base: int) -> None:
+        if b.trunc is not None:
+            raise TruncatedInput("the packed passes require exact operands")
+        self.b, self.base, self.one, self.packs = b, base, sum(b.coeffs), {}
+        self.parts = [(r, (b.offset + j) // base, len(b_r), max(map(abs, b_r)))
+                      for r in range(base) for j in [(r - b.offset) % base]
+                      for b_r in [b.coeffs[j::base]] if any(b_r)]
+
+    def packed(self, limbs: _Limbs) -> list[int]:
+        if limbs.width not in self.packs:
+            b, base = self.b, self.base
+            self.packs[limbs.width] = [limbs.pack(b.coeffs[(r - b.offset) % base::base])
+                                       for r, _, _, _ in self.parts]
+        return self.packs[limbs.width]
+
+
+def stretched_product_sum(pairs: Sequence[tuple[QSeries, _Classes]], base: int) -> QSeries:
+    """sum a(q^base) * b(q) over pairs of an exact a and the classes of b mod
+    base, in one packed pass: a(q^base) b(q) = sum_r q^r (a b_r)(q^base).  A
+    coefficient of class r of the sum, or of an a or b_r in it, is at most
+    bound_r = sum max|a| max|b_r| min(len(a), len(b_r)) over the pairs, so signed
+    limbs with every bound_r < 2**(8w-1) hold them all: each a packs once and
+    each b_r once per width, their product adds at its shift into one big int
+    per class, and each class unpacks once into out[r::base].  The coefficients
+    must add up to the sum's value at q = 1, sum a(1) b(1), or ArithmeticError
+    is raised."""
+    parts, bounds, total = [], [0] * base, 0
     for a, b in pairs:
-        if a.trunc is not None or b.trunc is not None:
+        if a.trunc is not None:
             raise TruncatedInput("stretched_product_sum requires exact operands")
-        top = max(map(abs, a.coeffs), default=0)
-        for r in range(base):
-            j = (r - b.offset) % base
-            b_r = b.coeffs[j::base]
-            if top and any(b_r):
-                parts.append((a.coeffs, r, a.offset + (b.offset + j) // base, b_r))
-                bounds[r] += top * max(map(abs, b_r)) * min(len(a.coeffs), len(b_r))
-    lo = min((u for _, _, u, _ in parts), default=0)
-    n = max((u + len(a) + len(b_r) for a, _, u, b_r in parts), default=lo + 1) - lo - 1
+        top, total = max(map(abs, a.coeffs), default=0), total + sum(a.coeffs) * b.one
+        for i, (r, u, length, b_top) in enumerate(b.parts if top else ()):
+            parts.append((a.coeffs, b, i, r, a.offset + u, length))
+            bounds[r] += top * b_top * min(len(a.coeffs), length)
+    lo = min((u for *_, u, _ in parts), default=0)
+    n = max((u + len(a) + length for a, *_, u, length in parts), default=lo + 1) - lo - 1
     limbs = _limbs(max(bounds), signed=True)
     sums, last = [0] * base, None
-    for a, r, u, b_r in parts:
+    for a, b, i, r, u, _ in parts:
         if a is not last:
             last, packed = a, limbs.pack(a)
-        sums[r] += packed * limbs.pack(b_r) << 8 * limbs.width * (u - lo)
-    return QSeries(base * lo, limbs.unpack_classes(sums, n))
+        sums[r] += packed * b.packed(limbs)[i] << 8 * limbs.width * (u - lo)
+    return QSeries(base * lo, limbs.unpack_classes(sums, n, total))
 
 
 def div_exact(a: QSeries, b: QSeries) -> QSeries:

@@ -19,7 +19,7 @@ from qcap.identities import (
     hierarchy_finite_rhs,
 )
 from qcap.qcombinat import jacobi3
-from qcap.series import ONE, ZERO, monomial
+from qcap.series import ONE, QSeries, TruncatedInput, ZERO, monomial
 
 
 FAMILIES = (
@@ -91,6 +91,13 @@ class TestValidation:
     def test_depth_must_be_positive(self):
         with pytest.raises(ParamOutOfRange):
             generate_hierarchy_lhs("cap1", 0, 2)
+
+    def test_a_truncated_alpha_raises(self):
+        # F reads each alpha_j's coefficients as exact (exponent,
+        # coefficient) pairs, which a truncated alpha_j does not have
+        alpha = BaileyAlpha("truncated", lambda j: QSeries(j * j, (1,), 9), a=0)
+        with pytest.raises(TruncatedInput):
+            bailey_f(alpha, 2)
 
     def test_twist_only_on_double(self):
         with pytest.raises(ParamOutOfRange):

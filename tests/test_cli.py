@@ -177,6 +177,12 @@ SHORT_M_GRID_REPORT_SHA256 = (
     "3dae938ac0d28345cd39951cabc1580fd900881a2a79e809730a2b328d6f6a06")
 
 
+# The whole `deep` benchmark grid, `--all --L-max 12 --M-max 12` (1,116
+# reports), recorded before the finite left sides read their tails and seed
+# classes from tables and the theta-type weights became exponent pairs.
+DEEP_REPORT_SHA256 = (
+    "f93038e2cfcf05f6b19677942a1ac027b8146bad85984c271271c2d9410614ba")
+
 # The S-ladder cases at `--nu-max 6 --L-max 8 --M-max 8`, recorded before the
 # S-ladder left sides walked only the chains with a term.
 S_LADDER_NU6_REPORT_SHA256 = (
@@ -193,6 +199,9 @@ def report_sha256(capsys, *flags, select=("--all",)):
 class TestReportGuard:
     def test_default_bounds_reports_are_byte_identical(self, capsys):
         assert report_sha256(capsys) == DEFAULT_REPORT_SHA256
+
+    def test_deep_bounds_reports_are_byte_identical(self, capsys):
+        assert report_sha256(capsys, "--L-max", "12", "--M-max", "12") == DEEP_REPORT_SHA256
 
     def test_trunc_100_reports_are_byte_identical(self, capsys):
         assert report_sha256(capsys, "--trunc", "100") == TRUNC_100_REPORT_SHA256
@@ -286,6 +295,40 @@ class TestSeries:
         assert code == EXIT_CONFIG
         assert out == ""
         assert "new_fin_cap_1: parameter 'L' must be >= 0" in err
+
+    @pytest.mark.parametrize("expr, flags, flag", [
+        ("lhs:hierarchy_finite_cap1", ("--f", "1", "--L", "2", "--M", "3"), "--M"),
+        ("lhs:cap_analytic_1", ("--trunc", "5", "--L", "2"), "--L"),
+        ("lhs:cap_analytic_1", ("--trunc", "5", "--f", "1"), "--f"),
+        ("lhs:hierarchy_finite_cap1", ("--f", "1", "--L", "2", "--s", "0"), "--s"),
+        ("lhs:seed_identity", ("--L", "2", "--M", "2", "--nu", "1"), "--nu"),
+        ("lhs:new_fin_cap_1", ("--L", "2", "--k", "1"), "--k"),
+        ("reference:dual_limit", ("--b", "1", "--trunc", "5", "--L", "2"), "--L"),
+        ("lhs:k_transform", ("--k", "1", "--L", "2", "--b", "0"), "--b"),
+        ("lhs:new_fin_cap_1", ("--L", "2", "--trunc", "5"), "--trunc"),
+        ("lhs:new_fin_cap_1", ("--L", "2", "--z-shift", "1"), "--z-shift"),
+        ("lhs:cap_analytic_1", ("--trunc", "5", "--z-shift", "-2"), "--z-shift"),
+        ("product:jtp", ("--trunc", "4", "--L", "3"), "--L"),
+    ])
+    def test_flag_the_case_does_not_take_is_config_error(self, capsys, expr, flags, flag):
+        code, out, err = run(capsys, "series", expr, *flags)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        owner = expr if expr.startswith("product:") else expr.partition(":")[2]
+        assert err.splitlines() == [f"{owner}: no parameter takes the flag {flag}"]
+
+    def test_every_flag_a_case_takes_is_accepted(self, capsys):
+        # positive control: each side of each case, given a value for every
+        # parameter it takes (and --z-shift 0, the default), prints its series
+        values = {"L": 2, "M": 2, "f": 2, "s": 1, "nu": 1, "k": 2, "b": 1, "n": 6}
+        for case_id, case in sorted(CASES.items()):
+            flags = [str(part) for name in case.params
+                     for part in ("--trunc" if name == "n" else f"--{name}", values[name])]
+            for side, _ in case.sides:
+                code, out, err = run(capsys, "series", f"{side}:{case_id}", *flags,
+                                     "--z-shift", "0")
+                assert (code, err) == (EXIT_OK, ""), (case_id, side, err)
+                assert out.strip(), (case_id, side)
 
 
 class TestPartitions:
@@ -390,6 +433,15 @@ class TestModuleEntryPoint:
         done = self.python_m_qcap("verify", "--case", "new_fin_cap_1", "--L-max", "2")
         assert done.returncode == EXIT_OK, done.stderr
         assert json.loads(done.stdout.splitlines()[-1])["summary"]["verdict"] is True
+
+    def test_optimized_interpreter_keeps_the_default_reports(self):
+        # `python -O` strips every assert statement; the package's checks
+        # must live elsewhere, so its reports are the same without them
+        done = subprocess.run([sys.executable, "-O", "-m", "qcap", "verify", "--all",
+                               "--format", "json"], capture_output=True, text=True, env=self.env())
+        assert done.returncode == EXIT_OK, done.stderr
+        reports = "".join(done.stdout.splitlines(keepends=True)[:-1])
+        assert hashlib.sha256(reports.encode()).hexdigest() == DEFAULT_REPORT_SHA256
 
     def test_negative_bound_is_config_error(self):
         done = self.python_m_qcap("verify", "--case", "new_fin_cap_1", "--L-max", "-1")

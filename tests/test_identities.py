@@ -40,7 +40,7 @@ from qcap.identities import (
     verify_case,
 )
 from qcap.qcombinat import inv_pochhammer, jacobi3, poch_ratio, pochhammer, q_binomial
-from qcap.series import ONE, Accumulator, QSeries, TruncatedInput, ZERO, inverse, monomial
+from qcap.series import ONE, Accumulator, QSeries, ZERO, inverse, monomial
 
 
 def poly(*terms):
@@ -718,21 +718,21 @@ HAND_WEIGHTS = {
 
 def hand_rhs_new_fin_cap(which, L):
     if which == 1:
-        return binomial_sum(L, 0, 1, lambda j: monomial(j * j, jacobi3(j + 1)))
-    return binomial_sum(L, 0, 1, lambda j: monomial(j * (j + 1), jacobi3(j + 1)))
+        return per_term_binomial_sum(L, 0, 1, lambda j: monomial(j * j, jacobi3(j + 1)))
+    return per_term_binomial_sum(L, 0, 1, lambda j: monomial(j * (j + 1), jacobi3(j + 1)))
 
 
 def hand_rhs_fin_cap_binomial(which, M):
     if which == 1:
-        return binomial_sum(M, 0, 3, lambda j: monomial(3 * j * j + j))
+        return per_term_binomial_sum(M, 0, 3, lambda j: monomial(3 * j * j + j))
     if which == 2:
-        return binomial_sum(M, 1, 3, lambda j: monomial(3 * j * j + 2 * j))
-    return binomial_sum(
+        return per_term_binomial_sum(M, 1, 3, lambda j: monomial(3 * j * j + 2 * j))
+    return per_term_binomial_sum(
         M, 0, 3, lambda j: monomial(3 * j * j - 2 * j) + monomial(3 * j * j + j))
 
 
 def hand_cor_cap2_analogue_rhs(L):
-    return binomial_sum(L, 0, 1, lambda j: monomial(j * (j - 1), jacobi3(j + 1)))
+    return per_term_binomial_sum(L, 0, 1, lambda j: monomial(j * (j - 1), jacobi3(j + 1)))
 
 
 class TestAlphaTable:
@@ -745,7 +745,7 @@ class TestAlphaTable:
         for f in range(1, 5):
             for s in range(f + 1) if fam.twisted else (0,):
                 for L in range(7):
-                    expect = binomial_sum(
+                    expect = per_term_binomial_sum(
                         L, fam.a, fam.base,
                         lambda j: HAND_WEIGHTS[family](f, s, j))
                     assert alpha_sum(fam, f, L, s) == expect, (f, s, L)
@@ -759,13 +759,13 @@ class TestAlphaTable:
                 assert (alpha_sum(FAMILIES[name], 0, L)
                         == hand_rhs_fin_cap_binomial(which, L)), (name, L)
             assert alpha_sum(FAMILIES["double"], 0, L, 1) == hand_cor_cap2_analogue_rhs(L)
-            assert alpha_sum(FAMILIES["cap2_analogue"], 0, L) == binomial_sum(
+            assert alpha_sum(FAMILIES["cap2_analogue"], 0, L) == per_term_binomial_sum(
                 L, 1, 1, lambda j: monomial(j * (j + 1), jacobi3(j + 1)))
 
 
 def per_term_binomial_sum(L, a, base, weight):
-    """The reference for binomial_sum: one QSeries product per j, each added
-    on its own."""
+    """The reference for binomial_sum, driven by QSeries weights: one QSeries
+    product per j, each added on its own."""
     total = Accumulator()
     for j in range(-L - a, L + a + 1):
         w = weight(j)
@@ -782,7 +782,8 @@ signed_weights = st.lists(monomials, min_size=5, max_size=5)
 
 
 class TestBinomialSum:
-    # the one packed pass of binomial_sum against one product per j
+    # the one packed pass of binomial_sum over (exponent, coefficient) pairs
+    # against one product per j of the QSeries weights
 
     @settings(max_examples=60, deadline=None)
     @given(family=st.sampled_from(sorted(FAMILIES)), f=st.integers(0, 3),
@@ -790,19 +791,17 @@ class TestBinomialSum:
     def test_alpha_sums_match_per_term(self, family, f, L, data):
         fam = FAMILIES[family]
         s = data.draw(st.integers(0, f) if fam.twisted else st.just(0))
-        b, a = fam.base, fam.a
         expected = per_term_binomial_sum(
-            L, a, b, lambda j: fam.alpha(s, j).shift(f * b * (j * j + a * j)))
+            L, fam.a, fam.base, lambda j: HAND_WEIGHTS[family](f, s, j))
         assert alpha_sum(fam, f, L, s) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(L=st.integers(0, 8), a=st.integers(0, 1), base=st.integers(1, 3),
            table=signed_weights)
     def test_signed_laurent_weights_match_per_term(self, L, a, base, table):
-        def weight(j):
-            return poly(*table[j % 5])
-
-        assert binomial_sum(L, a, base, weight) == per_term_binomial_sum(L, a, base, weight)
+        # repeated exponents and zero coefficients among the pairs of a j
+        expected = per_term_binomial_sum(L, a, base, lambda j: poly(*table[j % 5]))
+        assert binomial_sum(L, a, base, lambda j: table[j % 5]) == expected
 
     def test_past_8_byte_limbs(self, monkeypatch):
         # every width forced past 8 bytes, to the to_bytes limbs
@@ -817,12 +816,8 @@ class TestBinomialSum:
         for family, fam in sorted(FAMILIES.items()):
             for L in (0, 3, 7):
                 for f in (0, 2):
+                    s = f if fam.twisted else 0
                     expected = per_term_binomial_sum(
-                        L, fam.a, fam.base,
-                        lambda j: fam.alpha(f, j).shift(f * fam.base * (j * j + fam.a * j)))
-                    assert alpha_sum(fam, f, L, f if fam.twisted else 0) == expected
+                        L, fam.a, fam.base, lambda j: HAND_WEIGHTS[family](f, s, j))
+                    assert alpha_sum(fam, f, L, s) == expected
         assert widths == {11}
-
-    def test_a_truncated_weight_raises(self):
-        with pytest.raises(TruncatedInput):
-            binomial_sum(2, 0, 1, lambda j: QSeries(j * j, (1,), 9))

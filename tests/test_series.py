@@ -1,10 +1,24 @@
 """Ring arithmetic on exact Laurent polynomials and truncated series."""
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qcap import series
+from qcap.identities import (
+    _chain_levels,
+    _chain_tails,
+    _inner_level,
+    _seed_classes,
+    seed_cap1,
+    seed_cap1_binomial,
+    seed_cap2,
+    seed_cap2_binomial,
+    seed_sum_cap,
+)
+from qcap.qcombinat import poch_ratio, q_binomial
 from qcap.series import (
     _KRONECKER_CUTOFF,
     _limbs,
@@ -16,6 +30,7 @@ from qcap.series import (
     Comparison,
     NonDivisible,
     TruncatedInput,
+    _Classes,
     _convolve,
     _convolve_kronecker,
     compare,
@@ -477,7 +492,8 @@ class TestStretchedProductSum:
     @example([(ZERO, ONE + Q), (ONE, ZERO)], 2)
     @example([], 3)
     def test_matches_stretched_products(self, pairs, base):
-        assert stretched_product_sum(pairs, base) == reference_stretched_product_sum(pairs, base)
+        split = [(a, _Classes(b, base)) for a, b in pairs]
+        assert stretched_product_sum(split, base) == reference_stretched_product_sum(pairs, base)
 
     @pytest.mark.parametrize("sign", (1, -1))
     def test_coefficient_at_the_limb_bound(self, sign):
@@ -486,9 +502,20 @@ class TestStretchedProductSum:
         # only for sign -1, so the width must come from the sum of the bounds
         a, b = QSeries(0, (2**61, 2**61)), QSeries(0, (sign, 0, 0, sign))
         pairs = [(a, b), (a, b)]
-        value = stretched_product_sum(pairs, 3)
+        value = stretched_product_sum([(a, _Classes(b, 3))] * 2, 3)
         assert value.coeffs[3] == sign * 2**63
         assert value == reference_stretched_product_sum(pairs, 3)
+
+    def test_limbs_one_byte_too_narrow_raise(self, monkeypatch):
+        # negative control: the pair of the test above needs 9-byte limbs;
+        # in 8 bytes every operand fits, but the coefficient 2**63 of the
+        # sum carries into the next limb, so the sum misses its value at q = 1
+        limbs = series._limbs
+        monkeypatch.setattr(series, "_limbs", lambda bound, signed: series._Limbs(
+            limbs(bound, signed).width - 1, None, signed))
+        a, b = QSeries(0, (2**61, 2**61)), QSeries(0, (1, 0, 0, 1))
+        with pytest.raises(ArithmeticError, match="not to the bound"):
+            stretched_product_sum([(a, _Classes(b, 3))] * 2, 3)
 
     @pytest.mark.parametrize("truncated_first", (True, False))
     def test_a_truncated_operand_raises(self, truncated_first):
@@ -497,10 +524,62 @@ class TestStretchedProductSum:
         # contradict
         a, b = QSeries(0, (1, 2, 3), 1), QSeries(0, (1, 1))
         assert a * b == QSeries(0, (1, 3), 1)
-        pair = (a, b) if truncated_first else (b, a)
+        chain, split = (a, b) if truncated_first else (b, a)
         for base in (1, 3):
             with pytest.raises(TruncatedInput):
-                stretched_product_sum([(ONE, ONE), pair], base)
+                stretched_product_sum([(ONE, _Classes(ONE, base)), (chain, _Classes(split, base))],
+                                      base)
+
+
+SEEDS = (seed_cap1, seed_cap2, seed_cap1_binomial, seed_cap2_binomial, seed_sum_cap)
+
+
+def chain_rows(a, f, s, L, tails):
+    """The chains of hierarchy_finite_lhs at (a, f, s, L), one per n_f: the
+    n_f-th tail times q^{n_f^2 + eps n_f} P_{f-1}(n_f)."""
+    def kernel(N, n):
+        return q_binomial(L - N, n - N)
+
+    level = _inner_level(_chain_levels, (L,), a, f, s, kernel)
+    eps = a + bool(s)
+    return [(tail * inner).shift(nf * nf + eps * nf)
+            for nf, (tail, inner) in enumerate(zip(tails, level))]
+
+
+def wide_limbs(bound, signed):
+    """Limbs past 8 bytes, whatever the bound."""
+    return _limbs(max(bound, 2**80), signed)
+
+
+class TestTabledLeftSide:
+    # the left sides' pass over their tables (the tails per (a, L) and the
+    # seeds' classes, packed per width) against one stretched product per n_f
+    # with the tails straight from poch_ratio, for every seed in bases 1 and
+    # 3, f <= 3 and every twist, the tables filled in any L order; one call
+    # runs in limbs past 8 bytes, so the classes it reads keep two widths
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.sampled_from(SEEDS), base=st.sampled_from((1, 3)), a=st.integers(0, 1),
+           f=st.integers(1, 3), data=st.data(),
+           order=st.sampled_from(("ascending", "descending", "shuffled")),
+           rng=st.randoms(use_true_random=False))
+    def test_matches_reference_in_any_fill_order(self, seed, base, a, f, data, order, rng):
+        s = data.draw(st.integers(0, f))
+        Ls = list(range(11))
+        Ls = Ls[::-1] if order == "descending" else rng.sample(Ls, 11) if order == "shuffled" else Ls
+        wide_at = data.draw(st.sampled_from(Ls))
+        _chain_tails.cache_clear()
+        _seed_classes.cache_clear()
+        for L in Ls:
+            tails = [poch_ratio(((2 * L + a, 1),), ((L - n, 1), (2 * n + a, 1)))
+                     for n in range(L + 1)]
+            expected = reference_stretched_product_sum(
+                [(chain, seed(n)) for n, chain in enumerate(chain_rows(a, f, s, L, tails))], base)
+            pairs = [(chain, _seed_classes(seed, n, base))
+                     for n, chain in enumerate(chain_rows(a, f, s, L, _chain_tails(a, L)))]
+            with mock.patch.object(series, "_limbs", wide_limbs if L == wide_at else _limbs):
+                assert stretched_product_sum(pairs, base) == expected, L
+        assert 11 in _seed_classes(seed, 0, base).packs
 
 
 class TestTruncatedMul:

@@ -3,17 +3,21 @@
 independent evaluators, no side compared with one that sums through the
 binomial-product kernel (the S-ladder, trinomial and theta-type binomial
 right sides) sums through it too, no hierarchy right side through the left
-sides' packed pass, and no S-ladder or trinomial right side through the
-left sides' packed M-sum, which keeps its own packs; the half-limb constant of
+sides' packed pass or their tables, and no S-ladder or trinomial right side
+through the left sides' packed M-sum, which keeps its own packs; the finite
+left sides reach no right-side sum; ``IdentityCase`` stays a dataclass; the
+half-limb constant of
 signed limbs lives only in the series module; the partition oracle
 imports nothing from qcap; and
 every top-level function or class, and every method or property of a class,
 is used by the package or is an entry point."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import qcap
+from qcap.identities import CASES, IdentityCase
 
 PACKAGE = Path(qcap.__file__).parent
 
@@ -45,23 +49,39 @@ def test_identities_imports_nothing_from_bailey():
     assert not found, found
 
 
-def test_bailey_names_no_direct_expansion_helper():
-    # the generator is the cross-oracle of the directly expanded multi-sums
-    banned = {"hierarchy_finite_lhs", "hierarchy_limit_lhs", "hierarchy_chain_exponent",
-              "index_vectors", "suffix_sums", "_level_up", "_chain_levels"}
-    found = []
-    for node in ast.walk(_tree("bailey.py")):
+def _names_in(tree):
+    """Every name a module's AST holds as a Name, an Attribute or an import
+    alias."""
+    names = set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            name = node.id
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            name = node.attr
+            names.add(node.attr)
         elif isinstance(node, ast.alias):
-            name = node.name
-        else:
-            continue
-        if name in banned:
-            found.append(name)
+            names.add(node.name)
+    return names
+
+
+# The tables the finite hierarchy left sides read: the chain tails per (a, L)
+# and the seeds' residue classes, packed per limb width.
+LEFT_TABLES = {"_chain_tails", "_seed_classes"}
+# What the generator, the cross-oracle of the directly expanded multi-sums,
+# must not name.
+DIRECT_EXPANSION = {"hierarchy_finite_lhs", "hierarchy_limit_lhs", "hierarchy_chain_exponent",
+                    "index_vectors", "suffix_sums", "_level_up", "_chain_levels"} | LEFT_TABLES
+
+
+def test_bailey_names_no_direct_expansion_helper():
+    found = sorted(_names_in(_tree("bailey.py")) & DIRECT_EXPANSION)
     assert not found, found
+
+
+def test_bailey_rule_sees_the_left_tables():
+    # the names it bans are the ones the direct expansion uses
+    assert LEFT_TABLES <= _names_in(_tree("identities.py"))
+    assert _names_in(ast.parse("from qcap.identities import _chain_tails\n"
+                               "x = identities._seed_classes\n")) >= LEFT_TABLES
 
 
 # The kernel the S-ladder, trinomial and theta-type binomial right sides sum
@@ -126,6 +146,40 @@ def test_hierarchy_right_sides_do_not_reach_the_packed_pass():
 
 def test_packed_pass_rule_sees_the_left_side():
     assert PACKED_PASS in _names_reached(_tree("identities.py"), "hierarchy_finite_lhs")
+
+
+def test_hierarchy_right_sides_do_not_reach_the_left_tables():
+    tree = _tree("identities.py")
+    found = {side: sorted(_names_reached(tree, side) & LEFT_TABLES)
+             for side in ("hierarchy_finite_rhs", "alpha_sum")}
+    assert not any(found.values()), found
+
+
+def test_left_table_rule_sees_the_left_side():
+    assert LEFT_TABLES <= _names_reached(_tree("identities.py"), "hierarchy_finite_lhs")
+
+
+# The sums of the theta-type right sides of the finite hierarchies and the
+# seed identities.
+RIGHT_SUMS = {"rhs_new_fin_cap", "alpha_sum"}
+
+
+def test_hierarchy_left_side_does_not_reach_the_right_sums():
+    found = sorted(_names_reached(_tree("identities.py"), "hierarchy_finite_lhs") & RIGHT_SUMS)
+    assert not found, found
+
+
+def test_right_sum_rule_sees_the_right_sides():
+    tree = _tree("identities.py")
+    assert "alpha_sum" in _names_reached(tree, "hierarchy_finite_rhs")
+    assert "rhs_new_fin_cap" in _names_reached(tree, "dual_construct")
+
+
+def test_identity_case_stays_a_dataclass():
+    # the benchmark's tracer rebuilds each case with dataclasses.replace
+    assert dataclasses.is_dataclass(IdentityCase)
+    case = CASES["new_fin_cap_1"]
+    assert dataclasses.replace(case, sides=case.sides[:1]).sides == case.sides[:1]
 
 
 # The packed M-sum of the S-ladder and seed-identity left sides.
