@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from functools import cache
 from typing import Callable, Iterable
 
-from qcap.series import ONE, Accumulator, QSeries, TruncatedInput, ZERO, monomial
+from qcap.series import Accumulator, QSeries
 from qcap.identities import (
     FAMILIES,
     ParamOutOfRange,
@@ -30,10 +30,10 @@ from qcap.qcombinat import jacobi3, poch_ratio
 
 @dataclass(frozen=True)
 class BaileyAlpha:
-    """A symbolic alpha-sequence: exact Laurent polynomial per index j."""
+    """A symbolic alpha-sequence: alpha_j as the (exponent, coefficient) pairs alpha(j)."""
 
     name: str
-    alpha: Callable[[int], QSeries]
+    alpha: Callable[[int], Iterable[tuple[int, int]]]
     a: int  # 0 or 1
     base: int = 1
 
@@ -46,21 +46,15 @@ class BaileyAlpha:
 
 def bailey_f(alpha: BaileyAlpha, L: int) -> QSeries:
     """F_a(L) = sum_j alpha(j) [2L+a, L-j]; support |j| <= L+a."""
-    def pairs(j: int) -> Iterable[tuple[int, int]]:
-        w = alpha.alpha(j)
-        if w.trunc is not None:
-            raise TruncatedInput("bailey_f requires exact alphas")
-        return enumerate(w.coeffs, w.offset)
-
-    return binomial_sum(L, alpha.a, alpha.base, pairs)
+    return binomial_sum(L, alpha.a, alpha.base, alpha.alpha)
 
 
 def bailey_step(alpha: BaileyAlpha) -> BaileyAlpha:
     """alpha(j) -> alpha(j) * q^{base*(j^2 + a*j)}."""
     inner, a, base = alpha.alpha, alpha.a, alpha.base
 
-    def stepped(j: int) -> QSeries:
-        return inner(j).shift(base * (j * j + a * j))
+    def stepped(j: int) -> list[tuple[int, int]]:
+        return [(e + base * (j * j + a * j), c) for e, c in inner(j)]
 
     return replace(alpha, name=f"step({alpha.name})", alpha=stepped)
 
@@ -97,14 +91,13 @@ def verify_bailey_theorem(alpha: BaileyAlpha, l_max: int) -> list[tuple[int, boo
 # read from the Bailey pairs in FAMILIES
 # ---------------------------------------------------------------------------
 
-def _unit(j: int) -> QSeries:
-    return ONE if j == 0 else ZERO
+def _unit(j: int) -> tuple[tuple[int, int], ...]:
+    return ((0, 1),) if j == 0 else ()
 
 
 def _family_alpha(name: str, family: str, s: int = 0) -> BaileyAlpha:
     fam = FAMILIES[family]
-    return BaileyAlpha(name, lambda j: sum((monomial(e, c) for e, c in fam.alpha(s, j)), ZERO),
-                       a=fam.a, base=fam.base)
+    return BaileyAlpha(name, lambda j: fam.alpha(s, j), a=fam.a, base=fam.base)
 
 
 ALPHAS: dict[str, BaileyAlpha] = {
@@ -152,6 +145,6 @@ def checkpoint_after_k_transform(L: int) -> tuple[QSeries, QSeries]:
     lhs = bailey_lhs_transform(cor_cap2_analogue_lhs, 0, 1)(L).shift(L)
     alpha = BaileyAlpha(
         "after_k",
-        lambda j: monomial(2 * j * j - 2 * j, jacobi3(j + 1)),
+        lambda j: ((2 * j * j - 2 * j, jacobi3(j + 1)),),
         a=0, base=1)
     return lhs, bailey_f(alpha, L)

@@ -4,7 +4,6 @@ Subcommands:
     verify      run identity cases over a parameter grid, JSON-lines reports
     series      print a single registered series evaluator
     partitions  counting tables (counts or weighted totals) with match column
-    hierarchy   generate a hierarchy LHS by iterated transform and cross-check
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error or
 output that cannot be written.
@@ -20,7 +19,7 @@ import sys
 import time
 from typing import Callable, Sequence, TextIO
 
-from qcap import bailey, identities, partitions
+from qcap import identities, partitions
 from qcap.identities import Bounds, ParamOutOfRange, Report
 from qcap.qcombinat import (
     jtp_product,
@@ -220,27 +219,6 @@ def cmd_partitions(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# hierarchy
-# ---------------------------------------------------------------------------
-
-def cmd_hierarchy(args: argparse.Namespace) -> int:
-    if args.L < 0:
-        print(f"--L must be >= 0, got {args.L}", file=sys.stderr)
-        return EXIT_CONFIG
-    family = args.family
-    s = args.s or 0
-    generated = bailey.generate_hierarchy_lhs(family, args.f, args.L, s)
-    print(generated.to_text())
-    if args.check:
-        direct = identities.hierarchy_finite_lhs(family, args.f, args.L, s)
-        rhs = identities.hierarchy_finite_rhs(family, args.f, args.L, s)
-        ok = generated == direct == rhs
-        print(f"# generator==direct==rhs: {ok}")
-        return EXIT_OK if ok else EXIT_FAIL
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
@@ -283,15 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_weighted.add_argument("--n-max", dest="n_max", type=int, default=25)
     p_weighted.add_argument("--out")
     p_weighted.set_defaults(fn=cmd_partitions)
-
-    p_hier = sub.add_parser("hierarchy", help="generate a hierarchy LHS")
-    p_hier.add_argument("--family", required=True)
-    p_hier.add_argument("--f", type=int, required=True)
-    p_hier.add_argument("--s", type=int, default=0)
-    p_hier.add_argument("--L", type=int, required=True)
-    p_hier.add_argument("--check", action="store_true",
-                        help="cross-check against direct expansion and RHS")
-    p_hier.set_defaults(fn=cmd_hierarchy)
 
     return parser
 

@@ -632,20 +632,13 @@ def dual_lhs(which: int, L: int) -> QSeries:
     total = Accumulator()
     for m in range(L // 2 + 1):
         for n_ in range(L - 2 * m + 1):
-            rem = L - n_ - 2 * m
-            if which == 1:
-                if rem % 3 == 0:
-                    ratio = poch_ratio(((L, 1),), ((m, 1), (n_, 1), (rem // 3, 3)))
-                    e = m * (m - 1) // 2 + L * n_
-                    total.add(ratio.shift(e) * monomial(0, (-1) ** m))
-            else:
-                e = m * (m + 1) // 2 + (L + 1) * n_
-                if rem % 3 == 0:
-                    ratio = poch_ratio(((L, 1),), ((m, 1), (n_, 1), (rem // 3, 3)))
-                    total.add(ratio.shift(e) * monomial(0, (-1) ** m))
-                if rem >= 1 and (rem - 1) % 3 == 0:
-                    ratio = poch_ratio(((L, 1),), ((m, 1), (n_, 1), ((rem - 1) // 3, 3)))
-                    total.add(-ratio.shift(e) * monomial(0, (-1) ** m))
+            e = m * (m - 1) // 2 + L * n_ if which == 1 else m * (m + 1) // 2 + (L + 1) * n_
+            # which = 2 subtracts a second term at k = (L - n - 2m - 1)/3
+            for drop, sign in ((0, 1), (1, -1))[:which]:
+                k, r = divmod(L - n_ - 2 * m - drop, 3)
+                if r == 0:
+                    ratio = poch_ratio(((L, 1),), ((m, 1), (n_, 1), (k, 3)))
+                    total.add(ratio.shift(e) * (sign * (-1) ** m))
     return total.value()
 
 

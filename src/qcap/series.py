@@ -80,13 +80,13 @@ class _Limbs:
             out.byteswap()
         return out.tolist()
 
-    def unpack_classes(self, sums: Sequence[int], n: int, total: int | None = None) -> list[int]:
-        """The coefficients c with c[r::len(sums)] the n limbs of sums[r]; with
-        a total given, they must add up to it, or ArithmeticError is raised."""
+    def unpack_classes(self, sums: Sequence[int], n: int, total: int) -> list[int]:
+        """The coefficients c with c[r::len(sums)] the n limbs of sums[r]; they
+        must add up to total, or ArithmeticError is raised."""
         out = [0] * (len(sums) * n)
         for r, packed in enumerate(sums):
             out[r::len(sums)] = self.unpack(packed, n)
-        if total is not None and sum(out) != total:
+        if sum(out) != total:
             raise ArithmeticError(f"coefficients add up to {sum(out)}, not to the bound {total}")
         return out
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON-lines output, determinism."""
 
+import argparse
 import errno
 import hashlib
 import io
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import qcap
-from qcap.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, main
+from qcap.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, build_parser, main
 from qcap.identities import CASES, Bounds
 
 
@@ -392,30 +393,16 @@ class TestPartitions:
         capsys.readouterr()
 
 
-class TestHierarchy:
-    def test_generate_and_check(self, capsys):
-        code, out, _ = run(capsys, "hierarchy", "--family", "double",
-                           "--f", "2", "--s", "1", "--L", "2", "--check")
-        assert code == EXIT_OK
-        assert out.strip().splitlines()[-1] == "# generator==direct==rhs: True"
-
-    def test_unknown_family(self, capsys):
-        code, _, err = run(capsys, "hierarchy", "--family", "nonsense",
-                           "--f", "1", "--L", "2")
-        assert code == EXIT_CONFIG
-        assert "valid" in err
-
-    def test_twist_rejected_outside_double(self, capsys):
-        code, _, err = run(capsys, "hierarchy", "--family", "cap1",
-                           "--f", "1", "--s", "1", "--L", "2")
-        assert code == EXIT_CONFIG
-
-    def test_negative_l_is_config_error(self, capsys):
-        code, out, err = run(capsys, "hierarchy", "--family", "cap1",
-                             "--f", "1", "--L", "-3", "--check")
-        assert code == EXIT_CONFIG
-        assert out == ""
-        assert "--L must be >= 0, got -3" in err
+class TestParser:
+    def test_subcommands_are_verify_series_and_partitions(self, capsys):
+        (subcommands,) = [action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction)]
+        assert sorted(subcommands.choices) == ["partitions", "series", "verify"]
+        # any other command, the retired `hierarchy` too, is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["hierarchy", "--family", "cap1", "--f", "1", "--L", "2"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "invalid choice: 'hierarchy'" in capsys.readouterr().err
 
 
 class TestModuleEntryPoint:

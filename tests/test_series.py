@@ -422,8 +422,9 @@ class TestLimbs:
         # to_bytes limbs; a total that the coefficients miss raises
         limbs = _limbs(bound, signed)
         classes = [[bound, 0, 1], [], [-bound if signed else 0, bound]]
-        out = limbs.unpack_classes([limbs.pack(c) for c in classes], 3)
-        assert out == [bound, 0, -bound if signed else 0, 0, 0, bound, 1, 0, 0]
+        expected = [bound, 0, -bound if signed else 0, 0, 0, bound, 1, 0, 0]
+        out = limbs.unpack_classes([limbs.pack(c) for c in classes], 3, sum(expected))
+        assert out == expected
         assert limbs.unpack_classes([limbs.pack(c) for c in classes], 3, sum(out)) == out
         with pytest.raises(ArithmeticError):
             limbs.unpack_classes([limbs.pack(c) for c in classes], 3, sum(out) + 1)

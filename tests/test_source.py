@@ -252,8 +252,8 @@ def test_import_rule_sees_qcap_imports():
 # the package names.
 PUBLIC = (
     "verify_bailey_theorem", "checkpoint_first_application",
-    "checkpoint_after_k_transform", "q_binomial_theorem_sides",
-    "verify_catalog", "verify_factor_witness",
+    "checkpoint_after_k_transform", "generate_hierarchy_lhs",
+    "q_binomial_theorem_sides", "verify_catalog", "verify_factor_witness",
     "verify_initial_condition_argument", "perturbed", "in_class_c",
     "in_class_d",
 )
