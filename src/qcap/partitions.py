@@ -11,6 +11,7 @@ partition of 0.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -161,15 +162,25 @@ _WEIGHTED = {
 }
 
 
+@lru_cache(maxsize=1)
+def _weighted_tables(n_max: int) -> tuple[tuple, tuple, tuple[int, ...]]:
+    """The tables every weighted theorem reads, built once per n_max as
+    tuples, since every caller shares them: distinct partitions by (size,
+    k mod 6), all partitions by (size, k mod 3), and the pi1 counts (a
+    knapsack over the parts not divisible by 3)."""
+    sizes = range(1, n_max + 1)
+    return (tuple(map(tuple, _tally(n_max, sizes, 6, False))),
+            tuple(map(tuple, _tally(n_max, sizes, 3, True))),
+            tuple(row[0] for row in _tally(n_max, [k for k in sizes if k % 3], 1, True)))
+
+
 def weighted_sum(theorem: str, n_max: int) -> list[tuple[int, int]]:
     """Signed totals (left, right) of a weighted theorem for n = 0..n_max.
 
     Each _WEIGHTED set and sign depends only on distinctness and the number
     of parts k, so it is read once off (k, ..., 1) for k < 6 on the left and
-    off (1,) * k for k < 3 for pi2.  Left: distinct partitions tabled by
-    (size, k mod 6).  Right: the pi1 counts (a knapsack over the parts not
-    divisible by 3) convolved with the signed pi2 totals (all partitions
-    tabled by (size, k mod 3)).
+    off (1,) * k for k < 3 for pi2.  Left: the signed distinct-partition
+    table.  Right: the pi1 counts convolved with the signed pi2 totals.
     """
     if theorem not in _WEIGHTED:
         raise ValueError(f"unknown weighted theorem {theorem!r}")
@@ -178,11 +189,8 @@ def weighted_sum(theorem: str, n_max: int) -> list[tuple[int, int]]:
                  for p in (tuple(range(k, 0, -1)) for k in range(6))]
     right_sign = [(-1) ** right_exp(p) if right_set(p) else 0
                   for p in ((1,) * k for k in range(3))]
-    sizes = range(1, n_max + 1)
-    distinct = _tally(n_max, sizes, 6, False)
-    pi2 = [sum(c * w for c, w in zip(row, right_sign))
-           for row in _tally(n_max, sizes, 3, True)]
-    pi1 = [row[0] for row in _tally(n_max, [k for k in sizes if k % 3], 1, True)]
+    distinct, every, pi1 = _weighted_tables(n_max)
+    pi2 = [sum(c * w for c, w in zip(row, right_sign)) for row in every]
     return [(sum(c * w for c, w in zip(distinct[n], left_sign)),
              sum(pi1[n1] * pi2[n - n1] for n1 in range(n + 1)))
             for n in range(n_max + 1)]

@@ -17,10 +17,10 @@ short one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Sequence
 
-from qcap.series import ONE, QSeries, ZERO, div_exact, monomial as _m
+from qcap.series import ONE, Accumulator, QSeries, ZERO, div_exact, monomial as _m
 from qcap.identities import rhs_new_fin_cap, s1_sum, s2_sum, seed_cap1, seed_cap2
 
 
@@ -49,15 +49,20 @@ class Recurrence:
     name: str
     order: int
     coeff: Callable[[int, int], QSeries]
-    min_l: int  # smallest L at which the relation is asserted
 
     def residual(self, seq: Callable[[int], QSeries], L: int) -> QSeries:
-        total = ZERO
+        total = Accumulator()
         for lag in range(self.order + 1):
             c = self.coeff(L, lag)
             if c:
-                total = total + c * seq(L - lag)
-        return total
+                total.add(c * seq(L - lag))
+        return total.value()
+
+    def tabled(self, l_values: Iterable[int]) -> Recurrence:
+        """This relation with its coefficients built once per L in l_values."""
+        table = {L: [self.coeff(L, lag) for lag in range(self.order + 1)]
+                 for L in set(l_values)}
+        return replace(self, coeff=lambda L, lag: table[L][lag])
 
 
 def _coeff_a_short(L: int, lag: int) -> QSeries:
@@ -156,12 +161,12 @@ def _coeff_c_proven(L: int, lag: int) -> QSeries:
 
 
 RECURRENCES: dict[str, Recurrence] = {
-    "a_short": Recurrence("a_short", 2, _coeff_a_short, min_l=2),
-    "b_short": Recurrence("b_short", 2, _coeff_b_short, min_l=2),
-    "b_proven": Recurrence("b_proven", 4, _coeff_b_proven, min_l=4),
-    "s1": Recurrence("s1", 3, _coeff_s1, min_l=3),
-    "s2": Recurrence("s2", 3, _coeff_s2, min_l=3),
-    "c_proven": Recurrence("c_proven", 5, _coeff_c_proven, min_l=5),
+    "a_short": Recurrence("a_short", 2, _coeff_a_short),
+    "b_short": Recurrence("b_short", 2, _coeff_b_short),
+    "b_proven": Recurrence("b_proven", 4, _coeff_b_proven),
+    "s1": Recurrence("s1", 3, _coeff_s1),
+    "s2": Recurrence("s2", 3, _coeff_s2),
+    "c_proven": Recurrence("c_proven", 5, _coeff_c_proven),
 }
 
 # (sequence id, recurrence id) pairs verified by verify_catalog; every window
@@ -209,18 +214,17 @@ def verify_recurrence(
 
 
 def default_window(rec: Recurrence, length: int = 9) -> range:
-    start = max(rec.order, rec.min_l)
-    return range(start, start + length)
+    return range(rec.order, rec.order + length)
 
 
 def verify_catalog(length: int = 9) -> list[RecurrenceReport]:
-    out = []
-    for seq_id, rec_id in CATALOG:
-        rec = RECURRENCES[rec_id]
-        out.append(verify_recurrence(
-            SEQUENCES[seq_id], rec, default_window(rec, length),
-            name=f"{seq_id}:{rec_id}"))
-    return out
+    # each relation's coefficients are built once per L, for every sequence
+    # the catalog pairs it with
+    windows = {rec_id: default_window(RECURRENCES[rec_id], length) for _, rec_id in CATALOG}
+    tabled = {rec_id: RECURRENCES[rec_id].tabled(window) for rec_id, window in windows.items()}
+    return [verify_recurrence(SEQUENCES[seq_id], tabled[rec_id], windows[rec_id],
+                              name=f"{seq_id}:{rec_id}")
+            for seq_id, rec_id in CATALOG]
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +256,10 @@ def _witness_c(L: int, t: int) -> QSeries:
                        ONE - _m(2 * L - 5), ONE - _m(2 * L - 6))).shift(9)
 
 
-_WITNESSES: dict[str, tuple[Callable[[int, int], QSeries], int, str, str]] = {
-    # id -> (witness coeff, witness order, long recurrence id, sequence id)
-    "b": (_witness_b, 2, "b_proven", "cap2_rhs"),
-    "c": (_witness_c, 3, "c_proven", "cap2_lhs"),
+_WITNESSES: dict[str, tuple[Recurrence, str, str]] = {
+    # id -> (witness relation in r_L, long recurrence id, sequence id)
+    "b": (Recurrence("b", 2, _witness_b), "b_proven", "cap2_rhs"),
+    "c": (Recurrence("c", 3, _witness_c), "c_proven", "cap2_lhs"),
 }
 
 
@@ -280,26 +284,25 @@ def verify_factor_witness(which: str, l_range: Sequence[int]) -> WitnessReport:
     coefficientwise at each L.
     """
     try:
-        witness, w_order, long_id, seq_id = _WITNESSES[which]
+        witness, long_id, seq_id = _WITNESSES[which]
     except KeyError:
         raise ValueError(f"unknown witness {which!r}") from None
     seq = SEQUENCES[seq_id]
     long_rec = RECURRENCES[long_id]
-    short = RECURRENCES["b_short"]
+    # w_t(L) once per L; rho_u(L') and r_{L'} once per L' = L - t reached
+    witness = witness.tabled(l_range)
+    reached = {L - t for L in l_range for t in range(witness.order + 1)}
+    short = RECURRENCES["b_short"].tabled(reached)
+    residuals = {L: short.residual(seq, L) for L in reached}
     relation, expansion = [], []
     for L in l_range:
-        value = ZERO
-        for t in range(w_order + 1):
-            value = value + witness(L, t) * short.residual(seq, L - t)
-        relation.append((L, not value))
+        relation.append((L, not witness.residual(residuals.__getitem__, L)))
         match = True
         for i in range(long_rec.order + 1):
-            combined = ZERO
-            for t in range(min(i, w_order) + 1):
-                u = i - t
-                if u <= short.order:
-                    combined = combined + witness(L, t) * short.coeff(L - t, u)
-            if combined != long_rec.coeff(L, i):
+            combined = Accumulator()
+            for t in range(max(i - short.order, 0), min(i, witness.order) + 1):
+                combined.add(witness.coeff(L, t) * short.coeff(L - t, i - t))
+            if combined.value() != long_rec.coeff(L, i):
                 match = False
         expansion.append((L, match))
     return WitnessReport(which, tuple(relation), tuple(expansion))
@@ -353,4 +356,4 @@ def perturbed(rec: Recurrence, lag: int, delta: QSeries) -> Recurrence:
         value = rec.coeff(L, i)
         return value + delta if i == lag else value
 
-    return Recurrence(f"{rec.name}~perturbed", rec.order, coeff, rec.min_l)
+    return Recurrence(f"{rec.name}~perturbed", rec.order, coeff)

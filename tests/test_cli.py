@@ -404,6 +404,15 @@ class TestParser:
         assert exc.value.code == EXIT_CONFIG
         assert "invalid choice: 'hierarchy'" in capsys.readouterr().err
 
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_keeps_no_flag_of_an_earlier_call(self, capsys):
+        run(capsys, "verify", "--case", "new_fin_cap_1", "--L-max", "1")
+        code, out, _ = run(capsys, "verify", "--case", "new_fin_cap_2", "--L-max", "1")
+        assert code == EXIT_OK
+        assert {json.loads(line)["id"] for line in out.splitlines()[:-1]} == {"new_fin_cap_2"}
+
 
 class TestModuleEntryPoint:
     def env(self):
@@ -450,6 +459,25 @@ class TestModuleEntryPoint:
         assert "Traceback" not in err
         assert "Exception ignored" not in err
         assert len(err.splitlines()) == 1
+
+    def test_calls_in_one_process_print_what_fresh_processes_print(self, capsys):
+        # the parser and the weighted tables that main keeps between calls,
+        # across a usage error too, change no table
+        calls = [("partitions", "counts", "--m", "2"),
+                 ("partitions", "weighted", "--theorem", "W2"),
+                 ("partitions", "counts", "--m", "1")]
+        outputs = [run(capsys, *calls[0])]
+        with pytest.raises(SystemExit) as exc:
+            main(["partitions", "counts", "--m", "3"])
+        assert exc.value.code == EXIT_CONFIG
+        capsys.readouterr()
+        outputs += [run(capsys, *argv) for argv in calls[1:]]
+        for argv, (code, out, err) in zip(calls, outputs):
+            # bytes, so that the csv module's \r\n line ends are compared too
+            done = subprocess.run([sys.executable, "-m", "qcap", *argv],
+                                  capture_output=True, env=self.env())
+            assert (code, out.encode(), err.encode()) == (
+                done.returncode, done.stdout, done.stderr), argv
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
     @pytest.mark.parametrize("unbuffered", [False, True])

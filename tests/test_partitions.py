@@ -1,12 +1,15 @@
 """Partition oracle: its counting tables against the member generators and
 brute-force enumeration, and its counts against the series engine."""
 
+import itertools
+
 import pytest
 
 from qcap.partitions import (
     _WEIGHTED,
     _check_m,
     _gap_ok_pairform,
+    _weighted_tables,
     count_c,
     count_d,
     in_class_c,
@@ -225,6 +228,17 @@ class TestWeighted:
                 assert left_exp(p) % 2 == left_exp(left) % 2, p
                 assert right_set(p) == right_set(right), p
                 assert right_exp(p) % 2 == right_exp(right) % 2, p
+
+    def test_shared_tables_in_every_order(self):
+        # W1-W3 read one set of tables per n_max; whichever theorem builds
+        # them, the others read them unchanged
+        expected = {theorem: [_weighted_sum_by_filtering(theorem, n) for n in range(16)]
+                    for theorem in _WEIGHTED}
+        for order in itertools.permutations(expected):
+            _weighted_tables.cache_clear()
+            for theorem in order:
+                assert weighted_sum(theorem, 15) == expected[theorem], order
+            assert _weighted_tables.cache_info().hits == len(order) - 1
 
     def test_worked_example_n3(self):
         assert weighted_sum("W1", 3)[3] == (2, 2)

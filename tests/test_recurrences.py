@@ -2,6 +2,7 @@
 
 import pytest
 
+from qcap import recurrences
 from qcap.recurrences import (
     CATALOG,
     RECURRENCES,
@@ -86,6 +87,27 @@ class TestNegativeControls:
         bad = perturbed(RECURRENCES["b_short"], 1, Q)
         report = verify_recurrence(SEQUENCES["cap2_rhs"], bad, range(2, 6))
         assert not report.ok
+
+    def test_perturbed_relation_fails_for_every_sequence_it_serves(self, monkeypatch):
+        # verify_catalog builds each relation's coefficients once and reads
+        # them for both sequences the relation serves
+        monkeypatch.setitem(RECURRENCES, "b_short", perturbed(RECURRENCES["b_short"], 1, Q))
+        reports = {report.name: report for report in verify_catalog(length=9)}
+        for name in ("cap2_lhs:b_short", "cap2_rhs:b_short"):
+            assert not any(passed for _, passed in reports[name].checks), name
+        assert all(report.ok for name, report in reports.items()
+                   if not name.endswith(":b_short"))
+
+    def test_perturbed_witness_fails_every_expansion_check(self, monkeypatch):
+        # w_1 + q no longer composes the short recurrence into b_proven; the
+        # relation checks stay true, since the short residuals vanish
+        witness, long_id, seq_id = recurrences._WITNESSES["b"]
+        monkeypatch.setitem(recurrences._WITNESSES, "b",
+                            (perturbed(witness, 1, Q), long_id, seq_id))
+        report = verify_factor_witness("b", range(4, 13))
+        assert not report.ok
+        assert not any(passed for _, passed in report.expansion_checks)
+        assert all(passed for _, passed in report.relation_checks)
 
     def test_window_below_order_rejected(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ through the left sides' packed M-sum, which keeps its own packs; the finite
 left sides reach no right-side sum; ``IdentityCase`` stays a dataclass; the
 half-limb constant of
 signed limbs lives only in the series module; the partition oracle
-imports nothing from qcap; and
+imports nothing from qcap; the CLI builds no parser at import; and
 every top-level function or class, and every method or property of a class,
 is used by the package or is an entry point."""
 
@@ -246,6 +246,41 @@ def test_import_rule_sees_qcap_imports():
     tree = ast.parse("import qcap.series\nfrom qcap import series\n"
                      "from . import series\nimport csv\nfrom typing import Callable\n")
     assert _imports_from_qcap(tree) == [1, 2, 3]
+
+
+def _import_time_calls(tree):
+    """The names of the functions a module calls while it is imported: every
+    call outside the body of a function or lambda."""
+    names, todo = [], list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo += [*getattr(node, "decorator_list", ()), *node.args.defaults,
+                     *filter(None, node.args.kw_defaults)]
+            continue
+        if isinstance(node, ast.Call):
+            names.append(getattr(node.func, "id", getattr(node.func, "attr", None)))
+        todo += ast.iter_child_nodes(node)
+    return names
+
+
+PARSER_BUILDERS = {"build_parser", "ArgumentParser"}
+
+
+def test_cli_builds_no_parser_at_import():
+    # main builds the parser on its first call; built at import, it would
+    # cost every import of the CLI module, also one that parses nothing
+    assert not PARSER_BUILDERS & set(_import_time_calls(_tree("cli.py")))
+
+
+def test_parser_rule_sees_a_module_level_parser():
+    assert "build_parser" in _import_time_calls(ast.parse("PARSER = build_parser()\n"))
+    assert "ArgumentParser" in _import_time_calls(
+        ast.parse("class C:\n    p = argparse.ArgumentParser()\n"))
+    assert "build_parser" in _import_time_calls(
+        ast.parse("def main(p=build_parser()):\n    pass\n"))
+    assert not PARSER_BUILDERS & set(_import_time_calls(ast.parse(
+        "def main():\n    return build_parser()\n\nf = lambda: argparse.ArgumentParser()\n")))
 
 
 # Entry points the acceptance gate and the benchmark call, which no module of
