@@ -90,6 +90,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"--s must satisfy 0 <= s <= --f-max ({args.f_max}), got {args.s}",
               file=sys.stderr)
         return EXIT_CONFIG
+    if args.s is not None and not any("s" in identities.CASES[c].params for c in case_ids):
+        print("--s: no selected case takes a twist s", file=sys.stderr)
+        return EXIT_CONFIG
 
     s_values = None if args.s is None else (args.s,)
     bounds = Bounds(
@@ -102,7 +105,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     out = _open_out(args.out)
     try:
         start = time.perf_counter()
-        reports = [identities.verify_case(*task) for task in tasks]
+        # grouped by (L, f, s), absent as -1, so a grid point's tables serve its cases in a row
+        reports: list = [None] * len(tasks)
+        for i in sorted(range(len(tasks)), key=lambda i: [tasks[i][1].get(p, -1) for p in "Lfs"]):
+            reports[i] = identities.verify_case(*tasks[i])
         elapsed_ms = (time.perf_counter() - start) * 1000.0
 
         if args.format == "text":

@@ -30,12 +30,12 @@ from qcap.series import (
     stretched_product_sum,
 )
 from qcap.qcombinat import (
+    _poch_step,
     binomial_product_sum,
     inv_pochhammer,
     inv_pochhammer_inf,
     jacobi3,
     pochhammer_inf,
-    poch_ratio,
     product_of_inf,
     q_binomial,
     trinomial_t,
@@ -55,70 +55,82 @@ class ParamOutOfRange(ValueError):
 # because the grouped Pochhammer quotients are themselves polynomials.
 # ---------------------------------------------------------------------------
 
-def _base3_sum(M: int, shifts: Callable[[int, int, int], tuple[int, ...]]) -> QSeries:
-    """sum ratio q^x over the terms (m, n) of the base-3 seed sums at bound M
-    and each x in shifts(m, n, e): e = 2m^2+6mn+6n^2 and ratio = (q^3)_M /
-    [(q)_m (q^3)_n (q^3)_{M-2n-m}]."""
-    total = Accumulator()
-    for n in range(M // 2 + 1):
-        for m in range(M - 2 * n + 1):
-            ratio = poch_ratio(((M, 3),), ((m, 1), (n, 3), (M - 2 * n - m, 3)))
-            for x in shifts(m, n, 2 * m * m + 6 * m * n + 6 * n * n):
-                total.add(ratio.shift(x))
-    return total.value()
-
-
 @lru_cache(maxsize=None)
+def _base3_seeds(M: int) -> tuple[QSeries, QSeries, QSeries]:
+    """seed_cap1_binomial, seed_cap2_binomial and seed_sum_cap at bound M, in
+    one loop over their terms (m, n), which share e = 2m^2+6mn+6n^2 and the
+    quotient (q^3)_M / [(q)_m (q^3)_n (q^3)_c], c = M-2n-m.  Each quotient
+    steps from the one before: from 1 at (0, 0), along n at m = 0 by
+    (1-q^{3c+3})(1-q^{3c+6}) / (1-q^{3n}), along m by (1-q^{3c+3}) / (1-q^m)."""
+    sums, start = (Accumulator(), Accumulator(), Accumulator()), [1]
+    for n in range(M // 2 + 1):
+        c = M - 2 * n
+        ratio = start = _poch_step(start, range(3 * c + 3, min(3 * c + 6, 3 * M) + 1, 3),
+                                   (3 * n,) if n else ())
+        for m in range(c + 1):
+            if m:
+                ratio = _poch_step(ratio, (3 * (c - m) + 3,), (m,))
+            value, e = QSeries(0, ratio), 2 * m * m + 6 * m * n + 6 * n * n
+            for i, x in ((0, e), (1, e + m + 3 * n), (1, e + 3 * m + 6 * n + 1),
+                         (2, e - 2 * m - 3 * n), (2, e - 2 * m - 3 * n + 3 * M)):
+                sums[i].add(value.shift(x))
+    return tuple(total.value() for total in sums)
+
+
 def seed_cap1_binomial(M: int) -> QSeries:
     """sum q^{2m^2+6mn+6n^2} (q^3)_M / [(q)_m (q^3)_n (q^3)_{M-2n-m}]."""
-    return _base3_sum(M, lambda m, n, e: (e,))
+    return _base3_seeds(M)[0]
 
 
-@lru_cache(maxsize=None)
 def seed_cap2_binomial(M: int) -> QSeries:
     """The printed two-sum layout over the seed_cap1_binomial quotient: the
     first sum has exponent 2m^2+6mn+6n^2+m+3n, the second carries the
     prefactor q and exponent 2m^2+6mn+6n^2+3m+6n."""
-    return _base3_sum(M, lambda m, n, e: (e + m + 3 * n, e + 3 * m + 6 * n + 1))
+    return _base3_seeds(M)[1]
 
 
-@lru_cache(maxsize=None)
 def seed_sum_cap(M: int) -> QSeries:
     """sum q^{2m^2+6mn+6n^2-2m-3n} (1+q^{3M}) (q^3)_M / [...] (same quotient)."""
-    return _base3_sum(M, lambda m, n, e: (e - 2 * m - 3 * n, e - 2 * m - 3 * n + 3 * M))
+    return _base3_seeds(M)[2]
 
 
-def _base1_sum(L: int, shifts: Callable[[int, int, int], tuple[int, ...]],
+def _base1_sum(L: int, terms: Callable[[int, int, int, int], Iterable[tuple[int, int]]],
                drop: int = 0) -> QSeries:
-    """sum ratio q^x over the terms (m, n) of the base-1 seed sums at bound L
-    and each x in shifts(m, n, e): e = 2m^2+6mn+6n^2 and ratio = (q)_L /
-    [(q)_{L-3n-2m-drop} (q)_m (q^3)_n], zero if L - 3n - 2m - drop < 0."""
-    total = Accumulator()
-    for n in range(L // 3 + 1):
-        for m in range((L - 3 * n) // 2 + 1):
-            ratio = poch_ratio(((L, 1),), ((L - 3 * n - 2 * m - drop, 1), (m, 1), (n, 3)))
-            for x in shifts(m, n, 2 * m * m + 6 * m * n + 6 * n * n):
-                total.add(ratio.shift(x))
+    """sum c q^x ratio over every m, n >= 0 with r = L-3n-2m-drop >= 0 and
+    each (x, c) in terms(m, n, e, r), e = 2m^2+6mn+6n^2 and ratio = (q)_L /
+    [(q)_r (q)_m (q^3)_n].  Each ratio steps from the one before: from
+    (q)_L / (q)_{L-drop} at (0, 0), along n at m = 0 by (1-q^{r+1})(1-q^{r+2})
+    (1-q^{r+3}) / (1-q^{3n}), along m by (1-q^{r+1})(1-q^{r+2}) / (1-q^m)."""
+    total, start = Accumulator(), [1]
+    for n in range((L - drop) // 3 + 1):
+        r = L - 3 * n - drop
+        ratio = start = _poch_step(start, range(r + 1, min(r + 3, L) + 1), (3 * n,) if n else ())
+        for m in range(r // 2 + 1):
+            if m:
+                ratio = _poch_step(ratio, (r - 2 * m + 1, r - 2 * m + 2), (m,))
+            value = QSeries(0, ratio)
+            for x, c in terms(m, n, 2 * m * m + 6 * m * n + 6 * n * n, r - 2 * m):
+                total.add(value.shift(x) * c)
     return total.value()
 
 
 @lru_cache(maxsize=None)
 def seed_cap1(L: int) -> QSeries:
     """sum q^{2m^2+6mn+6n^2} (q)_L / [(q)_{L-3n-2m} (q)_m (q^3)_n]."""
-    return _base1_sum(L, lambda m, n, e: (e,))
+    return _base1_sum(L, lambda m, n, e, r: ((e, 1),))
 
 
 @lru_cache(maxsize=None)
 def s1_sum(L: int) -> QSeries:
     """First double sum of seed_cap2: the seed_cap1 summand times q^{m+3n}."""
-    return _base1_sum(L, lambda m, n, e: (e + m + 3 * n,))
+    return _base1_sum(L, lambda m, n, e, r: ((e + m + 3 * n, 1),))
 
 
 @lru_cache(maxsize=None)
 def s2_sum(L: int) -> QSeries:
     """Second double sum of seed_cap2: prefactor q, exponent 2m^2+6mn+6n^2
     +3m+6n, and residual length L-3n-2m-1 (kept as printed, not absorbed)."""
-    return _base1_sum(L, lambda m, n, e: (e + 3 * m + 6 * n + 1,), drop=1)
+    return _base1_sum(L, lambda m, n, e, r: ((e + 3 * m + 6 * n + 1, 1),), drop=1)
 
 
 @lru_cache(maxsize=None)
@@ -276,17 +288,37 @@ def _inner_level(stacks: Callable[..., list], key: tuple, a: int, f: int, s: int
     return level
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def _chain_levels(a: int, L: int) -> list[Level]:
     """[P_0, P_1, ...], the untwisted levels of an (a, L) chain with P_0(N)
-    = 1; hierarchy_finite_lhs appends the deeper levels as it needs them."""
+    = 1; _inner_level appends the deeper levels as they are asked for."""
     return [(ONE,) * (L + 1)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def _chain_tails(a: int, L: int) -> Level:
-    """(q)_{2L+a} / [(q)_{L-n} (q)_{2n+a}] for n = 0..L: the tails of an (a, L) chain."""
-    return tuple(poch_ratio(((2 * L + a, 1),), ((L - n, 1), (2 * n + a, 1))) for n in range(L + 1))
+    """(q)_{2L+a} / [(q)_{L-n} (q)_{2n+a}] for n = 0..L: the tails of an (a,
+    L) chain, stepped down from 1 at n = L by (1-q^{2n+a-1})(1-q^{2n+a}) /
+    (1-q^{L-n+1})."""
+    tails = [[1]]
+    for n in range(L, 0, -1):
+        tails.append(_poch_step(tails[-1], (2 * n + a - 1, 2 * n + a), (L - n + 1,)))
+    return tuple(QSeries(0, tail) for tail in reversed(tails))
+
+
+@lru_cache(maxsize=2)
+def _chain_rows(a: int, f: int, s: int, L: int) -> tuple[QSeries, ...]:
+    """The chains of n_f = 0..L at (f, s, L) for parity a, which every family
+    of that a reads.  With N_1 >= ... >= N_f = n_f, the chain quotient is
+    (q)_{2L+a} / [(q)_{L-n_f} (q)_{2n_f+a}] times prod_{k<f} [L-N_{k+1},
+    N_k-N_{k+1}], so the sum over index vectors nests level by level from N_1
+    inward, and the chain of n_f is the tail times q^{n_f^2+eps*n_f} P_{f-1}(n_f),
+    where a twist s adds 1 to eps.  verify evaluates its instances grouped by
+    (L, f, s), so the rows, levels and tails keep that L only."""
+    eps = a + bool(s)
+    level = _inner_level(_chain_levels, (L,), a, f, s, lambda N, n: q_binomial(L - N, n - N))
+    return tuple((tail * inner).shift(nf * nf + eps * nf)
+                 for nf, (tail, inner) in enumerate(zip(_chain_tails(a, L), level)))
 
 
 @lru_cache(maxsize=None)
@@ -296,30 +328,13 @@ def _seed_classes(seed: Callable[[int], QSeries], n: int, base: int) -> _Classes
 
 
 def hierarchy_finite_lhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
-    """Exact multi-sum: chain quotient times the seed polynomial at n_f.
-
-    With N_1 >= ... >= N_f = n_f, the chain quotient is (q)_{2L+a} /
-    [(q)_{L-n_f} (q)_{2n_f+a}] times prod_{k<f} [L-N_{k+1}, N_k-N_{k+1}], so
-    the sum over index vectors nests level by level from N_1 inward, and the
-    chain of each n_f is that quotient times q^{n_f^2+eps*n_f} P_{f-1}(n_f).
-    The untwisted levels depend on neither f, the seed nor the base: one
-    stack per (a, L), at most 2 * (L_max+1), serves every family and depth.
-    A twist s adds 1 to eps on the n_f level and on the s-1 levels before
-    it, which extend the untwisted P_{f-s} and are not kept; at s = f they
-    are the untwisted levels of a + 1, read from that stack.  A base-b chain
-    is summed in powers of q, and one stretched_product_sum pass adds up
-    chain(q^b) * seed(n_f) over every n_f, by residue class of the seed; the
-    tails of an (a, L) and the seeds' classes are tabled once per run."""
+    """Exact multi-sum: the chain of each n_f (_chain_rows) times the seed
+    polynomial at n_f.  A base-b chain is summed in powers of q, and one
+    stretched_product_sum pass adds up chain(q^b) * seed(n_f) over every n_f,
+    by residue class of the seed, whose classes are tabled once per run."""
     fam = _family_checked(family, f, s)
-
-    def kernel(N: int, n: int) -> QSeries:
-        return q_binomial(L - N, n - N)
-
-    eps = fam.a + bool(s)
-    level = _inner_level(_chain_levels, (L,), fam.a, f, s, kernel)
-    return stretched_product_sum(
-        [((tail * inner).shift(nf * nf + eps * nf), _seed_classes(fam.seed, nf, fam.base))
-         for nf, (tail, inner) in enumerate(zip(_chain_tails(fam.a, L), level))], fam.base)
+    return stretched_product_sum([(row, _seed_classes(fam.seed, nf, fam.base))
+                                  for nf, row in enumerate(_chain_rows(fam.a, f, s, L))], fam.base)
 
 
 def hierarchy_finite_rhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
@@ -629,16 +644,14 @@ def cor_cap2_analogue_lhs(L: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 def dual_lhs(which: int, L: int) -> QSeries:
+    """sum (-1)^m q^{m(m-1)/2+Ln} (q)_L / [(q)_m (q)_n (q^3)_k] over n+2m+3k =
+    L (which 1), or with q^{m(m+1)/2+(L+1)n}, minus the same sum over n+2m+3k =
+    L-1 (which 2): the sums of _base1_sum, with k for its n and n for its r."""
     total = Accumulator()
-    for m in range(L // 2 + 1):
-        for n_ in range(L - 2 * m + 1):
-            e = m * (m - 1) // 2 + L * n_ if which == 1 else m * (m + 1) // 2 + (L + 1) * n_
-            # which = 2 subtracts a second term at k = (L - n - 2m - 1)/3
-            for drop, sign in ((0, 1), (1, -1))[:which]:
-                k, r = divmod(L - n_ - 2 * m - drop, 3)
-                if r == 0:
-                    ratio = poch_ratio(((L, 1),), ((m, 1), (n_, 1), (k, 3)))
-                    total.add(ratio.shift(e) * (sign * (-1) ** m))
+    for drop, sign in ((0, 1), (1, -1))[:which]:
+        total.add(_base1_sum(L, lambda m, k, e, n: (
+            (m * (m - 1) // 2 + L * n if which == 1 else m * (m + 1) // 2 + (L + 1) * n,
+             sign * (-1) ** m),), drop))
     return total.value()
 
 

@@ -139,6 +139,18 @@ def _div_one_minus(coeffs: list[int], m: int) -> list[int]:
     return out[:-m]
 
 
+def _poch_step(coeffs: list[int], times: Iterable[int], divs: Iterable[int]) -> list[int]:
+    """coeffs * prod (1 - q^t) / prod (1 - q^d) over t in times and d in divs,
+    every multiplication before any division.  If the quotient is a
+    polynomial, so is each partial one, since what is left to divide divides
+    it; if not, a division raises NonDivisible."""
+    for t in times:
+        coeffs = _times_one_minus(coeffs, t)
+    for d in divs:
+        coeffs = _div_one_minus(coeffs, d)
+    return coeffs
+
+
 def _tight(coeffs: list[int]) -> list[int]:
     """Copies of the ints, each allocated no wider than its value needs.
 
@@ -189,27 +201,16 @@ def poch_ratio(num: tuple[tuple[int, int], ...], den: tuple[tuple[int, int], ...
 
 @lru_cache(maxsize=None)
 def _poch_ratio_cached(num: tuple[tuple[int, int], ...], den: tuple[tuple[int, int], ...]) -> QSeries:
-    """Quotient of Pochhammer products, factor by factor.
-
-    Each (q^b;q^b)_n is the product of its factors (1 - q^{bk}), k = 1..n.
-    Factors shared by numerator and denominator cancel; the numerator
-    factors left are multiplied out, and the result is divided by each
-    denominator factor left.  Every (1 - q^m) has leading coefficient -1, a
-    unit, so over Z[q] a division fails exactly when the divisor does not
-    divide: cancelling common factors and dividing one factor at a time
-    raises NonDivisible exactly when multiplying the numerator out and
-    dividing it by each denominator Pochhammer with div_exact would.
-    """
+    """Quotient of Pochhammer products, factor by factor: each (q^b;q^b)_n is
+    the product of its factors (1 - q^{bk}), k = 1..n, the factors shared by
+    numerator and denominator cancel, and _poch_step takes the rest.  Every
+    (1 - q^m) has leading coefficient -1, a unit, so over Z[q] this raises
+    NonDivisible exactly when dividing the multiplied-out numerator by each
+    denominator Pochhammer with div_exact would."""
     top = Counter(m for length, b in num for m in range(b, b * length + 1, b))
     bottom = Counter(m for length, b in den for m in range(b, b * length + 1, b))
-    coeffs = [1]
-    for m, times in sorted((top - bottom).items()):
-        for _ in range(times):
-            coeffs = _times_one_minus(coeffs, m)
-    for m, times in sorted((bottom - top).items()):
-        for _ in range(times):
-            coeffs = _div_one_minus(coeffs, m)
-    return QSeries(0, _tight(coeffs))
+    return QSeries(0, _tight(_poch_step([1], sorted((top - bottom).elements()),
+                                        sorted((bottom - top).elements()))))
 
 
 # ---------------------------------------------------------------------------

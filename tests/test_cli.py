@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,9 @@ from pathlib import Path
 import pytest
 
 import qcap
+from qcap import identities
 from qcap.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, build_parser, main
-from qcap.identities import CASES, Bounds
+from qcap.identities import CASES, FAMILIES, Bounds, iterate_grid
 
 
 def run(capsys, *argv):
@@ -79,6 +81,26 @@ class TestVerify:
         assert code == EXIT_CONFIG
         assert out == ""
         assert "--s" in err
+
+    def test_twist_with_no_twisted_case_is_config_error(self, capsys):
+        # as `qcap series lhs:hierarchy_finite_cap1 --s 1` is
+        code, out, err = run(capsys, "verify", "--case", "hierarchy_finite_cap1",
+                             "--case", "new_fin_cap_1", "--s", "1")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.splitlines() == ["--s: no selected case takes a twist s"]
+        code, _, _ = run(capsys, "series", "lhs:hierarchy_finite_cap1", "--f", "1",
+                         "--L", "2", "--s", "1")
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("select", [("--all",), ("--case", "new_fin_cap_1",
+                                                     "--case", "hierarchy_finite_double")])
+    def test_twist_with_a_twisted_case_runs(self, capsys, select):
+        code, out, _ = run(capsys, "verify", *select, "--s", "1", "--L-max", "2",
+                           "--M-max", "2", "--trunc", "8")
+        assert code == EXIT_OK
+        params = [json.loads(line)["params"] for line in out.splitlines()[:-1]]
+        assert {p["s"] for p in params if "s" in p} == {1}
 
     def test_text_format_header(self, capsys):
         code, out, _ = run(capsys, "verify", "--case", "new_fin_cap_1",
@@ -184,6 +206,12 @@ SHORT_M_GRID_REPORT_SHA256 = (
 DEEP_REPORT_SHA256 = (
     "f93038e2cfcf05f6b19677942a1ac027b8146bad85984c271271c2d9410614ba")
 
+# `--all --f-max 6 --L-max 8 --M-max 4` (916 reports), twists past f = 3,
+# recorded before verify evaluated its instances grouped by (L, f, s) and the
+# finite left sides shared their chain rows.
+F6_REPORT_SHA256 = (
+    "a3e0df97f749d1678bd503f2930ee34672ef5fdd57f6eabb2a8e96891ec7940b")
+
 # The S-ladder cases at `--nu-max 6 --L-max 8 --M-max 8`, recorded before the
 # S-ladder left sides walked only the chains with a term.
 S_LADDER_NU6_REPORT_SHA256 = (
@@ -230,12 +258,73 @@ class TestReportGuard:
         assert (report_sha256(capsys, "--L-max", "10", "--M-max", "3", select=select)
                 == SHORT_M_GRID_REPORT_SHA256)
 
+    def test_twists_to_depth_6_are_byte_identical(self, capsys):
+        assert (report_sha256(capsys, "--f-max", "6", "--L-max", "8", "--M-max", "4")
+                == F6_REPORT_SHA256)
+
     def test_s_ladder_cases_to_depth_6_are_byte_identical(self, capsys):
         select = ("--case", "s_hierarchy", "--case", "s_hierarchy_limit",
                   "--case", "corollary_transform")
         assert (report_sha256(capsys, "--nu-max", "6", "--L-max", "8", "--M-max", "8",
                               select=select)
                 == S_LADDER_NU6_REPORT_SHA256)
+
+
+def point(params):
+    """The (L, f, s) that verify groups an instance by, an absent one as -1."""
+    return tuple(params.get(p, -1) for p in "Lfs")
+
+
+class TestEvaluationOrder:
+    # verify evaluates its instances grouped by (L, f, s) and writes the
+    # reports in the order of its --case flags and grids
+
+    def test_reports_follow_the_case_order(self, capsys):
+        ids = sorted(CASES)
+        flags = ("--L-max", "4", "--M-max", "4", "--f-max", "4", "--trunc", "12")
+        _, out, _ = run(capsys, "verify", *[x for c in ids for x in ("--case", c)], *flags)
+        blocks = {}
+        for line in out.splitlines()[:-1]:
+            blocks.setdefault(json.loads(line)["id"], []).append(line)
+        assert list(blocks) == ids
+        rng = random.Random(5)
+        for order in (ids[::-1], rng.sample(ids, len(ids))):
+            _, out, _ = run(capsys, "verify", *[x for c in order for x in ("--case", c)], *flags)
+            assert out.splitlines()[:-1] == [line for c in order for line in blocks[c]]
+
+    def test_instances_are_evaluated_grouped_by_grid_point(self, capsys, monkeypatch):
+        import qcap.identities
+
+        calls, verify_case = [], qcap.identities.verify_case
+
+        def recorded(case_id, params):
+            calls.append((case_id, params))
+            return verify_case(case_id, params)
+
+        monkeypatch.setattr(qcap.identities, "verify_case", recorded)
+        ids = random.Random(3).sample(sorted(CASES), len(CASES))
+        _, out, _ = run(capsys, "verify", *[x for c in ids for x in ("--case", c)],
+                        "--L-max", "3", "--M-max", "2", "--f-max", "4")
+        points = [point(params) for _, params in calls]
+        assert points == sorted(points)
+        tasks = [(c, p) for c in ids for p in iterate_grid(c, Bounds(3, 2, 4))]
+        assert sorted(calls, key=lambda call: tasks.index(call)) == tasks
+        written = [json.loads(line) for line in out.splitlines()[:-1]]
+        assert [(r["id"], r["params"]) for r in written] == [
+            (c, dict(sorted(p.items()))) for c, p in tasks]
+
+    def test_chain_rows_are_built_once_per_key_and_tables_hold_one_l(self, capsys):
+        rows = identities._chain_rows
+        rows.cache_clear()
+        code, _, _ = run(capsys, "verify", "--all")
+        assert code == EXIT_OK
+        keys = {(FAMILIES[c.removeprefix("hierarchy_finite_")].a, p["f"], p.get("s", 0), p["L"])
+                for c in CASES if c.startswith("hierarchy_finite_")
+                for p in iterate_grid(c, Bounds())}
+        assert rows.cache_info().misses == len(keys) == 108
+        for table in (identities._chain_levels, identities._chain_tails, rows):
+            info = table.cache_info()
+            assert info.maxsize == 2 and info.currsize <= 2, table
 
 
 class TestSeries:

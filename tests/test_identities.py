@@ -14,6 +14,7 @@ from qcap import identities, qcombinat, series
 from qcap.identities import (
     FAMILIES,
     _chain_levels,
+    _chain_rows,
     _inner_level,
     _ladder_chains,
     _limit_levels,
@@ -451,6 +452,7 @@ class TestSharedTables:
         expected = {(name, f, L): per_term_hierarchy_finite_lhs(name, f, L, 0)
                     for name in FAMILIES for f in range(1, 4) for L in range(6)}
         _chain_levels.cache_clear()
+        _chain_rows.cache_clear()
         for name in [first] + sorted(set(FAMILIES) - {first}):
             for f in range(1, 4):
                 for L in range(6):
@@ -468,7 +470,7 @@ class TestSharedTables:
         limit = {(f, s, n): per_term_hierarchy_limit_lhs("double", f, n, s)
                  for f, s in pairs for n in (40, 57)}
         for order in (pairs, pairs[::-1], rng.sample(pairs, len(pairs))):
-            for store in (_chain_levels, _limit_levels):
+            for store in (_chain_levels, _chain_rows, _limit_levels):
                 store.cache_clear()
             for f, s in order:
                 for L in range(7):
@@ -489,6 +491,7 @@ class TestSharedTables:
                  for s in (range(f + 1) if FAMILIES[family].twisted else (0,))]
         expected = {(f, s): per_level_hierarchy_finite_lhs(family, f, L, s) for f, s in pairs}
         _chain_levels.cache_clear()
+        _chain_rows.cache_clear()
         for f, s in in_order(pairs, order, rng):
             assert hierarchy_finite_lhs(family, f, L, s) == expected[f, s], (f, s)
 
@@ -556,14 +559,14 @@ class TestSharedTables:
         for params in iterate_grid("s_hierarchy", bounds):
             assert verify_case("s_hierarchy", params).verdict
         assert _refinement_groups.cache_info().misses == bounds.nu_max * (bounds.l_max + 1)
-        for store in (_chain_levels, _limit_levels):
+        for store in (_chain_levels, _chain_rows, _limit_levels):
             store.cache_clear()
         for case_id in CASES:
             if case_id.startswith("hierarchy_"):
                 for params in iterate_grid(case_id, bounds):
                     assert verify_case(case_id, params).verdict
-        # one level stack per (a, L), whatever f, family or twist
-        assert _chain_levels.cache_info().currsize <= 2 * (bounds.l_max + 1)
+        # one level stack per a, of the L last read, whatever f, family or twist
+        assert _chain_levels.cache_info().currsize <= 2
         # one limit stack per (a, b) at the one order n
         assert _limit_levels.cache_info().currsize <= 4
         # every truncated case at n = 100 builds each distinct limit level
@@ -680,6 +683,116 @@ class TestDepthReach:
         # the limit side at f = nu(nu+3)/2 = 9 and 14
         report = verify_case("corollary_transform", {"nu": nu, "n": 80})
         assert report.verdict, report.first_mismatch
+
+
+def per_term_base3_sum(M, shifts):
+    """sum ratio q^x over the base-3 seed terms (m, n) and each x in
+    shifts(m, n, e), e = 2m^2+6mn+6n^2, each ratio from poch_ratio."""
+    total = ZERO
+    for n in range(M // 2 + 1):
+        for m in range(M - 2 * n + 1):
+            ratio = poch_ratio(((M, 3),), ((m, 1), (n, 3), (M - 2 * n - m, 3)))
+            for x in shifts(m, n, 2 * m * m + 6 * m * n + 6 * n * n):
+                total = total + ratio.shift(x)
+    return total
+
+
+def per_term_base1_sum(L, shifts, drop=0):
+    """sum ratio q^x over the base-1 seed terms (m, n) and each x in
+    shifts(m, n, e), ratio = (q)_L / [(q)_{L-3n-2m-drop} (q)_m (q^3)_n] from
+    poch_ratio (zero for a negative length)."""
+    total = ZERO
+    for n in range(L // 3 + 1):
+        for m in range((L - 3 * n) // 2 + 1):
+            ratio = poch_ratio(((L, 1),), ((L - 3 * n - 2 * m - drop, 1), (m, 1), (n, 3)))
+            for x in shifts(m, n, 2 * m * m + 6 * m * n + 6 * n * n):
+                total = total + ratio.shift(x)
+    return total
+
+
+def per_term_dual_lhs(which, L):
+    total = ZERO
+    for m in range(L // 2 + 1):
+        for n_ in range(L - 2 * m + 1):
+            e = m * (m - 1) // 2 + L * n_ if which == 1 else m * (m + 1) // 2 + (L + 1) * n_
+            for drop, sign in ((0, 1), (1, -1))[:which]:
+                k, r = divmod(L - n_ - 2 * m - drop, 3)
+                if r == 0:
+                    ratio = poch_ratio(((L, 1),), ((m, 1), (n_, 1), (k, 3)))
+                    total = total + ratio.shift(e) * (sign * (-1) ** m)
+    return total
+
+
+def divide_first(coeffs, times, divs):
+    """_poch_step with the divisions made before the multiplications."""
+    for d in divs:
+        coeffs = qcombinat._div_one_minus(coeffs, d)
+    for t in times:
+        coeffs = qcombinat._times_one_minus(coeffs, t)
+    return coeffs
+
+
+class TestSteppedQuotients:
+    # every quotient the left sides step along their summation index against
+    # poch_ratio, one quotient at a time
+
+    @settings(deadline=None)
+    @given(a=st.integers(0, 1), L=st.integers(0, 14))
+    def test_chain_tails_match_poch_ratio(self, a, L):
+        identities._chain_tails.cache_clear()
+        assert identities._chain_tails(a, L) == tuple(
+            poch_ratio(((2 * L + a, 1),), ((L - n, 1), (2 * n + a, 1))) for n in range(L + 1))
+
+    @settings(deadline=None)
+    @given(seed=st.sampled_from(("seed_cap1_binomial", "seed_cap2_binomial", "seed_sum_cap")),
+           M=st.integers(0, 12))
+    def test_base3_seeds_match_per_term(self, seed, M):
+        shifts = {
+            "seed_cap1_binomial": lambda m, n, e: (e,),
+            "seed_cap2_binomial": lambda m, n, e: (e + m + 3 * n, e + 3 * m + 6 * n + 1),
+            "seed_sum_cap": lambda m, n, e: (e - 2 * m - 3 * n, e - 2 * m - 3 * n + 3 * M),
+        }[seed]
+        identities._base3_seeds.cache_clear()
+        assert getattr(identities, seed)(M) == per_term_base3_sum(M, shifts)
+
+    @settings(deadline=None)
+    @given(seed=st.sampled_from(("seed_cap1", "s1_sum", "s2_sum", "seed_cap2")),
+           L=st.integers(0, 12))
+    def test_base1_seeds_match_per_term(self, seed, L):
+        def s1(m, n, e):
+            return (e + m + 3 * n,)
+
+        def s2(m, n, e):
+            return (e + 3 * m + 6 * n + 1,)
+
+        expected = {
+            "seed_cap1": lambda: per_term_base1_sum(L, lambda m, n, e: (e,)),
+            "s1_sum": lambda: per_term_base1_sum(L, s1),
+            "s2_sum": lambda: per_term_base1_sum(L, s2, drop=1),
+            "seed_cap2": lambda: per_term_base1_sum(L, s1) + per_term_base1_sum(L, s2, drop=1),
+        }[seed]()
+        for cached in (identities.seed_cap1, identities.s1_sum, identities.s2_sum,
+                       identities.seed_cap2):
+            cached.cache_clear()
+        assert getattr(identities, seed)(L) == expected
+
+    @settings(deadline=None)
+    @given(which=st.sampled_from((1, 2)), L=st.integers(0, 14))
+    def test_dual_lhs_matches_per_term(self, which, L):
+        assert dual_lhs(which, L) == per_term_dual_lhs(which, L)
+
+    @given(M=st.integers(1, 12), a=st.integers(0, 1))
+    def test_a_step_that_divides_first_raises(self, M, a):
+        # two first steps from 1, each exact only when it multiplies first:
+        # along m at n = 0 of the base-3 quotients, (1-q^{3M}) / (1-q), and
+        # the chain tails' from n = M to M - 1, (1-q^{2M+a-1})(1-q^{2M+a}) / (1-q)
+        for step, expected in (
+                (((3 * M,), (1,)), poch_ratio(((M, 3),), ((1, 1), (M - 1, 3)))),
+                (((2 * M + a - 1, 2 * M + a), (1,)),
+                 poch_ratio(((2 * M + a, 1),), ((1, 1), (2 * M + a - 2, 1))))):
+            assert QSeries(0, qcombinat._poch_step([1], *step)) == expected
+            with pytest.raises(qcombinat.NonDivisible):
+                divide_first([1], *step)
 
 
 class TestHierarchyFamily:

@@ -5,7 +5,8 @@ binomial-product kernel (the S-ladder, trinomial and theta-type binomial
 right sides) sums through it too, no hierarchy right side through the left
 sides' packed pass or their tables, and no S-ladder or trinomial right side
 through the left sides' packed M-sum, which keeps its own packs; the finite
-left sides reach no right-side sum; ``IdentityCase`` stays a dataclass; the
+left sides reach no right-side sum; the Bailey transform takes its
+quotients from poch_ratio, not from the left sides' stepped ones; ``IdentityCase`` stays a dataclass; the
 half-limb constant of
 signed limbs lives only in the series module; the partition oracle
 imports nothing from qcap; the CLI builds no parser at import; and
@@ -63,9 +64,10 @@ def _names_in(tree):
     return names
 
 
-# The tables the finite hierarchy left sides read: the chain tails per (a, L)
-# and the seeds' residue classes, packed per limb width.
-LEFT_TABLES = {"_chain_tails", "_seed_classes"}
+# The tables the finite hierarchy left sides read: the chain tails and the
+# chain rows of the L last read, and the seeds' residue classes, packed per
+# limb width.
+LEFT_TABLES = {"_chain_tails", "_chain_rows", "_seed_classes"}
 # What the generator, the cross-oracle of the directly expanded multi-sums,
 # must not name.
 DIRECT_EXPANSION = {"hierarchy_finite_lhs", "hierarchy_limit_lhs", "hierarchy_chain_exponent",
@@ -81,7 +83,28 @@ def test_bailey_rule_sees_the_left_tables():
     # the names it bans are the ones the direct expansion uses
     assert LEFT_TABLES <= _names_in(_tree("identities.py"))
     assert _names_in(ast.parse("from qcap.identities import _chain_tails\n"
-                               "x = identities._seed_classes\n")) >= LEFT_TABLES
+                               "x = identities._seed_classes\n"
+                               "y = _chain_rows(0, 1, 0, 2)\n")) >= LEFT_TABLES
+
+
+# The stepped Pochhammer quotients of the left sides: the step and its two
+# factor operations, and the tables and term walk that step.
+STEPPED = {"_poch_step", "_times_one_minus", "_div_one_minus", "_chain_tails", "_base1_sum",
+           "_base3_seeds"}
+
+
+def test_bailey_transform_does_not_reach_the_stepped_quotients():
+    # the Bailey lemma's left-hand side transform, the generator's own
+    # evaluator, takes each quotient from poch_ratio
+    found = sorted(_names_reached(_tree("bailey.py"), "bailey_lhs_transform") & STEPPED)
+    assert not found, found
+
+
+def test_stepped_rule_sees_both_sides():
+    assert "poch_ratio" in _names_reached(_tree("bailey.py"), "bailey_lhs_transform")
+    tree = _tree("identities.py")
+    assert "_poch_step" in _names_reached(tree, "hierarchy_finite_lhs")
+    assert STEPPED - {"_times_one_minus", "_div_one_minus"} <= _names_in(tree)
 
 
 # The kernel the S-ladder, trinomial and theta-type binomial right sides sum
