@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON-lines output, determinism."""
 
 import argparse
+import dataclasses
 import errno
 import hashlib
 import io
@@ -17,6 +18,7 @@ import qcap
 from qcap import identities
 from qcap.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, build_parser, main
 from qcap.identities import CASES, FAMILIES, Bounds, iterate_grid
+from qcap.series import monomial
 
 
 def run(capsys, *argv):
@@ -124,6 +126,31 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--all")
         assert code == EXIT_OK
         assert grids == [Bounds()] * len(CASES)
+
+    @pytest.mark.parametrize("fmt", ("json", "text"))
+    def test_failing_case_exits_1_and_reports_each_failure(self, capsys, monkeypatch, fmt):
+        # a negative control: new_fin_cap_1's rhs plus 3q^(L^2+1) fails at every L
+        case = CASES["new_fin_cap_1"]
+        (_, lhs), (_, rhs) = case.sides
+        sides = (("lhs", lhs), ("rhs", lambda L: rhs(L) + monomial(L * L + 1, 3)))
+        monkeypatch.setitem(CASES, "new_fin_cap_1", dataclasses.replace(case, sides=sides))
+        code, out, _ = run(capsys, "verify", "--case", "new_fin_cap_1",
+                           "--case", "cap_analytic_1", "--L-max", "3", "--trunc", "8",
+                           "--format", fmt)
+        assert code == EXIT_FAIL
+        lines = out.splitlines()
+        if fmt == "json":
+            records = [json.loads(line) for line in lines]
+            assert records[-1]["summary"] == {
+                "cases": 2, "failed": 4, "instances": 5, "verdict": False}
+            assert [r["verdict"] for r in records[:-1]] == [False] * 4 + [True]
+            assert records[0]["first_mismatch"] == {
+                "side": "rhs", "exponent": 1, "reference_coeff": 0, "side_coeff": 3}
+        else:
+            assert lines[1] == ("FAIL  new_fin_cap_1  L=0  mismatch={'side': 'rhs', "
+                                "'exponent': 1, 'reference_coeff': 0, 'side_coeff': 3}")
+            assert lines[-2] == "pass  cap_analytic_1  n=8"
+            assert lines[-1].startswith("# 1/5 passed (") and lines[-1].endswith(" ms)")
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.jsonl"

@@ -138,6 +138,54 @@ class TestSpotValues:
         assert roundtri_lhs(2, 0) == poly((0, 1), (1, 1))  # 1 + q
 
 
+def perturb(monkeypatch, case_id, **deltas):
+    """Register case_id with each side named in deltas replaced by side +
+    delta(**params)."""
+    case = CASES[case_id]
+
+    def plus(fn, delta):
+        return lambda **params: fn(**params) + delta(**params)
+
+    sides = tuple((name, plus(fn, deltas[name]) if name in deltas else fn)
+                  for name, fn in case.sides)
+    monkeypatch.setitem(CASES, case_id, dataclasses.replace(case, sides=sides))
+
+
+class TestFailurePath:
+    # negative controls: a perturbed side must fail, and be reported as the
+    # first side (in order) that differs from the reference
+
+    def test_exact_mismatch_report(self, monkeypatch):
+        perturb(monkeypatch, "new_fin_cap_1", rhs=lambda L: monomial(L * L + 1, 3))
+        report = verify_case("new_fin_cap_1", {"L": 3})
+        mismatch = {"side": "rhs", "exponent": 10, "reference_coeff": 0, "side_coeff": 3}
+        assert report.to_json_dict() == {
+            "id": "new_fin_cap_1", "params": {"L": 3}, "mode": "exact", "verdict": False,
+            "first_mismatch": mismatch, "lhs_degree": 9, "rhs_degree": 10}
+        assert not report.verdict and report.first_mismatch == mismatch
+
+    def test_first_mismatching_side_in_order_is_reported(self, monkeypatch):
+        perturb(monkeypatch, "dual_identity_1",
+                construct_lhs=lambda L: monomial(2, -1), construct_rhs=lambda L: monomial(1, 5))
+        report = verify_case("dual_identity_1", {"L": 4})
+        assert not report.verdict
+        assert report.first_mismatch == {
+            "side": "construct_lhs", "exponent": 2, "reference_coeff": 0, "side_coeff": -1}
+
+    def test_perturbation_above_the_truncation_passes(self, monkeypatch):
+        perturb(monkeypatch, "cap_analytic_1", rhs=lambda n: monomial(11, 7))
+        report = verify_case("cap_analytic_1", {"n": 10})
+        assert report.verdict and report.first_mismatch is None
+        assert "first_mismatch" not in report.to_json_dict()
+
+    def test_truncated_mismatch_report(self, monkeypatch):
+        perturb(monkeypatch, "dual_limit", specific=lambda b, n: monomial(11, -2))
+        report = verify_case("dual_limit", {"b": 1, "n": 12})
+        assert not report.verdict
+        assert report.first_mismatch == {
+            "side": "specific", "exponent": 11, "reference_coeff": 1, "side_coeff": -1}
+
+
 class TestGrids:
     def test_s_values_keep_only_twists_within_depth(self):
         bounds = Bounds(f_max=3, s_values=(1, 5, -1))
