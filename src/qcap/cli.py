@@ -78,10 +78,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("choose --case ID (repeatable) or --all", file=sys.stderr)
         return EXIT_CONFIG
 
-    # f and nu start at 1 (as in check_params): a zero bound would leave their
-    # cases with no instance to check
+    # a bound below the least f or nu would leave their cases with no
+    # instance to check
     for flag, value, minimum in (("--L-max", args.l_max, 0), ("--M-max", args.m_max, 0),
-                                 ("--f-max", args.f_max, 1), ("--nu-max", args.nu_max, 1),
+                                 ("--f-max", args.f_max, identities.LEAST["f"]),
+                                 ("--nu-max", args.nu_max, identities.LEAST["nu"]),
                                  ("--trunc", args.trunc, 0)):
         if value < minimum:
             print(f"{flag} must be >= {minimum}, got {value}", file=sys.stderr)

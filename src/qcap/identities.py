@@ -19,7 +19,6 @@ from typing import Callable, Iterable, Iterator, Mapping
 from qcap.series import (
     ONE,
     Accumulator,
-    Comparison,
     QSeries,
     ZERO,
     _Classes,
@@ -569,9 +568,8 @@ def cap_analytic_lhs(which: int, n: int) -> QSeries:
 
 
 def cap_analytic_rhs(which: int, n: int) -> QSeries:
-    if which == 1:
-        return product_of_inf(((2, 6, 1), (4, 6, 1), (3, 3, 1)), n)
-    return product_of_inf(((1, 6, 1), (5, 6, 1), (3, 3, 1)), n)
+    """(-q^{3-which}, -q^{3+which}; q^6)_inf (-q^3; q^3)_inf."""
+    return product_of_inf(((3 - which, 6, 1), (3 + which, 6, 1), (3, 3, 1)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -588,10 +586,8 @@ def rhs_rewrite_split(which: int, L: int) -> QSeries:
             e0, e1 = 9 * k * k, (3 * k + 1) ** 2
         else:
             e0, e1 = 3 * k * (3 * k + 1), (3 * k + 1) * (3 * k + 2)
-        if b0:
-            total.add(b0.shift(e0))
-        if b1:
-            total.add(-b1.shift(e1))
+        total.add(b0.shift(e0))
+        total.add(-b1.shift(e1))
     return total.value()
 
 
@@ -663,11 +659,9 @@ def dual_rhs(which: int, L: int) -> QSeries:
 
 def dual_construct(which: int, side: str, L: int) -> QSeries:
     """Apply q -> 1/q to the base identity and renormalize by q^{L^2} (+L)."""
-    if which == 1:
-        value = seed_cap1(L) if side == "lhs" else rhs_new_fin_cap(1, L)
-        return value.invert_q().shift(L * L)
-    value = seed_cap2(L) if side == "lhs" else rhs_new_fin_cap(2, L)
-    return value.invert_q().shift(L * L + L)
+    seed = seed_cap1 if which == 1 else seed_cap2
+    value = seed(L) if side == "lhs" else rhs_new_fin_cap(which, L)
+    return value.invert_q().shift(L * L + (which - 1) * L)
 
 
 def dual_limit_reference(b: int, n: int) -> QSeries:
@@ -747,20 +741,16 @@ class Report:
     rhs_degree: int
 
     def to_json_dict(self) -> dict:
-        out = {
-            "id": self.id,
-            "params": dict(sorted(self.params.items())),
-            "mode": self.mode,
-            "verdict": self.verdict,
-            "lhs_degree": self.lhs_degree,
-            "rhs_degree": self.rhs_degree,
-        }
-        if self.first_mismatch is not None:
-            out["first_mismatch"] = self.first_mismatch
+        out = dict(vars(self))
+        if self.first_mismatch is None:
+            del out["first_mismatch"]
         return out
 
 
 CASES: dict[str, IdentityCase] = {}
+
+# The least value of each parameter that does not start at 0.
+LEAST = {"f": 1, "nu": 1, "k": 1}
 
 
 def _register(case: IdentityCase) -> None:
@@ -776,7 +766,7 @@ def check_params(case: IdentityCase, params: Mapping[str, int]) -> None:
         value = params[name]
         if isinstance(value, bool) or not isinstance(value, int):
             raise ParamOutOfRange(f"{case.id}: parameter {name!r} must be an integer")
-        minimum = 1 if name in ("f", "nu", "k") else 0
+        minimum = LEAST.get(name, 0)
         if value < minimum:
             raise ParamOutOfRange(f"{case.id}: parameter {name!r} must be >= {minimum}")
     for name in params:
@@ -789,7 +779,7 @@ def check_params(case: IdentityCase, params: Mapping[str, int]) -> None:
 
 
 def verify_case(case_id: str, params: Mapping[str, int]) -> Report:
-    """Evaluate all sides of a case and compare each against the first."""
+    """Evaluate all sides of a case, then compare each with the first until one differs."""
     try:
         case = CASES[case_id]
     except KeyError:
@@ -798,24 +788,23 @@ def verify_case(case_id: str, params: Mapping[str, int]) -> Report:
         ) from None
     check_params(case, params)
     values = [(name, fn(**params)) for name, fn in case.sides]
-    verdict = True
     mismatch: dict | None = None
-    reference_name, reference = values[0]
+    reference = values[0][1]
     for name, value in values[1:]:
-        outcome: Comparison = compare(reference, value)
-        if not outcome and verdict:
-            verdict = False
+        outcome = compare(reference, value)
+        if not outcome:
             mismatch = {
                 "side": name,
                 "exponent": outcome.mismatch_exponent,
                 "reference_coeff": outcome.lhs_coeff,
                 "side_coeff": outcome.rhs_coeff,
             }
+            break
     return Report(
         id=case_id,
         params=dict(params),
         mode=case.mode,
-        verdict=verdict,
+        verdict=mismatch is None,
         first_mismatch=mismatch,
         lhs_degree=reference.degree(),
         rhs_degree=values[1][1].degree(),
@@ -844,14 +833,11 @@ def iterate_grid(case_id: str, bounds: Bounds) -> Iterator[dict]:
 
 
 def _build_registry() -> None:
-    _register(IdentityCase(
-        "cap_analytic_1", "truncated", ("n",),
-        (("lhs", lambda n: cap_analytic_lhs(1, n)),
-         ("rhs", lambda n: cap_analytic_rhs(1, n)))))
-    _register(IdentityCase(
-        "cap_analytic_2", "truncated", ("n",),
-        (("lhs", lambda n: cap_analytic_lhs(2, n)),
-         ("rhs", lambda n: cap_analytic_rhs(2, n)))))
+    for which in (1, 2):
+        _register(IdentityCase(
+            f"cap_analytic_{which}", "truncated", ("n",),
+            (("lhs", lambda n, w=which: cap_analytic_lhs(w, n)),
+             ("rhs", lambda n, w=which: cap_analytic_rhs(w, n)))))
     for which in (1, 2):
         _register(IdentityCase(
             f"fin_cap_roundtri_{which}", "exact", ("L",),
@@ -874,8 +860,7 @@ def _build_registry() -> None:
         (("lhs", refinement_limit_lhs),
          ("rhs", lambda nu, n: hierarchy_limit_rhs(
              "cap1_binomial", (nu + 2) * (nu + 1) // 2 - 1, n)))))
-    for which in (1, 2):
-        seed = {1: seed_cap1, 2: seed_cap2}[which]
+    for which, seed in ((1, seed_cap1), (2, seed_cap2)):
         _register(IdentityCase(
             f"new_fin_cap_{which}", "exact", ("L",),
             (("lhs", lambda L, fn=seed: fn(L)),
@@ -900,25 +885,16 @@ def _build_registry() -> None:
         "cor_cap2_analogue", "exact", ("L",),
         (("lhs", cor_cap2_analogue_lhs),
          ("rhs", lambda L: alpha_sum(FAMILIES["double"], 0, L, s=1)))))
-    for name in FAMILIES:
-        if name == "double":
-            continue
+    for name, fam in FAMILIES.items():
+        twist = ("s",) if fam.twisted else ()
         _register(IdentityCase(
-            f"hierarchy_finite_{name}", "exact", ("f", "L"),
-            (("lhs", lambda f, L, fam=name: hierarchy_finite_lhs(fam, f, L)),
-             ("rhs", lambda f, L, fam=name: hierarchy_finite_rhs(fam, f, L)))))
+            f"hierarchy_finite_{name}", "exact", ("f", *twist, "L"),
+            (("lhs", lambda f, L, s=0, fam=name: hierarchy_finite_lhs(fam, f, L, s)),
+             ("rhs", lambda f, L, s=0, fam=name: hierarchy_finite_rhs(fam, f, L, s)))))
         _register(IdentityCase(
-            f"hierarchy_limit_{name}", "truncated", ("f", "n"),
-            (("lhs", lambda f, n, fam=name: hierarchy_limit_lhs(fam, f, n)),
-             ("rhs", lambda f, n, fam=name: hierarchy_limit_rhs(fam, f, n)))))
-    _register(IdentityCase(
-        "hierarchy_finite_double", "exact", ("f", "s", "L"),
-        (("lhs", lambda f, s, L: hierarchy_finite_lhs("double", f, L, s)),
-         ("rhs", lambda f, s, L: hierarchy_finite_rhs("double", f, L, s)))))
-    _register(IdentityCase(
-        "hierarchy_limit_double", "truncated", ("f", "s", "n"),
-        (("lhs", lambda f, s, n: hierarchy_limit_lhs("double", f, n, s)),
-         ("rhs", lambda f, s, n: hierarchy_limit_rhs("double", f, n, s)))))
+            f"hierarchy_limit_{name}", "truncated", ("f", *twist, "n"),
+            (("lhs", lambda f, n, s=0, fam=name: hierarchy_limit_lhs(fam, f, n, s)),
+             ("rhs", lambda f, n, s=0, fam=name: hierarchy_limit_rhs(fam, f, n, s)))))
     _register(IdentityCase(
         "hierarchy_limit_cap2_f1_corollary", "truncated", ("n",),
         (("lhs", lambda n: hierarchy_limit_lhs("cap2", 1, n)),

@@ -315,12 +315,7 @@ def verify_factor_witness(which: str, l_range: Sequence[int]) -> WitnessReport:
 
 def extend(rec: Recurrence, values: list[QSeries], L: int) -> QSeries:
     """Solve the relation at L for seq(L) given the earlier values."""
-    acc = ZERO
-    for lag in range(1, rec.order + 1):
-        c = rec.coeff(L, lag)
-        if c:
-            acc = acc + c * values[L - lag]
-    return div_exact(-acc, rec.coeff(L, 0))
+    return div_exact(-rec.residual(lambda i: values[i] if i < L else ZERO, L), rec.coeff(L, 0))
 
 
 def verify_initial_condition_argument(which: str, extra_terms: int = 2) -> bool:

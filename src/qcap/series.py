@@ -260,7 +260,10 @@ class QSeries:
         return QSeries(-top, tuple(reversed(self.coeffs)))
 
     def truncate(self, n: int) -> QSeries:
-        return QSeries(self.offset, self.coeffs, _min_trunc(self.trunc, n))
+        """This series known up to q^n: itself when it is known no further."""
+        if self.trunc is not None and self.trunc <= n:
+            return self
+        return QSeries(self.offset, self.coeffs, n)
 
     # -- text form --------------------------------------------------------
 
@@ -477,24 +480,13 @@ class Comparison:
 
 
 def compare(a: QSeries, b: QSeries) -> Comparison:
-    """Compare exactly, or up to the smaller truncation if either is truncated."""
+    """Compare the canonical fields, of both truncated to the smaller truncation
+    if either is truncated; a first difference is the lowest exponent of a - b."""
     limit = _min_trunc(a.trunc, b.trunc)
-    if limit is None and a.offset == b.offset and a.coeffs == b.coeffs:
-        return Comparison(True)
-    lo = min(a.offset, b.offset)
-    hi = max(a.degree(), b.degree())
     if limit is not None:
-        hi = min(hi, limit)
-    width = max(hi - lo + 1, 0)
-    ca, cb = _window(a, lo, width), _window(b, lo, width)
-    if ca == cb:
+        a, b = a.truncate(limit), b.truncate(limit)
+    if a.offset == b.offset and a.coeffs == b.coeffs:
         return Comparison(True)
-    i = next(i for i, (x, y) in enumerate(zip(ca, cb)) if x != y)
-    return Comparison(False, lo + i, ca[i], cb[i])
-
-
-def _window(a: QSeries, lo: int, width: int) -> tuple[int, ...]:
-    """The coefficients of q^lo .. q^(lo+width-1) in a, for lo <= a.offset."""
-    head = min(a.offset - lo, width)
-    body = a.coeffs[:width - head]
-    return (0,) * head + body + (0,) * (width - head - len(body))
+    e = (a - b).offset
+    ca, cb = [x.coeffs[e - x.offset] if 0 <= e - x.offset < len(x.coeffs) else 0 for x in (a, b)]
+    return Comparison(False, e, ca, cb)

@@ -264,6 +264,9 @@ class TestStructuralOps:
         assert x.truncate(3) == QSeries(0, (1, 1), 3)
         assert ZERO.truncate(10) == QSeries(0, (), 10)
         assert x.truncate(10).truncate(3) == x.truncate(3).truncate(10)
+        # a series known no further than q^n is its own truncation at n
+        at_3 = x.truncate(3)
+        assert at_3.truncate(3) is at_3 and at_3.truncate(10) is at_3
 
     def test_shift(self):
         assert (ONE + Q).shift(2) == monomial(2) + monomial(3)
