@@ -13,11 +13,10 @@ transformation of the Jacobi-weighted sum) between applications.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cache
 from typing import Callable, Iterable
 
-from qcap.series import Accumulator, QSeries
+from qcap.series import Accumulator, QSeries, _Frozen
 from qcap.identities import (
     FAMILIES,
     ParamOutOfRange,
@@ -28,20 +27,18 @@ from qcap.identities import (
 from qcap.qcombinat import jacobi3, poch_ratio
 
 
-@dataclass(frozen=True)
-class BaileyAlpha:
+class BaileyAlpha(_Frozen):
     """A symbolic alpha-sequence: alpha_j as the (exponent, coefficient) pairs alpha(j)."""
 
-    name: str
-    alpha: Callable[[int], Iterable[tuple[int, int]]]
-    a: int  # 0 or 1
-    base: int = 1
+    __slots__ = ("name", "alpha", "a", "base")
 
-    def __post_init__(self) -> None:
-        if self.a not in (0, 1):
+    def __init__(self, name: str, alpha: Callable[[int], Iterable[tuple[int, int]]],
+                 a: int, base: int = 1) -> None:
+        if a not in (0, 1):
             raise ParamOutOfRange("Bailey parameter a must be 0 or 1")
-        if self.base < 1:
+        if base < 1:
             raise ParamOutOfRange("base must be a positive integer")
+        super().__init__(name, alpha, a, base)
 
 
 def bailey_f(alpha: BaileyAlpha, L: int) -> QSeries:
@@ -56,7 +53,7 @@ def bailey_step(alpha: BaileyAlpha) -> BaileyAlpha:
     def stepped(j: int) -> list[tuple[int, int]]:
         return [(e + base * (j * j + a * j), c) for e, c in inner(j)]
 
-    return replace(alpha, name=f"step({alpha.name})", alpha=stepped)
+    return BaileyAlpha(f"step({alpha.name})", stepped, a, base)
 
 
 def bailey_lhs_transform(

@@ -236,16 +236,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run identity verification suites")
+    defaults = Bounds()
     p_verify.add_argument("--case", action="append",
                           help="case id (repeatable)")
     p_verify.add_argument("--all", action="store_true")
-    p_verify.add_argument("--L-max", dest="l_max", type=int, default=Bounds.l_max)
-    p_verify.add_argument("--M-max", dest="m_max", type=int, default=Bounds.m_max)
-    p_verify.add_argument("--f-max", dest="f_max", type=int, default=Bounds.f_max)
+    p_verify.add_argument("--L-max", dest="l_max", type=int, default=defaults.l_max)
+    p_verify.add_argument("--M-max", dest="m_max", type=int, default=defaults.m_max)
+    p_verify.add_argument("--f-max", dest="f_max", type=int, default=defaults.f_max)
     p_verify.add_argument("--s", type=int, default=None,
                           help="fix the twist (default: all 0..f)")
-    p_verify.add_argument("--nu-max", dest="nu_max", type=int, default=Bounds.nu_max)
-    p_verify.add_argument("--trunc", type=int, default=Bounds.trunc)
+    p_verify.add_argument("--nu-max", dest="nu_max", type=int, default=defaults.nu_max)
+    p_verify.add_argument("--trunc", type=int, default=defaults.trunc)
     p_verify.add_argument("--out")
     p_verify.add_argument("--format", choices=("json", "text"), default="json")
     p_verify.set_defaults(fn=cmd_verify)

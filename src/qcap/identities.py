@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from qcap.series import (
     ONE,
@@ -22,6 +22,7 @@ from qcap.series import (
     QSeries,
     ZERO,
     _Classes,
+    _Frozen,
     _limbs,
     compare,
     div_exact,
@@ -155,27 +156,30 @@ def binomial_sum(L: int, a: int, base: int,
 # Hierarchy families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HierarchyFamily:
+class HierarchyFamily(_Frozen):
     """One Bailey hierarchy: seed double sum, base, parity a, chain shape,
     the seed identity's Bailey pair alpha, and the product side of its
     f -> infinity limit."""
 
-    name: str
-    base: int  # 1 or 3: every Pochhammer of the chain lives in q^base
-    a: int  # 0 or 1: kernel [2L+a, L-j] and chain weight q^{base(N^2+aN)}
-    seed: Callable[[int], QSeries]  # exact seed LHS at inner bound n_f
-    twisted: bool  # accepts s; chain adds N_{f-s+1}+...+N_f (base 1 only)
-    alpha: Callable[[int, int], Iterable[tuple[int, int]]]  # (s, j) -> alpha_j as (e, c) pairs
-    # (p, s) -> lists of (shift, step, sign) infinite Pochhammers, p = f + 1;
-    # the limit is the sum of their products over (q^base; q^base)_inf.
-    limit_products: Callable[[int, int], tuple[tuple[tuple[int, int, int], ...], ...]]
+    __slots__ = ("name", "base", "a", "seed", "twisted", "alpha", "limit_products")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        base: int,  # 1 or 3: every Pochhammer of the chain lives in q^base
+        a: int,  # 0 or 1: kernel [2L+a, L-j] and chain weight q^{base(N^2+aN)}
+        seed: Callable[[int], QSeries],  # exact seed LHS at inner bound n_f
+        twisted: bool,  # accepts s; chain adds N_{f-s+1}+...+N_f (base 1 only)
+        alpha: Callable[[int, int], Iterable[tuple[int, int]]],  # (s, j) -> alpha_j as (e, c) pairs
+        # (p, s) -> lists of (shift, step, sign) infinite Pochhammers, p = f + 1;
+        # the limit is the sum of their products over (q^base; q^base)_inf.
+        limit_products: Callable[[int, int], tuple[tuple[tuple[int, int, int], ...], ...]],
+    ) -> None:
         # a twist adds N_{f-s+1}+...+N_f to the chain exponent, which is then
         # no multiple of the base; hierarchy_finite_lhs divides by the base
-        if self.twisted and self.base != 1:
-            raise ValueError(f"twisted family {self.name!r} must have base 1")
+        if twisted and base != 1:
+            raise ValueError(f"twisted family {name!r} must have base 1")
+        super().__init__(name, base, a, seed, twisted, alpha, limit_products)
 
 
 FAMILIES: dict[str, HierarchyFamily] = {
@@ -710,8 +714,7 @@ def dual_limit_specific(b: int, n: int) -> QSeries:
 # Case registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(NamedTuple):
     """Parameter grid for suite runs."""
 
     l_max: int = 8
@@ -730,8 +733,7 @@ class IdentityCase:
     sides: tuple[tuple[str, Callable[..., QSeries]], ...]
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     id: str
     params: dict
     mode: str
@@ -741,7 +743,7 @@ class Report:
     rhs_degree: int
 
     def to_json_dict(self) -> dict:
-        out = dict(vars(self))
+        out = self._asdict()
         if self.first_mismatch is None:
             del out["first_mismatch"]
         return out

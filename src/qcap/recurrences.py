@@ -17,8 +17,7 @@ short one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from qcap.series import ONE, Accumulator, QSeries, ZERO, div_exact, monomial as _m
 from qcap.identities import rhs_new_fin_cap, s1_sum, s2_sum, seed_cap1, seed_cap2
@@ -42,8 +41,7 @@ SEQUENCES: dict[str, Callable[[int], QSeries]] = {
 # Recurrence catalog
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(NamedTuple):
     """Homogeneous linear recurrence sum_lag coeff(L, lag) seq(L - lag) = 0."""
 
     name: str
@@ -62,7 +60,7 @@ class Recurrence:
         """This relation with its coefficients built once per L in l_values."""
         table = {L: [self.coeff(L, lag) for lag in range(self.order + 1)]
                  for L in set(l_values)}
-        return replace(self, coeff=lambda L, lag: table[L][lag])
+        return self._replace(coeff=lambda L, lag: table[L][lag])
 
 
 def _coeff_a_short(L: int, lag: int) -> QSeries:
@@ -189,8 +187,7 @@ CATALOG: tuple[tuple[str, str], ...] = (
 # Verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RecurrenceReport:
+class RecurrenceReport(NamedTuple):
     name: str
     checks: tuple[tuple[int, bool], ...]
 
@@ -263,8 +260,7 @@ _WITNESSES: dict[str, tuple[Recurrence, str, str]] = {
 }
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     which: str
     relation_checks: tuple[tuple[int, bool], ...]
     expansion_checks: tuple[tuple[int, bool], ...]

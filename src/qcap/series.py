@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass, field
 from operator import add, neg
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class NonDivisible(ArithmeticError):
@@ -138,38 +137,69 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class QSeries:
+class _Frozen:
+    """A slotted value whose fields are set once, by its constructor, through
+    the slot descriptors; assigning or deleting one raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields: object) -> None:
+        # the fields in __slots__ order
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class QSeries(_Frozen):
     """A Laurent polynomial (or truncated power series) in q over the integers.
 
     ``coeffs[i]`` is the coefficient of ``q**(offset + i)``.  The representation
     is canonical: first and last stored coefficients are non-zero, and the zero
     series is ``QSeries(0, ())``.  ``trunc``, when set, is the largest exponent
-    whose coefficient is known.
+    whose coefficient is known.  Values are immutable, since the caches share
+    them.
     """
 
-    offset: int = 0
-    coeffs: tuple[int, ...] = ()
-    trunc: int | None = field(default=None)
+    __slots__ = ("offset", "coeffs", "trunc")
 
-    def __post_init__(self) -> None:
-        offset, coeffs, trunc = self.offset, list(self.coeffs), self.trunc
+    def __init__(self, offset: int = 0, coeffs: Sequence[int] = (),
+                 trunc: int | None = None) -> None:
+        # clip to trunc and strip the zeros at both ends by index, then copy
+        # what is kept into a tuple
+        hi = len(coeffs)
         if trunc is not None:
-            keep = trunc - offset + 1
-            coeffs = coeffs[:max(keep, 0)]
-        lo, hi = 0, len(coeffs)
+            hi = min(hi, max(trunc - offset + 1, 0))
+        lo = 0
         while lo < hi and coeffs[lo] == 0:
             lo += 1
-            offset += 1
         while lo < hi and coeffs[hi - 1] == 0:
             hi -= 1
         if lo == hi:
-            offset, coeffs = 0, []
+            offset, coeffs = 0, ()
+        elif lo or hi < len(coeffs):
+            offset, coeffs = offset + lo, tuple(coeffs[lo:hi])
         else:
-            coeffs = coeffs[lo:hi]
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "trunc", trunc)
+            coeffs = tuple(coeffs)
+        _set_offset(self, offset)
+        _set_coeffs(self, coeffs)
+        _set_trunc(self, trunc)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return ((self.offset, self.coeffs, self.trunc)
+                    == (other.offset, other.coeffs, other.trunc))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.offset, self.coeffs, self.trunc))
+
+    def __repr__(self) -> str:
+        return f"QSeries(offset={self.offset!r}, coeffs={self.coeffs!r}, trunc={self.trunc!r})"
 
     # -- queries ----------------------------------------------------------
 
@@ -291,13 +321,17 @@ class QSeries:
         return self.to_text()
 
 
+# the slot setters: each writes one field past _Frozen's guard
+_set_offset, _set_coeffs, _set_trunc = (vars(QSeries)[name].__set__ for name in QSeries.__slots__)
+
+
 def _canonical(offset: int, coeffs: tuple[int, ...], trunc: int | None) -> QSeries:
-    """A QSeries from fields already in canonical form, without __post_init__."""
+    """A QSeries from fields already in canonical form, written to its slots
+    without the constructor's pass."""
     value = object.__new__(QSeries)
-    state = value.__dict__
-    state["offset"] = offset
-    state["coeffs"] = coeffs
-    state["trunc"] = trunc
+    _set_offset(value, offset)
+    _set_coeffs(value, coeffs)
+    _set_trunc(value, trunc)
     return value
 
 
@@ -466,8 +500,7 @@ def inverse(a: QSeries, n: int) -> QSeries:
     return QSeries(-v, out, _min_trunc(known, n))
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(NamedTuple):
     """Outcome of comparing two QSeries coefficientwise."""
 
     equal: bool

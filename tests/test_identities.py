@@ -21,6 +21,7 @@ from qcap.identities import (
     _refinement_groups,
     Bounds,
     CASES,
+    HierarchyFamily,
     ParamOutOfRange,
     alpha_sum,
     binomial_sum,
@@ -628,7 +629,7 @@ class TestSharedTables:
             return level_up(level, eps, kernel, base, order)
 
         monkeypatch.setattr(identities, "_level_up", counted)
-        at_100 = dataclasses.replace(bounds, trunc=100)
+        at_100 = bounds._replace(trunc=100)
         for case_id, case in CASES.items():
             if case.mode == "truncated":
                 for params in iterate_grid(case_id, at_100):
@@ -844,11 +845,20 @@ class TestSteppedQuotients:
 
 
 class TestHierarchyFamily:
+    @staticmethod
+    def rebuilt(family, **changes):
+        """The family built anew, with the given fields changed."""
+        fields = {name: getattr(family, name) for name in HierarchyFamily.__slots__}
+        return HierarchyFamily(**{**fields, **changes})
+
     def test_twisted_family_must_have_base_1(self):
         with pytest.raises(ValueError, match="base 1"):
-            dataclasses.replace(FAMILIES["cap1_binomial"], twisted=True)
+            self.rebuilt(FAMILIES["cap1_binomial"], twisted=True)
         with pytest.raises(ValueError, match="base 1"):
-            dataclasses.replace(FAMILIES["double"], base=3)
+            self.rebuilt(FAMILIES["double"], base=3)
+        # the rebuild itself is sound: unchanged or base-1 twisted, it builds
+        assert self.rebuilt(FAMILIES["double"]).twisted
+        assert self.rebuilt(FAMILIES["cap1"], twisted=True).base == 1
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_chain_exponent_is_a_multiple_of_the_base(self, family):

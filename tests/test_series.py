@@ -1,5 +1,6 @@
 """Ring arithmetic on exact Laurent polynomials and truncated series."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -7,7 +8,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qcap import series
+from qcap.bailey import ALPHAS
 from qcap.identities import (
+    CASES,
+    FAMILIES,
+    Bounds,
     _chain_levels,
     _chain_tails,
     _inner_level,
@@ -17,8 +22,10 @@ from qcap.identities import (
     seed_cap2,
     seed_cap2_binomial,
     seed_sum_cap,
+    verify_case,
 )
 from qcap.qcombinat import poch_ratio, q_binomial
+from qcap.recurrences import RECURRENCES, verify_factor_witness, verify_recurrence
 from qcap.series import (
     _KRONECKER_CUTOFF,
     _limbs,
@@ -308,6 +315,132 @@ class TestCanonicalResults:
         m, rebuilt = monomial(e, c), QSeries(e, (c,))
         assert type(m.coeffs) is tuple
         assert (m.offset, m.coeffs, m.trunc) == (rebuilt.offset, rebuilt.coeffs, rebuilt.trunc)
+
+
+def _reference_post_init(self):
+    """The canonicalisation of the frozen-dataclass QSeries: clip to trunc,
+    strip the zeros at both ends, store a tuple."""
+    offset, coeffs, trunc = self.offset, list(self.coeffs), self.trunc
+    if trunc is not None:
+        keep = trunc - offset + 1
+        coeffs = coeffs[:max(keep, 0)]
+    lo, hi = 0, len(coeffs)
+    while lo < hi and coeffs[lo] == 0:
+        lo += 1
+        offset += 1
+    while lo < hi and coeffs[hi - 1] == 0:
+        hi -= 1
+    if lo == hi:
+        offset, coeffs = 0, []
+    else:
+        coeffs = coeffs[lo:hi]
+    object.__setattr__(self, "offset", offset)
+    object.__setattr__(self, "coeffs", tuple(coeffs))
+    object.__setattr__(self, "trunc", trunc)
+
+
+# The frozen dataclass QSeries was, with its generated __eq__, __hash__ and
+# __repr__.
+ReferenceQSeries = dataclasses.make_dataclass(
+    "QSeries", [("offset", int, 0), ("coeffs", tuple, ()), ("trunc", object, None)],
+    namespace={"__post_init__": _reference_post_init}, frozen=True)
+
+
+@st.composite
+def constructor_args(draw):
+    """(offset, coeffs, trunc): coeffs a list or a tuple with leading or
+    trailing zeros, all zeros or no entries; trunc None, below the offset,
+    inside the coefficients or above the last one."""
+    offset = draw(st.integers(-20, 20))
+    middle = draw(st.one_of(st.lists(st.integers(-3, 3), max_size=6), st.just([])))
+    coeffs = [0] * draw(st.integers(0, 3)) + middle + [0] * draw(st.integers(0, 3))
+    coeffs = draw(st.sampled_from((list, tuple)))(coeffs)
+    top = offset + len(coeffs) - 1
+    trunc = draw(st.one_of(
+        st.none(),
+        st.integers(offset - 5, offset - 1),
+        st.integers(offset, max(top, offset)),
+        st.integers(top + 1, top + 5)))
+    return offset, coeffs, trunc
+
+
+class TestConstructor:
+    @settings(max_examples=300)
+    @given(constructor_args(), constructor_args())
+    @example((0, [], None), (5, (0, 0), None))
+    @example((3, (0, 1, 0), 2), (-20, [0, 0, 0], -21))
+    @example((-4, [0, 2, 0, 5, 0], 0), (-4, (0, 2, 0, 5, 0), 0))
+    def test_matches_the_dataclass_canonicalisation(self, args, other_args):
+        value, reference = QSeries(*args), ReferenceQSeries(*args)
+        assert type(value.coeffs) is tuple
+        assert ((value.offset, value.coeffs, value.trunc)
+                == (reference.offset, reference.coeffs, reference.trunc))
+        assert hash(value) == hash(reference)
+        assert repr(value) == repr(reference)
+        assert repr(value) == (f"QSeries(offset={value.offset!r}, coeffs={value.coeffs!r}, "
+                               f"trunc={value.trunc!r})")
+        other, other_reference = QSeries(*other_args), ReferenceQSeries(*other_args)
+        assert (value == other) == (reference == other_reference)
+        assert (value != other) == (reference != other_reference)
+        assert value == QSeries(*args) and not value != QSeries(*args)
+        # a value of another type is never equal, as with the dataclass
+        assert value != (value.offset, value.coeffs, value.trunc)
+
+    def test_keyword_arguments_and_defaults(self):
+        assert QSeries() == QSeries(0, (), None) == ZERO
+        assert QSeries(coeffs=[0, 1], offset=-1, trunc=4) == QSeries(0, (1,), 4)
+
+
+def field_names(value):
+    """The fields of a value type: a dataclass's, a NamedTuple's or the slots."""
+    if dataclasses.is_dataclass(value):
+        return [f.name for f in dataclasses.fields(value)]
+    return getattr(value, "_fields", None) or type(value).__slots__
+
+
+FROZEN_VALUES = {
+    "fresh QSeries": lambda: QSeries(-2, [0, 3, 0, -1, 0], 5),
+    "ZERO": lambda: ZERO,
+    "ONE": lambda: ONE,
+    "cached q_binomial(4, 2)": lambda: q_binomial(4, 2),
+    "Comparison": lambda: compare(ONE, Q),
+    "Bounds": lambda: Bounds(),
+    "Report": lambda: verify_case("new_fin_cap_1", {"L": 2}),
+    "Recurrence": lambda: RECURRENCES["b_short"],
+    "RecurrenceReport": lambda: verify_recurrence(lambda L: ZERO, RECURRENCES["a_short"],
+                                                  range(2, 4)),
+    "WitnessReport": lambda: verify_factor_witness("b", range(4, 6)),
+    "HierarchyFamily": lambda: FAMILIES["cap1"],
+    "BaileyAlpha": lambda: ALPHAS["unit"],
+    "IdentityCase": lambda: CASES["new_fin_cap_1"],
+}
+
+
+class TestImmutable:
+    @pytest.mark.parametrize("kind", sorted(FROZEN_VALUES))
+    def test_fields_cannot_be_assigned_or_deleted(self, kind):
+        # the caches hand one value to every caller
+        value = FROZEN_VALUES[kind]()
+        names = field_names(value)
+        assert names
+        before = [getattr(value, name) for name in names]
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, ONE)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert all(getattr(value, name) is was for name, was in zip(names, before))
+        if isinstance(value, QSeries):
+            assert value == QSeries(value.offset, value.coeffs, value.trunc)
+        if kind == "cached q_binomial(4, 2)":
+            assert q_binomial(4, 2) is value
+
+    def test_every_frozen_value_type_is_checked(self):
+        assert {type(make()).__name__ for make in FROZEN_VALUES.values()} == {
+            "QSeries", "Comparison", "Bounds", "Report", "Recurrence", "RecurrenceReport",
+            "WitnessReport", "HierarchyFamily", "BaileyAlpha", "IdentityCase"}
 
 
 class TestCompare:

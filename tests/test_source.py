@@ -6,9 +6,10 @@ right sides) sums through it too, no hierarchy right side through the left
 sides' packed pass or their tables, and no S-ladder or trinomial right side
 through the left sides' packed M-sum, which keeps its own packs; the finite
 left sides reach no right-side sum; the Bailey transform takes its
-quotients from poch_ratio, not from the left sides' stepped ones; ``IdentityCase`` stays a dataclass; the
-half-limb constant of
-signed limbs lives only in the series module; the partition oracle
+quotients from poch_ratio, not from the left sides' stepped ones;
+``IdentityCase`` stays a dataclass and is the only one, so no other class
+generates its methods' code at import; the half-limb constant of signed
+limbs lives only in the series module; the partition oracle
 imports nothing from qcap; the CLI builds no parser at import; and
 every top-level function or class, and every method or property of a class,
 is used by the package or is an entry point."""
@@ -196,6 +197,32 @@ def test_right_sum_rule_sees_the_right_sides():
     tree = _tree("identities.py")
     assert "alpha_sum" in _names_reached(tree, "hierarchy_finite_rhs")
     assert "rhs_new_fin_cap" in _names_reached(tree, "dual_construct")
+
+
+def _dataclasses(tree):
+    """The names of the classes that a module decorates with dataclass, bare
+    or called, by name or as an attribute."""
+    return [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for decorator in node.decorator_list
+            for target in [decorator.func if isinstance(decorator, ast.Call) else decorator]
+            if getattr(target, "id", getattr(target, "attr", None)) == "dataclass"]
+
+
+def test_only_identity_case_is_a_dataclass():
+    # each @dataclass generates and compiles its methods' code at import; the
+    # value types are slotted classes or NamedTuples
+    found = {path.name: _dataclasses(_tree(path.name)) for path in sorted(PACKAGE.glob("*.py"))}
+    assert [name for names in found.values() for name in names] == ["IdentityCase"], found
+
+
+def test_dataclass_rule_sees_every_spelling():
+    tree = ast.parse("@dataclass\nclass A:\n    pass\n\n"
+                     "@dataclass(frozen=True)\nclass B:\n    pass\n\n"
+                     "@functools.total_ordering\n@dataclasses.dataclass(slots=True)\n"
+                     "class C:\n    pass\n\n"
+                     "class D(NamedTuple):\n    x: int\n\n"
+                     "@cache\ndef dataclass():\n    pass\n")
+    assert _dataclasses(tree) == ["A", "B", "C"]
 
 
 def test_identity_case_stays_a_dataclass():
