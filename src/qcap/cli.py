@@ -95,25 +95,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("--s: no selected case takes a twist s", file=sys.stderr)
         return EXIT_CONFIG
 
-    s_values = None if args.s is None else (args.s,)
     bounds = Bounds(
         l_max=args.l_max, m_max=args.m_max, f_max=args.f_max,
-        nu_max=args.nu_max, s_values=s_values, trunc=args.trunc)
-    tasks = [(case_id, params)
-             for case_id in case_ids
-             for params in identities.iterate_grid(case_id, bounds)]
+        nu_max=args.nu_max, s=args.s, trunc=args.trunc)
 
     out = _open_out(args.out)
     try:
         start = time.perf_counter()
-        # grouped by (L, f, s), absent as -1, so a grid point's tables serve its cases in a row
-        reports: list = [None] * len(tasks)
-        for i in sorted(range(len(tasks)), key=lambda i: [tasks[i][1].get(p, -1) for p in "Lfs"]):
-            reports[i] = identities.verify_case(*tasks[i])
+        reports = identities.verify_grid(case_ids, bounds)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
 
         if args.format == "text":
-            out.write(f"# cases={len(case_ids)} instances={len(tasks)} "
+            out.write(f"# cases={len(case_ids)} instances={len(reports)} "
                       f"bounds: L<={bounds.l_max} M<={bounds.m_max} "
                       f"f<={bounds.f_max} nu<={bounds.nu_max} "
                       f"trunc={bounds.trunc}\n")
@@ -123,7 +116,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         summary = {
             "summary": {
                 "cases": len(case_ids),
-                "instances": len(tasks),
+                "instances": len(reports),
                 "failed": failed,
                 "verdict": failed == 0,
             },
@@ -132,7 +125,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.format == "json":
             out.write(json.dumps(summary, sort_keys=True) + "\n")
         else:
-            out.write(f"# {len(tasks) - failed}/{len(tasks)} passed "
+            out.write(f"# {len(reports) - failed}/{len(reports)} passed "
                       f"({elapsed_ms:.0f} ms)\n")
     finally:
         if out is not sys.stdout:

@@ -1,11 +1,11 @@
 """Registry of named identity cases, each with two or more independent side
 evaluators, plus the verification kernel that compares them.
 
-Every case is an :class:`IdentityCase`: a parameter schema, an equality mode
-("exact" for polynomial identities, "truncated" for series identities checked
-to a given order), and a tuple of named evaluators whose values must all
-agree.  The first side is the reference; a report records the verdict and the
-first mismatching coefficient if any.
+Every case is an :class:`IdentityCase`: a parameter schema and a tuple of
+named evaluators whose values must all agree.  Its equality mode follows from
+the schema: "truncated" for a series identity checked to an order n, "exact"
+for a polynomial identity.  The first side is the reference; a report
+records the verdict and the first mismatching coefficient if any.
 """
 
 from __future__ import annotations
@@ -316,8 +316,8 @@ def _chain_rows(a: int, f: int, s: int, L: int) -> tuple[QSeries, ...]:
     (q)_{2L+a} / [(q)_{L-n_f} (q)_{2n_f+a}] times prod_{k<f} [L-N_{k+1},
     N_k-N_{k+1}], so the sum over index vectors nests level by level from N_1
     inward, and the chain of n_f is the tail times q^{n_f^2+eps*n_f} P_{f-1}(n_f),
-    where a twist s adds 1 to eps.  verify evaluates its instances grouped by
-    (L, f, s), so the rows, levels and tails keep that L only."""
+    where a twist s adds 1 to eps.  verify_grid evaluates its instances
+    grouped by (L, f, s), so the rows, levels and tails keep that L only."""
     eps = a + bool(s)
     level = _inner_level(_chain_levels, (L,), a, f, s, lambda N, n: q_binomial(L - N, n - N))
     return tuple((tail * inner).shift(nf * nf + eps * nf)
@@ -721,16 +721,20 @@ class Bounds(NamedTuple):
     m_max: int = 8
     f_max: int = 3
     nu_max: int = 2
-    s_values: tuple[int, ...] | None = None  # None = all 0..f
+    s: int | None = None  # one twist, or None for every 0..f
     trunc: int = 30
 
 
 @dataclass(frozen=True)
 class IdentityCase:
     id: str
-    mode: str  # "exact" | "truncated"
     params: tuple[str, ...]
     sides: tuple[tuple[str, Callable[..., QSeries]], ...]
+
+    @property
+    def mode(self) -> str:
+        """The equality mode: "truncated" when the case checks to an order n."""
+        return "truncated" if "n" in self.params else "exact"
 
 
 class Report(NamedTuple):
@@ -774,8 +778,6 @@ def check_params(case: IdentityCase, params: Mapping[str, int]) -> None:
     for name in params:
         if name not in case.params:
             raise ParamOutOfRange(f"{case.id}: unknown parameter {name!r}")
-    if "s" in params and params["s"] > params["f"]:
-        raise ParamOutOfRange("twist s must satisfy 0 <= s <= f")
     if "b" in params and params["b"] not in (0, 1, 2):
         raise ParamOutOfRange("b must be 0, 1, or 2")
 
@@ -817,14 +819,13 @@ def iterate_grid(case_id: str, bounds: Bounds) -> Iterator[dict]:
     """Every instance of the case's grid: the product of each parameter's
     values in ``params`` order, keeping the instances with 0 <= s <= f."""
     names = CASES[case_id].params
-    s_values = bounds.s_values if bounds.s_values is not None else range(bounds.f_max + 1)
     values = {
         "L": range(bounds.l_max + 1),
         "M": range(bounds.m_max + 1),
-        "f": range(1, bounds.f_max + 1),
-        "s": s_values,
-        "nu": range(1, bounds.nu_max + 1),
-        "k": range(1, 4),
+        "f": range(LEAST["f"], bounds.f_max + 1),
+        "s": range(bounds.f_max + 1) if bounds.s is None else (bounds.s,),
+        "nu": range(LEAST["nu"], bounds.nu_max + 1),
+        "k": range(LEAST["k"], 4),
         "b": range(3),
         "n": (bounds.trunc,),
     }
@@ -834,88 +835,101 @@ def iterate_grid(case_id: str, bounds: Bounds) -> Iterator[dict]:
             yield params
 
 
+def verify_grid(case_ids: Iterable[str], bounds: Bounds) -> list[Report]:
+    """The report of every grid instance of each case, in case and grid
+    order.  The instances are evaluated grouped by (L, f, s), an absent
+    parameter as -1: the chain tables keep one L at a time, and the tables
+    of a grid point serve all its cases in a row."""
+    tasks = [(case_id, params) for case_id in case_ids
+             for params in iterate_grid(case_id, bounds)]
+    reports: list = [None] * len(tasks)
+    for i in sorted(range(len(tasks)), key=lambda i: [tasks[i][1].get(p, -1) for p in "Lfs"]):
+        reports[i] = verify_case(*tasks[i])
+    return reports
+
+
 def _build_registry() -> None:
     for which in (1, 2):
         _register(IdentityCase(
-            f"cap_analytic_{which}", "truncated", ("n",),
+            f"cap_analytic_{which}", ("n",),
             (("lhs", lambda n, w=which: cap_analytic_lhs(w, n)),
              ("rhs", lambda n, w=which: cap_analytic_rhs(w, n)))))
     for which in (1, 2):
         _register(IdentityCase(
-            f"fin_cap_roundtri_{which}", "exact", ("L",),
+            f"fin_cap_roundtri_{which}", ("L",),
             (("lhs", lambda L, w=which: roundtri_lhs(w, L)),
              ("rhs", lambda L, w=which: roundtri_rhs(w, L)))))
     for which, name in ((1, "cap1_binomial"), (2, "cap2_binomial"), (3, "sum_cap")):
         _register(IdentityCase(
-            f"fin_cap_binomial_{which}", "exact", ("M",),
+            f"fin_cap_binomial_{which}", ("M",),
             (("lhs", lambda M, fam=FAMILIES[name]: fam.seed(M)),
              ("rhs", lambda M, fam=FAMILIES[name]: alpha_sum(fam, 0, M)))))
     _register(IdentityCase(
-        "seed_identity", "exact", ("L", "M"),
+        "seed_identity", ("L", "M"),
         (("lhs", seed_identity_lhs),
          ("rhs", lambda L, M: refinement_hierarchy_rhs(0, L, M)))))
     _register(IdentityCase(
-        "s_hierarchy", "exact", ("nu", "L", "M"),
+        "s_hierarchy", ("nu", "L", "M"),
         (("lhs", refinement_hierarchy_lhs), ("rhs", refinement_hierarchy_rhs))))
     _register(IdentityCase(
-        "s_hierarchy_limit", "truncated", ("nu", "n"),
+        "s_hierarchy_limit", ("nu", "n"),
         (("lhs", refinement_limit_lhs),
          ("rhs", lambda nu, n: hierarchy_limit_rhs(
              "cap1_binomial", (nu + 2) * (nu + 1) // 2 - 1, n)))))
     for which, seed in ((1, seed_cap1), (2, seed_cap2)):
         _register(IdentityCase(
-            f"new_fin_cap_{which}", "exact", ("L",),
+            f"new_fin_cap_{which}", ("L",),
             (("lhs", lambda L, fn=seed: fn(L)),
              ("rhs", lambda L, w=which: rhs_new_fin_cap(w, L)))))
     for which in (1, 2):
         _register(IdentityCase(
-            f"rhs_rewrites_{which}", "exact", ("L",),
+            f"rhs_rewrites_{which}", ("L",),
             (("jacobi", lambda L, w=which: rhs_new_fin_cap(w, L)),
              ("split", lambda L, w=which: rhs_rewrite_split(w, L)),
              ("rational", lambda L, w=which: rhs_rewrite_rational(w, L)))))
     _register(IdentityCase(
-        "fin_cap2_rhs_alt", "exact", ("L",),
+        "fin_cap2_rhs_alt", ("L",),
         (("lhs", lambda L: rhs_new_fin_cap(2, L)),
          ("rhs", lambda L: alpha_sum(FAMILIES["cap2_analogue"], 0, L)))))
     _register(IdentityCase(
-        "vanishing_aux", "exact", ("L",),
+        "vanishing_aux", ("L",),
         (("sum", vanishing_aux_sum), ("zero", lambda L: ZERO))))
     _register(IdentityCase(
-        "k_transform", "exact", ("k", "L"),
+        "k_transform", ("k", "L"),
         (("lhs", k_transform_lhs), ("rhs", k_transform_rhs))))
     _register(IdentityCase(
-        "cor_cap2_analogue", "exact", ("L",),
+        "cor_cap2_analogue", ("L",),
         (("lhs", cor_cap2_analogue_lhs),
          ("rhs", lambda L: alpha_sum(FAMILIES["double"], 0, L, s=1)))))
     for name, fam in FAMILIES.items():
         twist = ("s",) if fam.twisted else ()
         _register(IdentityCase(
-            f"hierarchy_finite_{name}", "exact", ("f", *twist, "L"),
+            f"hierarchy_finite_{name}", ("f", *twist, "L"),
             (("lhs", lambda f, L, s=0, fam=name: hierarchy_finite_lhs(fam, f, L, s)),
              ("rhs", lambda f, L, s=0, fam=name: hierarchy_finite_rhs(fam, f, L, s)))))
         _register(IdentityCase(
-            f"hierarchy_limit_{name}", "truncated", ("f", *twist, "n"),
+            f"hierarchy_limit_{name}", ("f", *twist, "n"),
             (("lhs", lambda f, n, s=0, fam=name: hierarchy_limit_lhs(fam, f, n, s)),
              ("rhs", lambda f, n, s=0, fam=name: hierarchy_limit_rhs(fam, f, n, s)))))
     _register(IdentityCase(
-        "hierarchy_limit_cap2_f1_corollary", "truncated", ("n",),
+        "hierarchy_limit_cap2_f1_corollary", ("n",),
         (("lhs", lambda n: hierarchy_limit_lhs("cap2", 1, n)),
          ("rhs", lambda n: (pochhammer_inf(3, 3, n)
                             * inv_pochhammer_inf(1, 1, n)).truncate(n)))))
     _register(IdentityCase(
-        "corollary_transform", "truncated", ("nu", "n"),
+        "corollary_transform", ("nu", "n"),
         (("lhs", refinement_limit_lhs),
          ("rhs", lambda nu, n: hierarchy_limit_lhs(
              "cap1_binomial", nu * (nu + 3) // 2, n)))))
     for which in (1, 2):
         _register(IdentityCase(
-            f"dual_identity_{which}", "exact", ("L",),
+            f"dual_identity_{which}", ("L",),
             (("lhs", lambda L, w=which: dual_lhs(w, L)),
              ("rhs", lambda L, w=which: dual_rhs(w, L)),
              ("construct_lhs", lambda L, w=which: dual_construct(w, "lhs", L)),
              ("construct_rhs", lambda L, w=which: dual_construct(w, "rhs", L)))))
     _register(IdentityCase(
-        "dual_limit", "truncated", ("b", "n"),
+        "dual_limit", ("b", "n"),
         (("reference", dual_limit_reference),
          ("specific", dual_limit_specific),
          ("unified", dual_limit_unified))))

@@ -36,10 +36,7 @@ def pochhammer(length: int, shift: int = 1, base: int = 1) -> QSeries:
     """(q^shift; q^base)_length as an exact polynomial; length 0 gives 1."""
     if length < 0:
         raise NegativeLength(f"Pochhammer length {length} < 0")
-    if length == 0:
-        return ONE
-    prev = pochhammer(length - 1, shift, base)
-    return prev * (ONE - monomial(shift + base * (length - 1)))
+    return math.prod((ONE - monomial(shift + base * i) for i in range(length)), start=ONE)
 
 
 def pochhammer_inf(shift: int, base: int, n: int, sign: int = -1) -> QSeries:
@@ -292,31 +289,14 @@ def jacobi3(j: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Bounded index enumeration for quadratic-exponent sums
-# ---------------------------------------------------------------------------
-
-def quadratic_index_range(quad: int, lin: int, limit: int) -> range:
-    """All integers j with quad*j^2 + lin*j <= limit (quad > 0).
-
-    Derives the summation ranges of jtp_sum and quintuple_sum from their
-    quadratic exponents.
-    """
-    if quad <= 0:
-        raise ValueError("quadratic coefficient must be positive")
-    radius = math.isqrt(max(4 * quad * limit + lin * lin, 0)) + 1
-    lo = (-lin - radius) // (2 * quad) - 1
-    hi = (-lin + radius) // (2 * quad) + 1
-    return range(lo, hi + 1)
-
-
-# ---------------------------------------------------------------------------
 # Jacobi triple product / quintuple product
 # ---------------------------------------------------------------------------
 
 def jtp_sum(z_shift: int, n: int) -> QSeries:
     """sum_j q^(j^2) z^j with z = q^z_shift, truncated at n."""
     total = Accumulator(n)
-    for j in quadratic_index_range(1, z_shift, n):
+    r = math.isqrt(max(n, 0)) + abs(z_shift) + 1
+    for j in range(-r, r + 1):  # j^2 + z j <= n gives |j| <= sqrt(n) + |z|
         e = j * j + z_shift * j
         if e <= n:
             total.add(monomial(e))
@@ -357,7 +337,8 @@ def jtp_product(z_shift: int, n: int) -> QSeries:
 def quintuple_sum(z_shift: int, n: int) -> QSeries:
     """sum_j (-1)^j q^(j(3j-1)/2) z^(3j) (1 + z q^j) with z = q^z_shift."""
     total = Accumulator(n)
-    for j in quadratic_index_range(3, 6 * z_shift - 1, 2 * n):
+    r = math.isqrt(max(n, 0)) + 2 * abs(z_shift) + 2
+    for j in range(-r, r + 1):  # either exponent <= n gives |j| <= sqrt(n) + 2|z| + 1
         e = j * (3 * j - 1) // 2 + 3 * z_shift * j
         sign = -1 if j % 2 else 1
         if e <= n:

@@ -3,9 +3,10 @@
 The one value type of the whole package is :class:`QSeries`: a dense list of
 arbitrary-precision integer coefficients together with the exponent of the
 lowest term.  A value is either exact (``trunc is None``) or truncated, in
-which case coefficients of q^k for k > trunc are unknown.  Arithmetic
-propagates truncation as the minimum of the operands' truncations; two exact
-operands always give an exact result.
+which case coefficients of q^k for k > trunc are unknown.  A sum is known to
+its operands' smaller truncation, a product to the smaller T + min(v, 0) of
+its truncated operands (T its truncation, v the other one's offset).  Two
+exact operands always give an exact result.
 """
 
 from __future__ import annotations
@@ -236,7 +237,10 @@ class QSeries(_Frozen):
     def __mul__(self, other: QSeries | int) -> QSeries:
         if isinstance(other, int):
             other = monomial(0, other)
-        trunc = _min_trunc(self.trunc, other.trunc)
+        # a truncated operand known to T, times an offset v < 0, is known to T + v
+        t, u = self.trunc, other.trunc
+        trunc = _min_trunc(t if t is None or other.offset >= 0 else t + other.offset,
+                           u if u is None or self.offset >= 0 else u + self.offset)
         offset = self.offset + other.offset
         a, b = self.coeffs, other.coeffs
         if trunc is not None:

@@ -400,6 +400,13 @@ class TestSeries:
                            "--f", "0", "--L", "2")
         assert code == EXIT_CONFIG
 
+    def test_twist_above_the_depth_is_config_error(self, capsys):
+        code, out, err = run(capsys, "series", "lhs:hierarchy_finite_double",
+                             "--f", "1", "--s", "2", "--L", "2")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == "twist s must satisfy 0 <= s <= f\n"
+
     def test_b_outside_range_is_config_error(self, capsys):
         code, out, err = run(capsys, "series", "reference:dual_limit",
                              "--b", "7", "--trunc", "5")

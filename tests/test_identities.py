@@ -93,8 +93,11 @@ class TestRegistry:
             verify_case("hierarchy_finite_cap1", {"f": 0, "L": 2})
 
     def test_twist_range_validated(self):
-        with pytest.raises(ParamOutOfRange):
+        # the first side of each twisted case checks the twist before any work
+        with pytest.raises(ParamOutOfRange, match="twist s must satisfy 0 <= s <= f"):
             verify_case("hierarchy_finite_double", {"f": 1, "s": 2, "L": 2})
+        with pytest.raises(ParamOutOfRange, match="twist s must satisfy 0 <= s <= f"):
+            verify_case("hierarchy_limit_double", {"f": 1, "s": 2, "n": 10})
 
     def test_unknown_family_rejected(self):
         for side in (hierarchy_finite_lhs, hierarchy_limit_rhs):
@@ -106,6 +109,15 @@ class TestRegistry:
             hierarchy_limit_rhs("cap1", 0, 10)
         with pytest.raises(ParamOutOfRange, match="no twist"):
             hierarchy_limit_rhs("cap1", 1, 10, s=1)
+
+    def test_truncated_cases_are_the_ones_with_an_order(self):
+        truncated = {"cap_analytic_1", "cap_analytic_2", "corollary_transform", "dual_limit",
+                     "s_hierarchy_limit", "hierarchy_limit_cap2_f1_corollary",
+                     *(f"hierarchy_limit_{name}" for name in FAMILIES)}
+        assert len(truncated) == 13
+        assert {c for c, case in CASES.items() if case.mode == "truncated"} == truncated
+        for case in CASES.values():
+            assert case.mode == ("truncated" if "n" in case.params else "exact")
 
     def test_report_fields(self):
         report = verify_case("new_fin_cap_1", {"L": 2})
@@ -189,9 +201,29 @@ class TestFailurePath:
 
 class TestGrids:
     def test_s_values_keep_only_twists_within_depth(self):
-        bounds = Bounds(f_max=3, s_values=(1, 5, -1))
+        bounds = Bounds(f_max=3, s=2)
         assert list(iterate_grid("hierarchy_finite_double", bounds)) == [
-            {"f": f, "s": 1, "L": L} for f in range(1, 4) for L in range(9)]
+            {"f": f, "s": 2, "L": L} for f in (2, 3) for L in range(9)]
+        for s in (5, -1):
+            assert not list(iterate_grid("hierarchy_finite_double", Bounds(f_max=3, s=s)))
+
+    def test_verify_grid_reports_in_case_and_grid_order(self, monkeypatch):
+        ids = ["hierarchy_finite_double", "new_fin_cap_1", "s_hierarchy", "dual_limit"]
+        bounds = Bounds(l_max=3, m_max=2, f_max=3, nu_max=2, trunc=10)
+        expected = [verify_case(c, p) for c in ids for p in iterate_grid(c, bounds)]
+        calls = []
+
+        def recorded(case_id, params):
+            calls.append(params)
+            return verify_case(case_id, params)
+
+        monkeypatch.setattr(identities, "verify_case", recorded)
+        assert identities.verify_grid(ids, bounds) == expected
+        # evaluated grouped by (L, f, s), an absent parameter as -1
+        points = [[params.get(p, -1) for p in "Lfs"] for params in calls]
+        assert len(calls) == len(expected) and points == sorted(points)
+        # which differs from the order of the reports for this selection
+        assert points != [[r.params.get(p, -1) for p in "Lfs"] for r in expected]
 
     @pytest.mark.parametrize("case_id", sorted(CASES))
     def test_case_passes_on_reduced_grid(self, case_id):

@@ -54,6 +54,17 @@ class TestPochhammer:
         with pytest.raises(NegativeLength):
             pochhammer(-1)
 
+    def test_length_past_the_recursion_limit(self):
+        # one frame for any length: (1 - q^0) makes the product 0
+        assert pochhammer(1100, shift=0) == ZERO
+
+    def test_matches_factor_by_factor_product(self):
+        for length, shift, base in ((5, 1, 1), (4, -3, 2), (3, 2, 3), (1, 0, 1)):
+            expected = ONE
+            for i in range(length):
+                expected = expected * (ONE - monomial(shift + base * i))
+            assert pochhammer(length, shift, base) == expected
+
     def test_inverse_infinite_is_partition_gf(self):
         # 1/(q;q)_inf counts partitions: 1, 1, 2, 3, 5
         assert inv_pochhammer_inf(1, 1, 4) == QSeries(0, (1, 1, 2, 3, 5), 4)
@@ -492,9 +503,30 @@ class TestJacobi3:
                 assert jacobi3(-j) == -jacobi3(j)
 
 
+def brute_force_sum(terms, n, reach=400):
+    """sum of c q^e over every (e, c) of terms(j) with e <= n, |j| <= reach."""
+    total = {}
+    for j in range(-reach, reach + 1):
+        for e, c in terms(j):
+            if e <= n:
+                total[e] = total.get(e, 0) + c
+    return sum((monomial(e, c) for e, c in total.items()), QSeries(0, (), n))
+
+
 class TestClassicalProducts:
     def test_jtp_sum_spot(self):
         assert jtp_sum(0, 4) == QSeries(0, (1, 2, 0, 0, 2), 4)
+
+    def test_sums_match_brute_force(self):
+        # the index bounds of jtp_sum and quintuple_sum drop no term
+        for z in range(-30, 31):
+            jtp = brute_force_sum(lambda j: ((j * j + z * j, 1),), 80)
+            quintuple = brute_force_sum(lambda j: (
+                (j * (3 * j - 1) // 2 + 3 * z * j, (-1) ** j),
+                (j * (3 * j - 1) // 2 + 3 * z * j + z + j, (-1) ** j)), 80)
+            for n in range(0, 81, 3):
+                assert jtp_sum(z, n) == jtp.truncate(n)
+                assert quintuple_sum(z, n) == quintuple.truncate(n)
 
     @pytest.mark.parametrize("z_shift", [0, 1, 2])
     def test_jtp_agreement(self, z_shift):

@@ -80,6 +80,13 @@ def naive_convolve(a, b):
     return out
 
 
+def product_trunc(a, b):
+    """The order to which a * b is known: a truncated operand known to T,
+    times the other one's lowest term q^v, is known to T + v; a v >= 0 keeps T."""
+    return min((x.trunc + min(y.offset, 0) for x, y in ((a, b), (b, a)) if x.trunc is not None),
+               default=None)
+
+
 def reference_add(a, b):
     """a + b by one per-coefficient loop over each operand: the reference
     for ``+`` and for Accumulator."""
@@ -722,10 +729,12 @@ class TestTabledLeftSide:
 class TestTruncatedMul:
     @settings(max_examples=80, deadline=None)
     @given(mul_operand, mul_operand)
+    # q^-1 times 1 + q + O(q^4) is known to q^2 only, as its shift by -1
+    @example(monomial(-1), QSeries(0, (1, 1), 3))
+    @example(QSeries(0, (1, 1), 3), monomial(-1))
     def test_matches_full_convolution_then_truncation(self, a, b):
-        truncs = [t for t in (a.trunc, b.trunc) if t is not None]
         full = _convolve(list(a.coeffs), list(b.coeffs))
-        expected = QSeries(a.offset + b.offset, full, min(truncs, default=None))
+        expected = QSeries(a.offset + b.offset, full, product_trunc(a, b))
         assert a * b == expected
 
     def test_truncation_below_the_lowest_product_exponent(self):
@@ -746,11 +755,13 @@ class TestOneCoefficientMul:
     # both operands of length 1
     @example(QSeries(-5, (-1,)), QSeries(2, (10**30,), 0), True)
     @example(QSeries(-5, (1,), -4), QSeries(2, (-3,)), False)
+    # a negative offset times a truncated operand
+    @example(monomial(-1), QSeries(0, (1, 1), 3), True)
+    @example(monomial(-1), QSeries(0, (1, 1), 3), False)
     def test_matches_naive_convolution(self, single, other, single_on_left):
         a, b = (single, other) if single_on_left else (other, single)
-        truncs = [t for t in (a.trunc, b.trunc) if t is not None]
         expected = QSeries(a.offset + b.offset, naive_convolve(a.coeffs, b.coeffs),
-                           min(truncs, default=None))
+                           product_trunc(a, b))
         assert a * b == expected
 
 

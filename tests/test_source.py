@@ -10,7 +10,9 @@ quotients from poch_ratio, not from the left sides' stepped ones;
 ``IdentityCase`` stays a dataclass and is the only one, so no other class
 generates its methods' code at import; the half-limb constant of signed
 limbs lives only in the series module; the partition oracle
-imports nothing from qcap; the CLI builds no parser at import; and
+imports nothing from qcap; the CLI builds no parser at import and names
+neither ``verify_case`` nor ``iterate_grid``, so the order in which the
+verify grid is evaluated lives in ``identities.verify_grid`` alone; and
 every top-level function or class, and every method or property of a class,
 is used by the package or is an entry point."""
 
@@ -331,6 +333,23 @@ def test_parser_rule_sees_a_module_level_parser():
         ast.parse("def main(p=build_parser()):\n    pass\n"))
     assert not PARSER_BUILDERS & set(_import_time_calls(ast.parse(
         "def main():\n    return build_parser()\n\nf = lambda: argparse.ArgumentParser()\n")))
+
+
+# What the CLI must not name: the grid and its evaluation order belong to
+# identities.verify_grid.
+GRID_ORDER = {"verify_case", "iterate_grid"}
+
+
+def test_cli_leaves_the_grid_order_to_identities():
+    found = sorted(_names_in(_tree("cli.py")) & GRID_ORDER)
+    assert not found, found
+
+
+def test_grid_order_rule_sees_every_spelling():
+    tree = ast.parse("from qcap.identities import iterate_grid\n"
+                     "r = identities.verify_case(c, p)\n")
+    assert _names_in(tree) >= GRID_ORDER
+    assert "verify_grid" in _names_in(_tree("cli.py"))
 
 
 # Entry points the acceptance gate and the benchmark call, which no module of
