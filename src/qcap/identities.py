@@ -175,8 +175,8 @@ class HierarchyFamily(_Frozen):
         # the limit is the sum of their products over (q^base; q^base)_inf.
         limit_products: Callable[[int, int], tuple[tuple[tuple[int, int, int], ...], ...]],
     ) -> None:
-        # a twist adds N_{f-s+1}+...+N_f to the chain exponent, which is then
-        # no multiple of the base; hierarchy_finite_lhs divides by the base
+        # both sides sum a chain in powers of q and stretch it to q^base, but
+        # a twist adds N_{f-s+1}+...+N_f, which is no multiple of the base
         if twisted and base != 1:
             raise ValueError(f"twisted family {name!r} must have base 1")
         super().__init__(name, base, a, seed, twisted, alpha, limit_products)
@@ -250,14 +250,14 @@ Level = tuple[QSeries, ...]  # P_k(N) for N = 0, 1, ...: one level of a chain
 
 
 def _level_up(level: Level, eps: int, kernel: Callable[[int, int], QSeries],
-              base: int = 1, order: int | None = None) -> Level:
+              order: int | None = None) -> Level:
     """The next level of a nested chain sum: P_k(N) = sum_{N' >= N}
-    q^{base(N'^2+eps*N')} kernel(N, N') P_{k-1}(N'), for each N of the level.
+    q^{N'^2+eps*N'} kernel(N, N') P_{k-1}(N'), for each N of the level.
 
-    At an order n, P_k(N) is kept only to order n - base(N^2+eps*N), all that
+    At an order n, P_k(N) is kept only to order n - (N^2+eps*N), all that
     survives the shift the next level gives it: each kernel is clipped to
     that order, and the terms N' whose shift lies beyond it are skipped."""
-    weights = [base * (n * n + eps * n) for n in range(len(level))]
+    weights = [n * n + eps * n for n in range(len(level))]
     weighted = [p.shift(w) for p, w in zip(level, weights)]
     out = []
     for N, w in enumerate(weights):
@@ -272,29 +272,31 @@ def _level_up(level: Level, eps: int, kernel: Callable[[int, int], QSeries],
     return tuple(out)
 
 
-def _inner_level(stacks: Callable[..., list], key: tuple, a: int, f: int, s: int,
-                 kernel: Callable[[int, int], QSeries], base: int = 1,
-                 order: int | None = None) -> Level:
-    """P_{f-1} of a chain of weight q^{base(N^2+aN)} whose last s-1 levels
-    add 1 to eps: the untwisted P_{f-s} (P_{f-1} for s = 0) of the kept
-    stack stacks(a, *key), whose missing levels are built once and appended,
-    extended by s-1 twisted levels.  At s = f every level is twisted, which
-    makes it the untwisted chain of a + 1, read from that stack."""
+def _rows(stacks: Callable[..., list], key: tuple, a: int, f: int, s: int,
+          kernel: Callable[[int, int], QSeries], tails: Level,
+          order: int | None = None) -> tuple[QSeries, ...]:
+    """The row tail * q^{n_f^2+eps*n_f} P_{f-1}(n_f) of each n_f, for a chain
+    of weight q^{N^2+aN} whose last s-1 levels add 1 to eps: P_{f-1} is the
+    untwisted P_{f-s} (P_{f-1} for s = 0) of the kept stack stacks(a, *key),
+    its missing levels built once and appended, extended by s-1 twisted
+    levels.  At s = f every level is twisted: the untwisted chain of a + 1."""
+    eps = a + bool(s)
     if s == f:
         a, s = a + 1, 0
     stack, depth = stacks(a, *key), f - max(s, 1)
     while len(stack) <= depth:
-        stack.append(_level_up(stack[-1], a, kernel, base, order))
+        stack.append(_level_up(stack[-1], a, kernel, order))
     level = stack[depth]
     for _ in range(s - 1):
-        level = _level_up(level, a + 1, kernel, base, order)
-    return level
+        level = _level_up(level, a + 1, kernel, order)
+    return tuple((tail * inner).shift(nf * nf + eps * nf)
+                 for nf, (tail, inner) in enumerate(zip(tails, level)))
 
 
 @lru_cache(maxsize=2)
 def _chain_levels(a: int, L: int) -> list[Level]:
     """[P_0, P_1, ...], the untwisted levels of an (a, L) chain with P_0(N)
-    = 1; _inner_level appends the deeper levels as they are asked for."""
+    = 1; _rows appends the deeper levels as they are asked for."""
     return [(ONE,) * (L + 1)]
 
 
@@ -315,13 +317,10 @@ def _chain_rows(a: int, f: int, s: int, L: int) -> tuple[QSeries, ...]:
     of that a reads.  With N_1 >= ... >= N_f = n_f, the chain quotient is
     (q)_{2L+a} / [(q)_{L-n_f} (q)_{2n_f+a}] times prod_{k<f} [L-N_{k+1},
     N_k-N_{k+1}], so the sum over index vectors nests level by level from N_1
-    inward, and the chain of n_f is the tail times q^{n_f^2+eps*n_f} P_{f-1}(n_f),
-    where a twist s adds 1 to eps.  verify_grid evaluates its instances
+    inward, into the rows of _rows.  verify_grid evaluates its instances
     grouped by (L, f, s), so the rows, levels and tails keep that L only."""
-    eps = a + bool(s)
-    level = _inner_level(_chain_levels, (L,), a, f, s, lambda N, n: q_binomial(L - N, n - N))
-    return tuple((tail * inner).shift(nf * nf + eps * nf)
-                 for nf, (tail, inner) in enumerate(zip(_chain_tails(a, L), level)))
+    return _rows(_chain_levels, (L,), a, f, s, lambda N, n: q_binomial(L - N, n - N),
+                 _chain_tails(a, L))
 
 
 @lru_cache(maxsize=None)
@@ -345,36 +344,29 @@ def hierarchy_finite_rhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
 
 
 @lru_cache(maxsize=None)
-def _limit_levels(a: int, b: int, n: int) -> list[Level]:
-    """[P_0, P_1, ...], the untwisted levels of a base-b limit chain at order
-    n, with P_0(N) = 1 for b N^2 <= n, as _chain_levels."""
-    return [(ONE,) * (math.isqrt(n // b) + 1)]
+def _limit_levels(a: int, m: int) -> list[Level]:
+    """[P_0, P_1, ...], the untwisted levels of a limit chain summed in
+    powers of q to order m, with P_0(N) = 1 for N^2 <= m, as _chain_levels."""
+    return [(ONE,) * (math.isqrt(m) + 1)]
 
 
 def hierarchy_limit_lhs(family: str, f: int, n: int, s: int = 0) -> QSeries:
     """Truncated multi-sum: the chain of hierarchy_finite_lhs with its
-    (q)_{2L+a} / (q)_{L-N_1} factor dropped and each kernel [L-N, N'-N]
-    replaced by its L -> infinity limit 1 / (q^b;q^b)_{N'-N}, nested level by
-    level at order n; n_f carries the seed and 1 / (q^b;q^b)_{2n_f+a}.  The
-    levels are summed in powers of q^b and kept as on the finite side, one
-    untwisted stack per (a, b, n), which serves every family of that a and
-    b; the twisted levels are not kept."""
+    (q)_{2L+a} / (q)_{L-N_1} factor dropped, each kernel [L-N, N'-N] replaced
+    by its L -> infinity limit 1 / (q)_{N'-N} and each tail by 1 / (q)_{2n_f+a}.
+    As on the finite side it is summed in powers of q, to order m = ceil(n /
+    base), and each row is stretched to q^base, so it is known to at least
+    q^n.  One untwisted stack per (a, m) serves every family of that a and
+    order in q; the twisted levels are not kept."""
     fam = _family_checked(family, f, s)
-    b, a = fam.base, fam.a
-
-    def kernel(N: int, m: int) -> QSeries:
-        return inv_pochhammer(m - N, b, n)
-
-    eps = a + bool(s)
-    level = _inner_level(_limit_levels, (b, n), a, f, s, kernel, b, n)
+    m = -(-n // fam.base)
+    tails = tuple(inv_pochhammer(2 * nf + fam.a, 1, m) for nf in range(math.isqrt(m) + 1))
+    rows = _rows(_limit_levels, (m,), fam.a, f, s,
+                 lambda N, k: inv_pochhammer(k - N, 1, m), tails, m)
     total = Accumulator(n)
-    for nf, inner in enumerate(level):
-        e = b * (nf * nf + eps * nf)
-        if e > n:
-            break
-        # only order n - e survives the shift by e
-        term = fam.seed(nf).truncate(n - e) * inner * inv_pochhammer(2 * nf + a, b, n)
-        total.add(term.shift(e))
+    for nf, row in enumerate(rows):
+        # only a row's terms to q^m reach q^n; at f = 1 or s = 1 it is known further
+        total.add(fam.seed(nf) * row.truncate(m).substitute_q_power(fam.base))
     return total.value()
 
 

@@ -5,7 +5,8 @@ arbitrary-precision integer coefficients together with the exponent of the
 lowest term.  A value is either exact (``trunc is None``) or truncated, in
 which case coefficients of q^k for k > trunc are unknown.  A sum is known to
 its operands' smaller truncation, a product to the smaller T + min(v, 0) of
-its truncated operands (T its truncation, v the other one's offset).  Two
+its truncated operands (T its truncation, v the other one's lowest possibly
+non-zero exponent: its offset, or trunc + 1 for a truncated zero).  Two
 exact operands always give an exact result.
 """
 
@@ -237,10 +238,13 @@ class QSeries(_Frozen):
     def __mul__(self, other: QSeries | int) -> QSeries:
         if isinstance(other, int):
             other = monomial(0, other)
-        # a truncated operand known to T, times an offset v < 0, is known to T + v
+        # an operand known to T, times one whose lowest possibly non-zero
+        # exponent v is < 0 (trunc + 1 for a truncated zero), is known to T + v
         t, u = self.trunc, other.trunc
-        trunc = _min_trunc(t if t is None or other.offset >= 0 else t + other.offset,
-                           u if u is None or self.offset >= 0 else u + self.offset)
+        v = other.offset if other.coeffs or u is None else u + 1
+        w = self.offset if self.coeffs or t is None else t + 1
+        trunc = _min_trunc(t if t is None or v >= 0 else t + v,
+                           u if u is None or w >= 0 else u + w)
         offset = self.offset + other.offset
         a, b = self.coeffs, other.coeffs
         if trunc is not None:

@@ -15,8 +15,8 @@ from qcap.identities import (
     FAMILIES,
     _chain_levels,
     _chain_rows,
-    _inner_level,
     _ladder_chains,
+    _level_up,
     _limit_levels,
     _refinement_groups,
     Bounds,
@@ -389,8 +389,11 @@ def per_level_hierarchy_finite_lhs(family, f, L, s):
     def kernel(N, n):
         return q_binomial(L - N, n - N)
 
+    # P_{f-1} level by level, step k twisted exactly when k > f - s
+    level = (ONE,) * (L + 1)
+    for k in range(1, f):
+        level = _level_up(level, fam.a + (k > f - s), kernel)
     eps = fam.a + bool(s)
-    level = _inner_level(_chain_levels, (L,), fam.a, f, s, kernel)
     total = Accumulator()
     for nf, inner in enumerate(level):
         tail = poch_ratio(((2 * L + fam.a, 1),), ((L - nf, 1), (2 * nf + fam.a, 1)))
@@ -491,6 +494,19 @@ class TestGroupedSums:
                     assert (hierarchy_limit_lhs(family, f, n, s)
                             == per_term_hierarchy_limit_lhs(family, f, n, s)), (f, s, n)
 
+    @pytest.mark.parametrize("family", sorted(name for name, fam in FAMILIES.items()
+                                              if fam.base == 3 or fam.twisted))
+    def test_limit_order_in_q_rounds_up(self, family):
+        # n = 3m - 2, 3m - 1 and 3m: a base-3 chain is summed in q to order
+        # m = 20 for each, and stretched rows reach q^60; each from a
+        # cleared stack
+        for f in range(1, 5):
+            for s in range(f + 1) if FAMILIES[family].twisted else (0,):
+                for n in (58, 59, 60):
+                    _limit_levels.cache_clear()
+                    assert (hierarchy_limit_lhs(family, f, n, s)
+                            == per_term_hierarchy_limit_lhs(family, f, n, s)), (f, s, n)
+
     def test_refinement_hierarchy_lhs_matches_per_term(self):
         # nu > L is among the cases
         for nu in range(1, 7):
@@ -538,6 +554,17 @@ class TestSharedTables:
             for f in range(1, 4):
                 for L in range(6):
                     assert hierarchy_finite_lhs(name, f, L) == expected[name, f, L], (name, f, L)
+
+    def test_one_limit_stack_per_order_in_q(self):
+        # cap1 at n = 20 and cap1_binomial at n = 58..60 all sum an a = 0
+        # chain in q to order 20, so they fill and extend one stack
+        _limit_levels.cache_clear()
+        for family, f, n in (("cap1", 2, 20), ("cap1_binomial", 3, 58),
+                             ("cap1_binomial", 1, 59), ("cap1_binomial", 4, 60)):
+            assert (hierarchy_limit_lhs(family, f, n)
+                    == per_term_hierarchy_limit_lhs(family, f, n, 0)), (family, n)
+        assert _limit_levels.cache_info().currsize == 1
+        assert len(_limit_levels(0, 20)) == 4
 
     def test_twisted_levels_in_any_f_s_order(self):
         # (f, s) ascending, descending and shuffled from cleared stores: the
@@ -648,17 +675,17 @@ class TestSharedTables:
                     assert verify_case(case_id, params).verdict
         # one level stack per a, of the L last read, whatever f, family or twist
         assert _chain_levels.cache_info().currsize <= 2
-        # one limit stack per (a, b) at the one order n
+        # one limit stack per (a, order in q) at the one order n
         assert _limit_levels.cache_info().currsize <= 4
         # every truncated case at n = 100 builds each distinct limit level
-        # (its input, eps, base and order) once: 11 of them, since s = f
-        # reads the a = 1 stack for the double family's a = 0 chain
+        # (its input, eps and order) once: 11 of them, since s = f reads
+        # the a = 1 stack for the double family's a = 0 chain
         built = []
         level_up = identities._level_up
 
-        def counted(level, eps, kernel, base=1, order=None):
-            built.append((level, eps, base, order))
-            return level_up(level, eps, kernel, base, order)
+        def counted(level, eps, kernel, order=None):
+            built.append((level, eps, order))
+            return level_up(level, eps, kernel, order)
 
         monkeypatch.setattr(identities, "_level_up", counted)
         at_100 = bounds._replace(trunc=100)

@@ -13,9 +13,8 @@ from qcap.identities import (
     CASES,
     FAMILIES,
     Bounds,
-    _chain_levels,
     _chain_tails,
-    _inner_level,
+    _level_up,
     _seed_classes,
     seed_cap1,
     seed_cap1_binomial,
@@ -80,11 +79,18 @@ def naive_convolve(a, b):
     return out
 
 
+def lowest_possible(x):
+    """The lowest exponent whose coefficient may be non-zero: the offset, or
+    trunc + 1 for a truncated zero."""
+    return x.offset if x.coeffs or x.trunc is None else x.trunc + 1
+
+
 def product_trunc(a, b):
     """The order to which a * b is known: a truncated operand known to T,
-    times the other one's lowest term q^v, is known to T + v; a v >= 0 keeps T."""
-    return min((x.trunc + min(y.offset, 0) for x, y in ((a, b), (b, a)) if x.trunc is not None),
-               default=None)
+    times the other one's lowest possibly non-zero term q^v, is known to
+    T + v; a v >= 0 keeps T."""
+    return min((x.trunc + min(lowest_possible(y), 0) for x, y in ((a, b), (b, a))
+                if x.trunc is not None), default=None)
 
 
 def reference_add(a, b):
@@ -680,11 +686,14 @@ SEEDS = (seed_cap1, seed_cap2, seed_cap1_binomial, seed_cap2_binomial, seed_sum_
 
 def chain_rows(a, f, s, L, tails):
     """The chains of hierarchy_finite_lhs at (a, f, s, L), one per n_f: the
-    n_f-th tail times q^{n_f^2 + eps n_f} P_{f-1}(n_f)."""
+    n_f-th tail times q^{n_f^2 + eps n_f} P_{f-1}(n_f), with P_{f-1} built
+    level by level, step k twisted exactly when k > f - s."""
     def kernel(N, n):
         return q_binomial(L - N, n - N)
 
-    level = _inner_level(_chain_levels, (L,), a, f, s, kernel)
+    level = (ONE,) * (L + 1)
+    for k in range(1, f):
+        level = _level_up(level, a + (k > f - s), kernel)
     eps = a + bool(s)
     return [(tail * inner).shift(nf * nf + eps * nf)
             for nf, (tail, inner) in enumerate(zip(tails, level))]
@@ -732,6 +741,8 @@ class TestTruncatedMul:
     # q^-1 times 1 + q + O(q^4) is known to q^2 only, as its shift by -1
     @example(monomial(-1), QSeries(0, (1, 1), 3))
     @example(QSeries(0, (1, 1), 3), monomial(-1))
+    # O(q^-1) squared: its q^-2 coefficient is the product of two unknowns
+    @example(QSeries(0, (), -2), QSeries(0, (), -2))
     def test_matches_full_convolution_then_truncation(self, a, b):
         full = _convolve(list(a.coeffs), list(b.coeffs))
         expected = QSeries(a.offset + b.offset, full, product_trunc(a, b))

@@ -1,10 +1,12 @@
 """Source rules: no check may live in an ``assert`` statement, because
 ``python -O`` strips them; the two sides of a hierarchy case stay
-independent evaluators, no side compared with one that sums through the
-binomial-product kernel (the S-ladder, trinomial and theta-type binomial
-right sides) sums through it too, no hierarchy right side through the left
-sides' packed pass or their tables, and no S-ladder or trinomial right side
-through the left sides' packed M-sum, which keeps its own packs; the finite
+independent evaluators (the Bailey generator names neither left side, nor
+the row builder both of them reach, nor its level stacks), no side
+compared with one that sums through the binomial-product kernel (the
+S-ladder, trinomial and theta-type binomial right sides) sums through it
+too, no hierarchy right side through the left sides' packed pass or their
+tables, and no S-ladder or trinomial right side through the left sides'
+packed M-sum, which keeps its own packs; the finite
 left sides reach no right-side sum; the Bailey transform takes its
 quotients from poch_ratio, not from the left sides' stepped ones;
 ``IdentityCase`` stays a dataclass and is the only one, so no other class
@@ -74,7 +76,8 @@ LEFT_TABLES = {"_chain_tails", "_chain_rows", "_seed_classes"}
 # What the generator, the cross-oracle of the directly expanded multi-sums,
 # must not name.
 DIRECT_EXPANSION = {"hierarchy_finite_lhs", "hierarchy_limit_lhs", "hierarchy_chain_exponent",
-                    "index_vectors", "suffix_sums", "_level_up", "_chain_levels"} | LEFT_TABLES
+                    "index_vectors", "suffix_sums", "_level_up", "_rows", "_chain_levels",
+                    "_limit_levels"} | LEFT_TABLES
 
 
 def test_bailey_names_no_direct_expansion_helper():
@@ -88,6 +91,15 @@ def test_bailey_rule_sees_the_left_tables():
     assert _names_in(ast.parse("from qcap.identities import _chain_tails\n"
                                "x = identities._seed_classes\n"
                                "y = _chain_rows(0, 1, 0, 2)\n")) >= LEFT_TABLES
+
+
+def test_bailey_rule_sees_the_row_builder():
+    # the banned builder and stacks are the ones both left sides reach
+    tree = _tree("identities.py")
+    assert {"_rows", "_limit_levels"} <= {top.name for top in tree.body
+                                          if isinstance(top, ast.FunctionDef)}
+    for side in ("hierarchy_finite_lhs", "hierarchy_limit_lhs"):
+        assert "_rows" in _names_reached(tree, side), side
 
 
 # The stepped Pochhammer quotients of the left sides: the step and its two
