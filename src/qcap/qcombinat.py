@@ -40,32 +40,41 @@ def pochhammer(length: int, shift: int = 1, base: int = 1) -> QSeries:
 
 
 def pochhammer_inf(shift: int, base: int, n: int, sign: int = -1) -> QSeries:
-    """prod_{i>=0} (1 + sign*q^(shift + i*base)), truncated at exponent n.
+    """prod_{i>=0} (1 + sign*q^(shift + i*base)), truncated at n: the
+    one-factor product_of_inf."""
+    return product_of_inf(((shift, base, sign),), n)
 
-    Finitely many leading factors may carry non-positive exponents (they are
-    multiplied in exactly); the step must be positive so the tail converges
-    coefficientwise.  A (1 - q^0) factor would annihilate the product and is
-    rejected as a degenerate specialization.
+
+def product_of_inf(factors: tuple[tuple[int, int, int], ...], n: int) -> QSeries:
+    """prod_{i>=0} (1 + sign*q^(shift + i*step)) over the (shift, step, sign)
+    factors, truncated at n.
+
+    Each step must be positive, so every tail converges coefficientwise, and
+    a (1 - q^0) factor, which would annihilate the product, is rejected.  The
+    factors with e <= 0 come out as c*q^v (1 + q^0 is 2; 1 + s*q^e is s*q^e*(1
+    + s*q^-e)), and every factor left, of positive exponent, is shifted and
+    added into one coefficient list to order n - v.
     """
-    if base <= 0:
-        raise UnboundedBelow("factor step must be positive")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    head = ONE
-    e = shift
-    while e <= 0:
-        if e == 0 and sign == -1:
-            raise UnboundedBelow("vanishing (1 - q^0) factor")
-        head = head * (ONE + monomial(e, sign))
-        e += base
-    order = n - min(head.offset, 0)
-    tail = [1] + [0] * order
-    step = add if sign == 1 else sub
-    while e <= order:
-        # tail * (1 + sign*q^e) to order, shifted and added in place
-        tail[e:] = map(step, tail[e:], tail[:-e])
-        e += base
-    return (head * QSeries(0, tail, order)).truncate(n)
+    c, v = 1, 0
+    for shift, step, sign in factors:
+        if step <= 0:
+            raise UnboundedBelow("factor step must be positive")
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        for e in range(shift, 1, step):
+            if e == 0 and sign == -1:
+                raise UnboundedBelow("vanishing (1 - q^0) factor")
+            c *= sign if e else 2
+            v += e
+    order = n - v
+    coeffs = [c] + [0] * order
+    for shift, step, sign in factors:
+        op = add if sign == 1 else sub
+        for e in map(abs, range(shift, order + 1, step)):
+            if e:
+                # coeffs * (1 + sign*q^e) to order, shifted and added in place
+                coeffs[e:] = map(op, coeffs[e:], coeffs[:-e])
+    return QSeries(v, coeffs, n)
 
 
 @lru_cache(maxsize=None)
@@ -86,22 +95,31 @@ def inv_pochhammer_inf(shift: int, base: int, n: int) -> QSeries:
     return QSeries(0, coeffs, n)
 
 
-@lru_cache(maxsize=None)
 def inv_pochhammer(length: int, base: int, n: int) -> QSeries:
     """1 / (q^base; q^base)_length truncated at n.
 
-    Built from length - 1 by one running sum; once base*length > n every
-    further factor is 1 to order n, so the value stops changing.
+    Once base*length > n every further factor is 1 to order n, so the value
+    stops changing.  The lengths are built in a loop, each from the one
+    before by one running sum, into the cached (base, n) list of
+    _inv_pochhammer_levels, so every call shares one value per length.
     """
     if length < 0:
         raise NegativeLength(f"Pochhammer length {length} < 0")
-    if length == 0:
-        return QSeries(0, (1,), n)
     if base * length > n:
-        return inv_pochhammer(max(n // base, 0), base, n)
-    prev = inv_pochhammer(length - 1, base, n).coeffs
-    coeffs = _running_sums(list(prev) + [0] * (n + 1 - len(prev)), base * length)
-    return QSeries(0, _tight(coeffs), n)
+        length = max(n // base, 0)
+    levels = _inv_pochhammer_levels(base, n)
+    for k in range(len(levels), length + 1):
+        prev = levels[-1].coeffs
+        coeffs = _running_sums(list(prev) + [0] * (n + 1 - len(prev)), base * k)
+        levels.append(QSeries(0, _tight(coeffs), n))
+    return levels[length]
+
+
+@lru_cache(maxsize=None)
+def _inv_pochhammer_levels(base: int, n: int) -> list[QSeries]:
+    """[1 / (q^base; q^base)_0, 1 / (q^base; q^base)_1, ...] truncated at n,
+    as far as inv_pochhammer has built them."""
+    return [QSeries(0, (1,), n)]
 
 
 # ---------------------------------------------------------------------------
@@ -301,30 +319,6 @@ def jtp_sum(z_shift: int, n: int) -> QSeries:
         if e <= n:
             total.add(monomial(e))
     return total.value()
-
-
-def _negative_valuation(shift: int, base: int) -> int:
-    """|sum of negative exponents| among factors (1 +- q^(shift + i*base))."""
-    total, e = 0, shift
-    while e < 0:
-        total -= e
-        e += base
-    return total
-
-
-def product_of_inf(factors: tuple[tuple[int, int, int], ...], order: int) -> QSeries:
-    """Product of (shift, step, sign) infinite Pochhammers, sound to ``order``.
-
-    Factors with negative leading exponents shift unknown coefficients
-    downward, so each factor is evaluated at an extended order before the
-    final truncation.
-    """
-    slack = sum(_negative_valuation(shift, step) for shift, step, _ in factors)
-    ext = order + slack
-    prod = QSeries(0, (1,), ext)
-    for shift, step, sign in factors:
-        prod = prod * pochhammer_inf(shift, step, ext, sign=sign)
-    return prod.truncate(order)
 
 
 def jtp_product(z_shift: int, n: int) -> QSeries:

@@ -20,6 +20,7 @@ from qcap.qcombinat import (
     pochhammer,
     pochhammer_inf,
     poch_ratio,
+    product_of_inf,
     q_binomial,
     q_binomial_theorem_sides,
     quintuple_product,
@@ -102,6 +103,17 @@ def dense_pochhammer_inf(shift, base, n, sign=-1):
     return (head * tail).truncate(n)
 
 
+def dense_product_of_inf(factors, n):
+    """The truncated product of the dense_pochhammer_inf values, each taken to
+    max(n, 0) plus the size of the factors' negative exponents: so none is a
+    truncated zero, and the product is known to q^n."""
+    order = max(n, 0) - sum(e for shift, step, _ in factors for e in range(shift, 0, step))
+    value = QSeries(0, (1,), order)
+    for shift, step, sign in factors:
+        value = value * dense_pochhammer_inf(shift, step, order, sign)
+    return value.truncate(n)
+
+
 class TestTruncatedPochhammer:
     @settings(deadline=None)
     @given(st.integers(-6, 6), st.integers(1, 5), st.integers(-5, 60),
@@ -116,6 +128,19 @@ class TestTruncatedPochhammer:
         assert pochhammer_inf(shift, base, n, sign) == expected
 
     @settings(deadline=None)
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 6), st.sampled_from((1, -1))),
+                    min_size=1, max_size=5).map(tuple),
+           st.integers(-3, 50))
+    def test_one_list_matches_the_product_of_dense_factors(self, factors, n):
+        try:
+            expected = dense_product_of_inf(factors, n)
+        except UnboundedBelow:
+            with pytest.raises(UnboundedBelow):
+                product_of_inf(factors, n)
+            return
+        assert product_of_inf(factors, n) == expected
+
+    @settings(deadline=None)
     @given(st.integers(0, 70), st.sampled_from((1, 2, 3)), st.integers(-3, 60))
     def test_running_sums_match_inverse_of_finite_product(self, length, base, n):
         assert inv_pochhammer(length, base, n) == inverse(
@@ -126,6 +151,11 @@ class TestTruncatedPochhammer:
     def test_running_sums_match_inverse_of_infinite_product(self, shift, base, n):
         assert inv_pochhammer_inf(shift, base, n) == inverse(
             dense_pochhammer_inf(shift, base, n), n)
+
+    def test_reciprocal_past_the_recursion_limit_from_a_cold_cache(self):
+        # each length is built from the one before in a loop, not a frame each
+        qcombinat._inv_pochhammer_levels.cache_clear()
+        assert inv_pochhammer(1100, 1, 1100) == inv_pochhammer_inf(1, 1, 1100)
 
     def test_cached_infinite_reciprocal_is_the_finite_one_past_the_order(self):
         # 1/(q^b;q^b)_length stops changing once b * length > n
@@ -528,11 +558,11 @@ class TestClassicalProducts:
                 assert jtp_sum(z, n) == jtp.truncate(n)
                 assert quintuple_sum(z, n) == quintuple.truncate(n)
 
-    @pytest.mark.parametrize("z_shift", [0, 1, 2])
+    @pytest.mark.parametrize("z_shift", [-3, -2, -1, 0, 1, 2])
     def test_jtp_agreement(self, z_shift):
         assert jtp_sum(z_shift, 50) == jtp_product(z_shift, 50)
 
-    @pytest.mark.parametrize("z_shift", [1, 2])
+    @pytest.mark.parametrize("z_shift", [-3, -2, -1, 1, 2])
     def test_quintuple_agreement(self, z_shift):
         assert quintuple_sum(z_shift, 50) == quintuple_product(z_shift, 50)
 
