@@ -51,6 +51,13 @@ def _open_out(path: str | None) -> TextIO:
 # verify
 # ---------------------------------------------------------------------------
 
+# The bounds of `qcap verify`: (flag, Bounds field, least value).  A bound
+# below the least f or nu would leave their cases with no instance to check.
+_BOUND_FLAGS = (("--L-max", "l_max", 0), ("--M-max", "m_max", 0),
+                ("--f-max", "f_max", identities.LEAST["f"]),
+                ("--nu-max", "nu_max", identities.LEAST["nu"]), ("--trunc", "trunc", 0))
+
+
 def _emit(out: TextIO, fmt: str, report: Report) -> None:
     if fmt == "json":
         out.write(json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
@@ -78,14 +85,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("choose --case ID (repeatable) or --all", file=sys.stderr)
         return EXIT_CONFIG
 
-    # a bound below the least f or nu would leave their cases with no
-    # instance to check
-    for flag, value, minimum in (("--L-max", args.l_max, 0), ("--M-max", args.m_max, 0),
-                                 ("--f-max", args.f_max, identities.LEAST["f"]),
-                                 ("--nu-max", args.nu_max, identities.LEAST["nu"]),
-                                 ("--trunc", args.trunc, 0)):
-        if value < minimum:
-            print(f"{flag} must be >= {minimum}, got {value}", file=sys.stderr)
+    for flag, field, least in _BOUND_FLAGS:
+        if getattr(args, field) < least:
+            print(f"{flag} must be >= {least}, got {getattr(args, field)}", file=sys.stderr)
             return EXIT_CONFIG
     if args.s is not None and not 0 <= args.s <= args.f_max:
         print(f"--s must satisfy 0 <= s <= --f-max ({args.f_max}), got {args.s}",
@@ -95,9 +97,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("--s: no selected case takes a twist s", file=sys.stderr)
         return EXIT_CONFIG
 
-    bounds = Bounds(
-        l_max=args.l_max, m_max=args.m_max, f_max=args.f_max,
-        nu_max=args.nu_max, s=args.s, trunc=args.trunc)
+    bounds = Bounds(s=args.s, **{field: getattr(args, field) for _, field, _ in _BOUND_FLAGS})
 
     out = _open_out(args.out)
     try:
@@ -233,13 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--case", action="append",
                           help="case id (repeatable)")
     p_verify.add_argument("--all", action="store_true")
-    p_verify.add_argument("--L-max", dest="l_max", type=int, default=defaults.l_max)
-    p_verify.add_argument("--M-max", dest="m_max", type=int, default=defaults.m_max)
-    p_verify.add_argument("--f-max", dest="f_max", type=int, default=defaults.f_max)
+    for flag, field, _ in _BOUND_FLAGS:
+        p_verify.add_argument(flag, dest=field, type=int, default=getattr(defaults, field))
     p_verify.add_argument("--s", type=int, default=None,
                           help="fix the twist (default: all 0..f)")
-    p_verify.add_argument("--nu-max", dest="nu_max", type=int, default=defaults.nu_max)
-    p_verify.add_argument("--trunc", type=int, default=defaults.trunc)
     p_verify.add_argument("--out")
     p_verify.add_argument("--format", choices=("json", "text"), default="json")
     p_verify.set_defaults(fn=cmd_verify)

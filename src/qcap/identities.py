@@ -22,7 +22,6 @@ from qcap.series import (
     QSeries,
     ZERO,
     _Classes,
-    _Frozen,
     _limbs,
     compare,
     div_exact,
@@ -156,30 +155,22 @@ def binomial_sum(L: int, a: int, base: int,
 # Hierarchy families
 # ---------------------------------------------------------------------------
 
-class HierarchyFamily(_Frozen):
+class HierarchyFamily(NamedTuple):
     """One Bailey hierarchy: seed double sum, base, parity a, chain shape,
     the seed identity's Bailey pair alpha, and the product side of its
     f -> infinity limit."""
 
-    __slots__ = ("name", "base", "a", "seed", "twisted", "alpha", "limit_products")
-
-    def __init__(
-        self,
-        name: str,
-        base: int,  # 1 or 3: every Pochhammer of the chain lives in q^base
-        a: int,  # 0 or 1: kernel [2L+a, L-j] and chain weight q^{base(N^2+aN)}
-        seed: Callable[[int], QSeries],  # exact seed LHS at inner bound n_f
-        twisted: bool,  # accepts s; chain adds N_{f-s+1}+...+N_f (base 1 only)
-        alpha: Callable[[int, int], Iterable[tuple[int, int]]],  # (s, j) -> alpha_j as (e, c) pairs
-        # (p, s) -> lists of (shift, step, sign) infinite Pochhammers, p = f + 1;
-        # the limit is the sum of their products over (q^base; q^base)_inf.
-        limit_products: Callable[[int, int], tuple[tuple[tuple[int, int, int], ...], ...]],
-    ) -> None:
-        # both sides sum a chain in powers of q and stretch it to q^base, but
-        # a twist adds N_{f-s+1}+...+N_f, which is no multiple of the base
-        if twisted and base != 1:
-            raise ValueError(f"twisted family {name!r} must have base 1")
-        super().__init__(name, base, a, seed, twisted, alpha, limit_products)
+    name: str
+    base: int  # 1 or 3: every Pochhammer of the chain lives in q^base
+    a: int  # 0 or 1: kernel [2L+a, L-j] and chain weight q^{base(N^2+aN)}
+    seed: Callable[[int], QSeries]  # exact seed LHS at inner bound n_f
+    # accepts s; its chain adds N_{f-s+1}+...+N_f, which is no multiple of the
+    # base, so base 1 only: both sides sum a chain in q and stretch it to q^base
+    twisted: bool
+    alpha: Callable[[int, int], Iterable[tuple[int, int]]]  # (s, j) -> alpha_j as (e, c) pairs
+    # (p, s) -> lists of (shift, step, sign) infinite Pochhammers, p = f + 1;
+    # the limit is the sum of their products over (q^base; q^base)_inf.
+    limit_products: Callable[[int, int], tuple[tuple[tuple[int, int, int], ...], ...]]
 
 
 FAMILIES: dict[str, HierarchyFamily] = {
@@ -355,19 +346,18 @@ def hierarchy_limit_lhs(family: str, f: int, n: int, s: int = 0) -> QSeries:
     (q)_{2L+a} / (q)_{L-N_1} factor dropped, each kernel [L-N, N'-N] replaced
     by its L -> infinity limit 1 / (q)_{N'-N} and each tail by 1 / (q)_{2n_f+a}.
     As on the finite side it is summed in powers of q, to order m = ceil(n /
-    base), and each row is stretched to q^base, so it is known to at least
-    q^n.  One untwisted stack per (a, m) serves every family of that a and
-    order in q; the twisted levels are not kept."""
+    base), and its packed pass stretches each row to q^base, so it is known
+    to at least q^n.  One untwisted stack per (a, m) serves every family of
+    that a and order in q; the twisted levels are not kept."""
     fam = _family_checked(family, f, s)
     m = -(-n // fam.base)
     tails = tuple(inv_pochhammer(2 * nf + fam.a, 1, m) for nf in range(math.isqrt(m) + 1))
     rows = _rows(_limit_levels, (m,), fam.a, f, s,
                  lambda N, k: inv_pochhammer(k - N, 1, m), tails, m)
-    total = Accumulator(n)
-    for nf, row in enumerate(rows):
-        # only a row's terms to q^m reach q^n; at f = 1 or s = 1 it is known further
-        total.add(fam.seed(nf) * row.truncate(m).substitute_q_power(fam.base))
-    return total.value()
+    # a row's terms to q^m are exact and, stretched, reach q^{base*m} >= q^n
+    return stretched_product_sum([(QSeries(row.offset, row.truncate(m).coeffs),
+                                   _seed_classes(fam.seed, nf, fam.base))
+                                  for nf, row in enumerate(rows)], fam.base).truncate(n)
 
 
 def hierarchy_limit_rhs(family: str, f: int, n: int, s: int = 0) -> QSeries:
@@ -503,11 +493,6 @@ def refinement_limit_lhs(nu: int, n: int) -> QSeries:
 # ---------------------------------------------------------------------------
 # Seed identity with Warnaar kernel and the trinomial identities
 # ---------------------------------------------------------------------------
-
-def seed_identity_lhs(L: int, M: int) -> QSeries:
-    """The nu = 0 ladder: [L+M-i, L]_{q^3} multiplies the m-sum of each i."""
-    return refinement_hierarchy_lhs(0, L, M)
-
 
 def roundtri_lhs(which: int, L: int) -> QSeries:
     total = Accumulator()
@@ -858,7 +843,7 @@ def _build_registry() -> None:
              ("rhs", lambda M, fam=FAMILIES[name]: alpha_sum(fam, 0, M)))))
     _register(IdentityCase(
         "seed_identity", ("L", "M"),
-        (("lhs", seed_identity_lhs),
+        (("lhs", lambda L, M: refinement_hierarchy_lhs(0, L, M)),
          ("rhs", lambda L, M: refinement_hierarchy_rhs(0, L, M)))))
     _register(IdentityCase(
         "s_hierarchy", ("nu", "L", "M"),

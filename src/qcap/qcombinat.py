@@ -183,6 +183,9 @@ def _q_binomial_base1(top: int, k: int) -> QSeries:
     k = min(k, top - k)
     if k == 0:
         return ONE
+    # the diagonal below, bottom up: no call recurses past two levels when cold
+    for j in range(1, k - 1):
+        _q_binomial_base1(top - k + j, j)
     # [top, k] = [top-1, k-1] (1 - q^top) / (1 - q^k).
     prev = list(_q_binomial_base1(top - 1, k - 1).coeffs)
     return QSeries(0, _tight(_div_one_minus(_times_one_minus(prev, top), k)))

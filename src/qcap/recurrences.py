@@ -63,20 +63,13 @@ class Recurrence(NamedTuple):
         return self._replace(coeff=lambda L, lag: table[L][lag])
 
 
-def _coeff_a_short(L: int, lag: int) -> QSeries:
+def _coeff_short(t: int, lag: int) -> QSeries:
+    # the short relation of both identities, at t = 2L - 1 and at t = 2L
     if lag == 0:
         return ONE
     if lag == 1:
-        return -(ONE + _m(1) - _m(2 * L - 1))
-    return ((ONE - _m(2 * L - 2)) * (ONE - _m(2 * L - 3))).shift(1)
-
-
-def _coeff_b_short(L: int, lag: int) -> QSeries:
-    if lag == 0:
-        return ONE
-    if lag == 1:
-        return -(ONE + _m(1) - _m(2 * L))
-    return ((ONE - _m(2 * L - 1)) * (ONE - _m(2 * L - 2))).shift(1)
+        return -(ONE + _m(1) - _m(t))
+    return ((ONE - _m(t - 1)) * (ONE - _m(t - 2))).shift(1)
 
 
 def _coeff_b_proven(L: int, lag: int) -> QSeries:
@@ -159,8 +152,8 @@ def _coeff_c_proven(L: int, lag: int) -> QSeries:
 
 
 RECURRENCES: dict[str, Recurrence] = {
-    "a_short": Recurrence("a_short", 2, _coeff_a_short),
-    "b_short": Recurrence("b_short", 2, _coeff_b_short),
+    "a_short": Recurrence("a_short", 2, lambda L, lag: _coeff_short(2 * L - 1, lag)),
+    "b_short": Recurrence("b_short", 2, lambda L, lag: _coeff_short(2 * L, lag)),
     "b_proven": Recurrence("b_proven", 4, _coeff_b_proven),
     "s1": Recurrence("s1", 3, _coeff_s1),
     "s2": Recurrence("s2", 3, _coeff_s2),

@@ -280,14 +280,15 @@ class QSeries(_Frozen):
     # -- structural operations -------------------------------------------
 
     def substitute_q_power(self, k: int) -> QSeries:
-        """q -> q**k: every exponent e becomes k*e."""
+        """q -> q**k: every exponent e becomes k*e.  Known to q^T, the result is
+        known to q^{kT+k-1}, since no exponent from kT+1 to kT+k-1 is a multiple of k."""
         if k <= 0:
             raise ValueError("substitution power must be positive")
         if k == 1:
             return self
         out = [0] * (max(len(self.coeffs) - 1, 0) * k + 1) if self.coeffs else []
         out[::k] = self.coeffs
-        trunc = None if self.trunc is None else self.trunc * k
+        trunc = None if self.trunc is None else self.trunc * k + k - 1
         return _canonical(self.offset * k, tuple(out), trunc)
 
     def invert_q(self) -> QSeries:

@@ -8,7 +8,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcap import identities, qcombinat, series
 from qcap.identities import (
@@ -21,7 +21,6 @@ from qcap.identities import (
     _refinement_groups,
     Bounds,
     CASES,
-    HierarchyFamily,
     ParamOutOfRange,
     alpha_sum,
     binomial_sum,
@@ -38,11 +37,14 @@ from qcap.identities import (
     rhs_new_fin_cap,
     roundtri_lhs,
     seed_cap1,
-    seed_identity_lhs,
     verify_case,
 )
 from qcap.qcombinat import inv_pochhammer, jacobi3, poch_ratio, pochhammer, q_binomial
 from qcap.series import ONE, Accumulator, QSeries, ZERO, inverse, monomial
+
+
+# the seed identity's left side as registered: the nu = 0 S-ladder
+seed_identity_lhs = dict(CASES["seed_identity"].sides)["lhs"]
 
 
 def poly(*terms):
@@ -402,6 +404,21 @@ def per_level_hierarchy_finite_lhs(family, f, L, s):
     return total.value()
 
 
+def per_row_hierarchy_limit_lhs(family, f, n, s):
+    """The rows of hierarchy_limit_lhs combined one product per n_f: each row
+    clipped to q^m, stretched to q^base and multiplied by the seed on its
+    own.  The reference for the packed pass."""
+    fam = FAMILIES[family]
+    m = -(-n // fam.base)
+    tails = tuple(inv_pochhammer(2 * nf + fam.a, 1, m) for nf in range(math.isqrt(m) + 1))
+    rows = identities._rows(_limit_levels, (m,), fam.a, f, s,
+                            lambda N, k: inv_pochhammer(k - N, 1, m), tails, m)
+    total = Accumulator(n)
+    for nf, row in enumerate(rows):
+        total.add(fam.seed(nf) * row.truncate(m).substitute_q_power(fam.base))
+    return total.value()
+
+
 def per_term_hierarchy_limit_lhs(family, f, n, s):
     # every index vector with an exponent within n, each term at order n - e
     fam = FAMILIES[family]
@@ -602,6 +619,27 @@ class TestSharedTables:
         _chain_rows.cache_clear()
         for f, s in in_order(pairs, order, rng):
             assert hierarchy_finite_lhs(family, f, L, s) == expected[f, s], (f, s)
+
+    @settings(max_examples=30, deadline=None)
+    @given(family=st.sampled_from(sorted(FAMILIES)),
+           orders=st.lists(st.integers(0, 120), min_size=1, max_size=3),
+           order=ORDERS, rng=st.randoms(use_true_random=False))
+    # 58, 59 and 119 are no multiple of 3: a base-3 chain is summed in q to
+    # order ceil(n / 3), past n / 3
+    @example(family="cap1_binomial", orders=[58, 119], order="descending",
+             rng=random.Random(0))
+    @example(family="sum_cap", orders=[59, 0, 1], order="shuffled", rng=random.Random(1))
+    def test_limit_packed_pass_matches_per_row_products_in_any_f_s_order(
+            self, family, orders, order, rng):
+        # the limit side's one packed pass against one product per n_f, for
+        # every depth and twist at f <= 5, visited from cleared level stacks
+        cases = [(f, s, n) for f in range(1, 6)
+                 for s in (range(f + 1) if FAMILIES[family].twisted else (0,)) for n in orders]
+        expected = {(f, s, n): per_row_hierarchy_limit_lhs(family, f, n, s) for f, s, n in cases}
+        _limit_levels.cache_clear()
+        identities._seed_classes.cache_clear()
+        for f, s, n in in_order(cases, order, rng):
+            assert hierarchy_limit_lhs(family, f, n, s) == expected[f, s, n], (f, s, n)
 
     def test_packed_pass_past_8_byte_limbs(self, monkeypatch):
         # cap2_binomial at f = 2, L = 24 is the shallowest grid point whose
@@ -903,21 +941,20 @@ class TestSteppedQuotients:
                 divide_first([1], *step)
 
 
-class TestHierarchyFamily:
-    @staticmethod
-    def rebuilt(family, **changes):
-        """The family built anew, with the given fields changed."""
-        fields = {name: getattr(family, name) for name in HierarchyFamily.__slots__}
-        return HierarchyFamily(**{**fields, **changes})
+def twisted_without_base_1(families):
+    """The twisted families whose base is not 1.  Both sides of a hierarchy
+    sum its chain in powers of q and stretch it to q^base, but a twist adds
+    N_{f-s+1}+...+N_f, which is no multiple of a base other than 1."""
+    return [name for name, fam in families.items() if fam.twisted and fam.base != 1]
 
+
+class TestHierarchyFamily:
     def test_twisted_family_must_have_base_1(self):
-        with pytest.raises(ValueError, match="base 1"):
-            self.rebuilt(FAMILIES["cap1_binomial"], twisted=True)
-        with pytest.raises(ValueError, match="base 1"):
-            self.rebuilt(FAMILIES["double"], base=3)
-        # the rebuild itself is sound: unchanged or base-1 twisted, it builds
-        assert self.rebuilt(FAMILIES["double"]).twisted
-        assert self.rebuilt(FAMILIES["cap1"], twisted=True).base == 1
+        assert not twisted_without_base_1(FAMILIES)
+        # negative controls: a twisted base-3 row is reported, either way made
+        for name, bad in (("cap1_binomial", FAMILIES["cap1_binomial"]._replace(twisted=True)),
+                          ("double", FAMILIES["double"]._replace(base=3))):
+            assert twisted_without_base_1({**FAMILIES, name: bad}) == [name]
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_chain_exponent_is_a_multiple_of_the_base(self, family):

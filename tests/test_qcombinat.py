@@ -1,6 +1,10 @@
 """q-special functions and classical product identities."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -220,6 +224,23 @@ class TestQBinomial:
             L = N + 1
             assert (q_binomial(2 * L + a, L).truncate(N)
                     == inv_pochhammer_inf(1, 1, N))
+
+    def test_cold_table_under_a_tight_recursion_limit(self):
+        # each cold [top, k] builds the diagonal below it from the bottom up,
+        # so [200, 100] needs a few frames past its caller's, not one per
+        # step; a fresh interpreter starts from an empty table
+        code = ("import math, sys\n"
+                "from qcap.qcombinat import q_binomial\n"
+                "depth, frame = 0, sys._getframe()\n"
+                "while frame:\n"
+                "    depth, frame = depth + 1, frame.f_back\n"
+                "sys.setrecursionlimit(depth + 60)\n"
+                "print(sum(q_binomial(200, 100).coeffs) == math.comb(200, 100))\n")
+        src = str(Path(qcombinat.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert (done.returncode, done.stdout) == (0, "True\n"), done.stderr[-500:]
 
 
 class TestQMultinomial:

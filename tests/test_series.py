@@ -294,8 +294,28 @@ class TestStructuralOps:
     @given(sum_term, st.integers(1, 6))
     def test_substitute_q_power_matches_a_term_map(self, x, k):
         terms = {k * (x.offset + i): c for i, c in enumerate(x.coeffs)}
-        trunc = None if x.trunc is None else k * x.trunc
+        # known to q^T, the stretch is known to q^{kT+k-1}: no exponent past
+        # kT up to there is a multiple of k
+        trunc = None if x.trunc is None else k * x.trunc + k - 1
         assert x.substitute_q_power(k) == from_terms(terms, trunc)
+
+    @given(laurent, st.lists(st.integers(-5, 5), max_size=6), st.integers(-12, 24),
+           st.integers(1, 6))
+    @example(poly((-5, 2), (-4, 1)), [1], -5, 3)
+    @example(ZERO, [], -3, 2)
+    def test_substitute_q_power_claim_is_tight(self, head, tail, t, k):
+        # two exact continuations of x, known to q^t, that differ at q^{t+1}:
+        # stretched, they agree to q^{kt+k-1}, the claimed truncation, and
+        # differ at q^{k(t+1)}, one past it
+        x = head.truncate(t)
+        first = QSeries(x.offset, x.coeffs) + QSeries(t + 1, tail)
+        second = first + monomial(t + 1)
+        assert compare(x, first) and compare(x, second)
+        stretched = x.substitute_q_power(k)
+        assert stretched.trunc == k * t + k - 1
+        first, second = first.substitute_q_power(k), second.substitute_q_power(k)
+        assert compare(stretched, first) and compare(stretched, second)
+        assert compare(first, second).mismatch_exponent == k * (t + 1)
 
 
 # Operands of the results built without re-normalising: exact or truncated,

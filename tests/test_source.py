@@ -126,7 +126,7 @@ def test_stepped_rule_sees_both_sides():
 # through, and the term lists that feed it.
 KERNEL = {"binomial_product_sum", "warnaar_s", "trinomial_t", "binomial_sum"}
 # Every side a case compares with one that sums through the kernel.
-KERNEL_FREE_SIDES = ("seed_identity_lhs", "refinement_hierarchy_lhs",
+KERNEL_FREE_SIDES = ("refinement_hierarchy_lhs",
                      "refinement_limit_lhs", "roundtri_lhs", "hierarchy_finite_lhs",
                      "seed_cap1_binomial", "seed_cap2_binomial", "seed_sum_cap",
                      "seed_cap1", "seed_cap2", "cor_cap2_analogue_lhs",
@@ -166,35 +166,43 @@ def test_kernel_rule_sees_the_right_sides():
     assert "trinomial_t" in _names_reached(tree, "roundtri_rhs")
     assert "binomial_product_sum" in _names_reached(tree, "binomial_sum")
     assert "binomial_sum" in _names_reached(tree, "hierarchy_finite_rhs")
-    # t4 is a local of _m_sum, which seed_identity_lhs calls
-    assert "t4" in _names_reached(tree, "seed_identity_lhs")
+    # t4 is a local of _m_sum, which refinement_hierarchy_lhs, the seed
+    # identity's left side at nu = 0, calls
+    assert "t4" in _names_reached(tree, "refinement_hierarchy_lhs")
 
 
-# The packed chain-times-seed pass of the finite hierarchy left sides.
+# The packed chain-times-seed pass of the finite and limit hierarchy left
+# sides, and the sides compared with them.
 PACKED_PASS = "stretched_product_sum"
-PASS_FREE_SIDES = ("hierarchy_finite_rhs", "alpha_sum", "binomial_sum")
+PASS_FREE_SIDES = ("hierarchy_finite_rhs", "alpha_sum", "binomial_sum", "hierarchy_limit_rhs",
+                   "refinement_limit_lhs")
 
 
 def test_hierarchy_right_sides_do_not_reach_the_packed_pass():
-    # the two sides of each hierarchy_finite case stay independent
+    # the two sides of each hierarchy_finite and hierarchy_limit case, of
+    # s_hierarchy_limit and of corollary_transform stay independent
     tree = _tree("identities.py")
     found = [side for side in PASS_FREE_SIDES if PACKED_PASS in _names_reached(tree, side)]
     assert not found, found
 
 
 def test_packed_pass_rule_sees_the_left_side():
-    assert PACKED_PASS in _names_reached(_tree("identities.py"), "hierarchy_finite_lhs")
+    tree = _tree("identities.py")
+    for side in ("hierarchy_finite_lhs", "hierarchy_limit_lhs"):
+        assert PACKED_PASS in _names_reached(tree, side), side
 
 
 def test_hierarchy_right_sides_do_not_reach_the_left_tables():
     tree = _tree("identities.py")
-    found = {side: sorted(_names_reached(tree, side) & LEFT_TABLES)
-             for side in ("hierarchy_finite_rhs", "alpha_sum")}
+    found = {side: sorted(_names_reached(tree, side) & LEFT_TABLES) for side in PASS_FREE_SIDES}
     assert not any(found.values()), found
 
 
 def test_left_table_rule_sees_the_left_side():
-    assert LEFT_TABLES <= _names_reached(_tree("identities.py"), "hierarchy_finite_lhs")
+    tree = _tree("identities.py")
+    assert LEFT_TABLES <= _names_reached(tree, "hierarchy_finite_lhs")
+    # the limit side's chains are its own, its seed classes the finite side's
+    assert "_seed_classes" in _names_reached(tree, "hierarchy_limit_lhs")
 
 
 # The sums of the theta-type right sides of the finite hierarchies and the
@@ -261,8 +269,8 @@ def test_right_sides_do_not_reach_the_m_sum_pass():
 
 def test_m_sum_pass_rule_sees_the_left_sides():
     tree = _tree("identities.py")
+    # at nu = 0 it is the seed identity's left side
     assert M_SUM_PASS in _names_reached(tree, "refinement_hierarchy_lhs")
-    assert M_SUM_PASS in _names_reached(tree, "seed_identity_lhs")
 
 
 def test_m_sum_pass_keeps_its_own_packs():
@@ -372,25 +380,39 @@ PUBLIC = (
     "q_binomial_theorem_sides", "verify_catalog", "verify_factor_witness",
     "verify_initial_condition_argument", "perturbed", "in_class_c",
     "in_class_d",
+    # the partition oracle's brute-force reference, which the tests and the
+    # benchmark's tracer call
+    "partitions",
 )
+
+
+def _module_aliases(tree, modules):
+    """The names that `from qcap import ...` binds to a module of the package."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "qcap"
+            for alias in node.names if alias.name in modules}
 
 
 def _unnamed_definitions(trees):
     """Top-level defs and classes that no module names as a Name, an
-    Attribute or an import alias, outside their own body."""
+    Attribute or an import alias, outside their own body.  A name bound to a
+    module of the package names no definition: with `from qcap import x`,
+    neither the alias nor the x of `x.y` names a function x."""
     defined, named = {}, set()
+    modules = {module.removesuffix(".py") for module in trees}
     for module, tree in trees.items():
+        aliases = _module_aliases(tree, modules)
         for top in tree.body:
             own = None
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                 own = top.name
                 defined[own] = module
             for node in ast.walk(top):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and node.id not in aliases:
                     name = node.id
                 elif isinstance(node, ast.Attribute):
                     name = node.attr
-                elif isinstance(node, ast.alias):
+                elif isinstance(node, ast.alias) and (node.asname or node.name) not in aliases:
                     name = node.name
                 else:
                     continue
@@ -421,6 +443,13 @@ def test_usage_rule_ignores_self_reference():
         "def used():\n    return 1\n\n"
         "def recursive(n):\n    return recursive(n - 1) if n else used()\n")}
     assert _unnamed_definitions(trees) == ["m.py:recursive"]
+
+
+def test_usage_rule_ignores_module_aliases():
+    # m imports the module x and calls x.y; x's function x is named nowhere
+    trees = {"x.py": ast.parse("def x():\n    return 0\n\ndef y():\n    return 1\n"),
+             "m.py": ast.parse("from qcap import x\n\ndef main():\n    return x.y()\n")}
+    assert _unnamed_definitions(trees) == ["m.py:main", "x.py:x"]
 
 
 # Members the benchmark reads, which no module of the package reads.
