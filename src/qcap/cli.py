@@ -167,8 +167,9 @@ def cmd_series(args: argparse.Namespace) -> int:
     expr = args.expr
     if expr in _CLASSICAL:
         n = _series_params(args, expr, ("n",))["n"]
-        if n < 0:
-            raise ParamOutOfRange(f"--trunc must be >= 0, got {n}")
+        flag, _, least = next(row for row in _BOUND_FLAGS if row[1] == "trunc")
+        if n < least:
+            raise ParamOutOfRange(f"{flag} must be >= {least}, got {n}")
         print(_CLASSICAL[expr](args.z_shift, n).to_text())
         return EXIT_OK
     side, _, case_id = expr.partition(":")

@@ -148,7 +148,7 @@ def binomial_sum(L: int, a: int, base: int,
     non-vanishing binomial, in one binomial_product_sum pass: a term c q^e
     [2L+a, L-j] for each pair (e, c) of weight(j)."""
     return binomial_product_sum([(e, c, ((2 * L + a, L - j),))
-                                 for j in range(-L - a, L + a + 1) for e, c in weight(j)], base)
+                                 for j in range(-L - a, L + 1) for e, c in weight(j)], base)
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +303,16 @@ def _chain_tails(a: int, L: int) -> Level:
 
 
 @lru_cache(maxsize=2)
-def _chain_rows(a: int, f: int, s: int, L: int) -> tuple[QSeries, ...]:
+def _chain_rows(a: int, f: int, s: int, L: int) -> tuple[_Classes, ...]:
     """The chains of n_f = 0..L at (f, s, L) for parity a, which every family
-    of that a reads.  With N_1 >= ... >= N_f = n_f, the chain quotient is
-    (q)_{2L+a} / [(q)_{L-n_f} (q)_{2n_f+a}] times prod_{k<f} [L-N_{k+1},
-    N_k-N_{k+1}], so the sum over index vectors nests level by level from N_1
-    inward, into the rows of _rows.  verify_grid evaluates its instances
-    grouped by (L, f, s), so the rows, levels and tails keep that L only."""
-    return _rows(_chain_levels, (L,), a, f, s, lambda N, n: q_binomial(L - N, n - N),
-                 _chain_tails(a, L))
+    of that a reads, each as its base-1 classes, packed once per limb width.
+    With N_1 >= ... >= N_f = n_f, the chain quotient is (q)_{2L+a} /
+    [(q)_{L-n_f} (q)_{2n_f+a}] times prod_{k<f} [L-N_{k+1}, N_k-N_{k+1}], so
+    the sum over index vectors nests level by level from N_1 inward, into the
+    rows of _rows.  verify_grid evaluates its instances grouped by (L, f, s),
+    so the rows, levels and tails keep that L only."""
+    return tuple(_Classes(row, 1) for row in _rows(
+        _chain_levels, (L,), a, f, s, lambda N, n: q_binomial(L - N, n - N), _chain_tails(a, L)))
 
 
 @lru_cache(maxsize=None)
@@ -355,7 +356,7 @@ def hierarchy_limit_lhs(family: str, f: int, n: int, s: int = 0) -> QSeries:
     rows = _rows(_limit_levels, (m,), fam.a, f, s,
                  lambda N, k: inv_pochhammer(k - N, 1, m), tails, m)
     # a row's terms to q^m are exact and, stretched, reach q^{base*m} >= q^n
-    return stretched_product_sum([(QSeries(row.offset, row.truncate(m).coeffs),
+    return stretched_product_sum([(_Classes(QSeries(row.offset, row.truncate(m).coeffs), 1),
                                    _seed_classes(fam.seed, nf, fam.base))
                                   for nf, row in enumerate(rows)], fam.base).truncate(n)
 
@@ -469,10 +470,12 @@ def refinement_hierarchy_lhs(nu: int, L: int, M: int) -> QSeries:
 
 def refinement_hierarchy_rhs(nu: int, L: int, M: int) -> QSeries:
     """sum_j q^(3cj^2 + j) S(L, M; (nu+2)j, (nu+1)j)_{q^3}, c = (nu+2)(nu+1)/2,
-    summed over every (j, n) term in one binomial_product_sum pass."""
-    c = (nu + 2) * (nu + 1) // 2
+    summed over every (j, n) term in one binomial_product_sum pass.  S has a
+    term only for |j| <= J = min(M // (nu+1), L // (nu+2)): past it the range
+    max(0, -a) <= n <= min(M - a + b, M - b, (L - a) / 2) of warnaar_s is empty."""
+    c, J = (nu + 2) * (nu + 1) // 2, min(M // (nu + 1), L // (nu + 2))
     terms = []
-    for j in range(-(L + M + 2), M + 2):
+    for j in range(-J, J + 1):
         terms += warnaar_s(L, M, (nu + 2) * j, (nu + 1) * j, base=3, shift=3 * c * j * j + j)
     return binomial_product_sum(terms, 3)
 

@@ -239,10 +239,32 @@ def _poch_ratio_cached(num: tuple[tuple[int, int], ...], den: tuple[tuple[int, i
 Term = tuple[int, int, tuple[tuple[int, int], ...]]
 
 
+class _Binomial:
+    """The record of a base-1 binomial [top, k], 0 <= k <= top / 2: its value
+    comb(top, k) at q = 1, its degree k(top - k), and its coefficients packed
+    into unsigned limbs per width, each width on first use."""
+
+    __slots__ = ("comb", "degree", "coeffs", "packs")
+
+    def __init__(self, top: int, k: int) -> None:
+        self.comb, self.degree = math.comb(top, k), k * (top - k)
+        self.coeffs, self.packs = _q_binomial_base1(top, k).coeffs, {}
+
+    def packed(self, width: int) -> int:
+        if width not in self.packs:
+            self.packs[width] = _Limbs(width, None, False).pack(self.coeffs)
+        return self.packs[width]
+
+
 @lru_cache(maxsize=None)
-def _packed_binomial(top: int, k: int, width: int) -> int:
-    """[top, k], 0 <= k <= top / 2, in base 1 packed into unsigned width-byte limbs."""
-    return _Limbs(width, None, False).pack(_q_binomial_base1(top, k).coeffs)
+def _binomial_record(top: int, k: int) -> _Binomial | None:
+    """The one record of [top, k] and [top, top - k], or None when [top, k]
+    vanishes (k < 0 or k > top)."""
+    if not 0 <= k <= top:
+        return None
+    if 2 * k > top:
+        return _binomial_record(top, top - k)
+    return _Binomial(top, k)
 
 
 def binomial_product_sum(terms: Iterable[Term], base: int = 1) -> QSeries:
@@ -252,38 +274,48 @@ def binomial_product_sum(terms: Iterable[Term], base: int = 1) -> QSeries:
     Every coefficient, of a factor, a term or the sum, is at most bound =
     sum |c| prod comb(top, k) in size, and not negative if no c is.  So in
     w-byte limbs that hold it, signed only if some c < 0, each base-1
-    binomial packs once per width for the whole run ([top, k] and [top,
-    top - k] alike, unsigned, as comb(top, k) <= bound < 2**(8w-1)), a
-    term's packed factors multiply, and the terms of one class r = e mod base
-    add at shifts of e // base limbs with no carry across a limb.  Each class
-    unpacks once into the coefficients of q^r, q^(r + base), ...; they must
-    add up to the sum's value at q = 1, or ArithmeticError is raised.
+    binomial's record packs it once per width for the whole run (unsigned,
+    as comb(top, k) <= bound < 2**(8w-1)), a term's packed factors multiply,
+    and the terms of one class r = e mod base add at shifts of e // base
+    limbs with no carry across a limb.  Each class unpacks once into the
+    coefficients of q^r, q^(r + base), ...; they must add up to the sum's
+    value at q = 1, or ArithmeticError is raised.
     """
-    kept = [(e, c, factors, math.prod(math.comb(top, k) for top, k in factors))
-            for e, c, factors in terms if c and all(0 <= k <= top for top, k in factors)]
+    kept, bound, total, lo, hi, signed = [], 0, 0, None, None, False
+    for e, c, factors in terms:
+        records = [_binomial_record(top, k) for top, k in factors]
+        if not c or None in records:
+            continue
+        value = c
+        unit = reach = e // base
+        for record in records:
+            value *= record.comb
+            reach += record.degree
+        bound, total, signed = bound + abs(value), total + value, signed or c < 0
+        if lo is None or unit < lo:
+            lo = unit
+        if hi is None or reach > hi:
+            hi = reach
+        kept.append((e, c, records))
     if not kept:
         return ZERO
-    bound = sum(abs(c) * comb for _, c, _, comb in kept)
-    lo = min(e for e, _, _, _ in kept) // base
-    n = max(e // base + sum(k * (top - k) for top, k in factors)
-            for e, _, factors, _ in kept) - lo + 1
-    limbs = _limbs(bound, signed=any(c < 0 for _, c, _, _ in kept))
-    classes = [0] * base
-    for e, term, factors, _ in kept:
-        for top, k in factors:
-            term *= _packed_binomial(top, min(k, top - k), limbs.width)
+    limbs = _limbs(bound, signed)
+    width, classes = limbs.width, [0] * base
+    for e, term, records in kept:
+        for record in records:
+            term *= record.packed(width)
         unit, r = divmod(e, base)
-        classes[r] += term << 8 * limbs.width * (unit - lo)
-    total = sum(c * comb for _, c, _, comb in kept)
-    return QSeries(base * lo, limbs.unpack_classes(classes, n, total))
+        classes[r] += term << 8 * width * (unit - lo)
+    return QSeries(base * lo, limbs.unpack_classes(classes, hi - lo + 1, total))
 
 
 def trinomial_t(length: int, b: int, a: int, base: int = 1, shift: int = 0) -> list[Term]:
     """The Andrews-Baxter trinomial q^shift T(length; b, a) in base q^base,
     as terms for binomial_product_sum: T(L; b, a) = sum_j q^(j(j+b)) [L, j]
-    [L-j, j+a]."""
+    [L-j, j+a], over the j with both binomials non-zero: max(0, -a) <= j and
+    2j <= L - a (which give j <= L)."""
     return [(shift + base * j * (j + b), 1, ((length, j), (length - j, j + a)))
-            for j in range(length + 1)]
+            for j in range(max(0, -a), (length - a) // 2 + 1)]
 
 
 def warnaar_s(big_l: int, big_m: int, a: int, b: int,

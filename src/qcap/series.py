@@ -418,32 +418,31 @@ class _Classes:
         return self.packs[limbs.width]
 
 
-def stretched_product_sum(pairs: Sequence[tuple[QSeries, _Classes]], base: int) -> QSeries:
-    """sum a(q^base) * b(q) over pairs of an exact a and the classes of b mod
-    base, in one packed pass: a(q^base) b(q) = sum_r q^r (a b_r)(q^base).  A
-    coefficient of class r of the sum, or of an a or b_r in it, is at most
-    bound_r = sum max|a| max|b_r| min(len(a), len(b_r)) over the pairs, so signed
-    limbs with every bound_r < 2**(8w-1) hold them all: each a packs once and
-    each b_r once per width, their product adds at its shift into one big int
-    per class, and each class unpacks once into out[r::base].  The coefficients
-    must add up to the sum's value at q = 1, sum a(1) b(1), or ArithmeticError
-    is raised."""
+def stretched_product_sum(pairs: Sequence[tuple[_Classes, _Classes]], base: int) -> QSeries:
+    """sum a(q^base) * b(q) over pairs of the base-1 classes of an exact a and
+    the classes of b mod base, in one packed pass: a(q^base) b(q) = sum_r q^r
+    (a b_r)(q^base).  A coefficient of class r of the sum, or of an a or b_r
+    in it, is at most bound_r = sum max|a| max|b_r| min(len(a), len(b_r)) over
+    the pairs, so signed limbs with every bound_r < 2**(8w-1) hold them all:
+    each a and each b_r packs once per width, in its classes, their product
+    adds at its shift into one big int per class, and each class unpacks once
+    into out[r::base].  The coefficients must add up to the sum's value at q
+    = 1, sum a(1) b(1), or ArithmeticError is raised."""
     parts, bounds, total = [], [0] * base, 0
     for a, b in pairs:
-        if a.trunc is not None:
-            raise TruncatedInput("stretched_product_sum requires exact operands")
-        top, total = max(map(abs, a.coeffs), default=0), total + sum(a.coeffs) * b.one
-        for i, (r, u, length, b_top) in enumerate(b.parts if top else ()):
-            parts.append((a.coeffs, b, i, r, a.offset + u, length))
-            bounds[r] += top * b_top * min(len(a.coeffs), length)
+        total += a.one * b.one
+        for _, a_u, a_length, a_top in a.parts:
+            for i, (r, u, length, b_top) in enumerate(b.parts):
+                parts.append((a, b, i, r, a_u + u, a_length + length))
+                bounds[r] += a_top * b_top * min(a_length, length)
     lo = min((u for *_, u, _ in parts), default=0)
-    n = max((u + len(a) + length for a, *_, u, length in parts), default=lo + 1) - lo - 1
+    n = max((u + length for *_, u, length in parts), default=lo + 1) - lo - 1
     limbs = _limbs(max(bounds), signed=True)
-    sums, last = [0] * base, None
+    width, sums, last = limbs.width, [0] * base, None
     for a, b, i, r, u, _ in parts:
         if a is not last:
-            last, packed = a, limbs.pack(a)
-        sums[r] += packed * b.packed(limbs)[i] << 8 * limbs.width * (u - lo)
+            last, packed = a, a.packed(limbs)[0]
+        sums[r] += packed * b.packed(limbs)[i] << 8 * width * (u - lo)
     return QSeries(base * lo, limbs.unpack_classes(sums, n, total))
 
 

@@ -641,6 +641,41 @@ class TestSharedTables:
         for f, s, n in in_order(cases, order, rng):
             assert hierarchy_limit_lhs(family, f, n, s) == expected[f, s, n], (f, s, n)
 
+    def test_each_chain_row_packs_once_per_width(self, monkeypatch):
+        # the five a = 0 families read every row of one (f, s, L), at limb
+        # widths of 2 and 4 bytes: each row packs once per width, however
+        # many families read it
+        names = [name for name, fam in FAMILIES.items() if fam.a == 0]
+        expected = {name: per_level_hierarchy_finite_lhs(name, 2, 8, 0) for name in names}
+        _chain_rows.cache_clear()
+        packed, pack = series._Classes.packed, series._Limbs.pack
+        family, reading, reads, packs = [None], [], {}, Counter()
+
+        def counted_packed(classes, limbs):
+            reads.setdefault(classes, set()).add((family[0], limbs.width))
+            reading.append(classes)
+            try:
+                return packed(classes, limbs)
+            finally:
+                reading.pop()
+
+        def counted_pack(limbs, coeffs):
+            if reading:
+                packs[reading[-1], limbs.width] += 1
+            return pack(limbs, coeffs)
+
+        monkeypatch.setattr(series._Classes, "packed", counted_packed)
+        monkeypatch.setattr(series._Limbs, "pack", counted_pack)
+        for name in names:
+            family[0] = name
+            assert hierarchy_finite_lhs(name, 2, 8) == expected[name], name
+        rows = _chain_rows(0, 2, 0, 8)
+        for nf, row in enumerate(rows):
+            assert {name for name, _ in reads[row]} == set(names), nf
+            widths = {width for _, width in reads[row]}
+            assert {width: packs[row, width] for width in widths} == dict.fromkeys(widths, 1), nf
+        assert {width for _, width in reads[rows[0]]} == {2, 4}
+
     def test_packed_pass_past_8_byte_limbs(self, monkeypatch):
         # cap2_binomial at f = 2, L = 24 is the shallowest grid point whose
         # chain-times-seed coefficients need limbs wider than 8 bytes

@@ -435,28 +435,77 @@ class TestBinomialProductSum:
             assert binomial_product_sum(terms, base) == per_term_sum(terms, base)
             assert binomial_product_sum(signed, base) == per_term_sum(signed, base)
 
-    def test_a_binomial_packs_once_per_width(self):
-        # [8, 3] and [8, 5] share one entry, and each limb width its own
-        qcombinat._packed_binomial.cache_clear()
-        for terms in ([(0, 1, ((8, 3),)), (4, 1, ((8, 5),))],
-                      [(0, 1, ((8, 3),)), (4, -1, ((8, 5),))],
-                      [(0, 300, ((8, 3),)), (4, 1, ((8, 5),))]):
-            for base in (1, 3):
-                assert binomial_product_sum(terms, base) == per_term_sum(terms, base)
-        assert qcombinat._packed_binomial.cache_info().currsize == 2
+    def test_a_binomial_packs_once_per_width(self, monkeypatch):
+        # [8, 3] and [8, 5] share one record, which packs once per limb width
+        # used: 1 byte, then 2 bytes for the signed and the larger sums
+        qcombinat._binomial_record.cache_clear()
+        record = qcombinat._binomial_record(8, 3)
+        assert qcombinat._binomial_record(8, 5) is record
+        listed = [(terms, base, per_term_sum(terms, base))
+                  for terms in ([(0, 1, ((8, 3),)), (4, 1, ((8, 5),))],
+                                [(0, 1, ((8, 3),)), (4, -1, ((8, 5),))],
+                                [(0, 300, ((8, 3),)), (4, 1, ((8, 5),))])
+                  for base in (1, 3)]
+        pack, widths = series._Limbs.pack, []
+
+        def counted(limbs, coeffs):
+            widths.append(limbs.width)
+            return pack(limbs, coeffs)
+
+        monkeypatch.setattr(series._Limbs, "pack", counted)
+        for terms, base, expected in listed:
+            assert binomial_product_sum(terms, base) == expected
+        assert widths == [1, 2] and sorted(record.packs) == [1, 2]
+
+    def test_records_hold_the_value_at_one_and_the_degree(self):
+        for top in range(13):
+            for k in range(-2, top + 3):
+                record, value = qcombinat._binomial_record(top, k), q_binomial(top, k)
+                if not value:
+                    assert record is None, (top, k)
+                    continue
+                assert (record.comb, record.degree) == (sum(value.coeffs), value.degree()), (top, k)
+                assert record.coeffs == value.coeffs, (top, k)
 
     @pytest.mark.parametrize("comb", (lambda top, k: 1,
                                       lambda top, k: math.comb(top, k) - (k == 1)))
     def test_an_understated_bound_raises(self, monkeypatch, comb):
         # with limbs too narrow, or a bound a little low, the unpacked
-        # coefficients no longer add up to the bound
-        monkeypatch.setattr(qcombinat, "math", SimpleNamespace(comb=comb, prod=math.prod))
+        # coefficients no longer add up to the bound; the record table is
+        # cleared around the patch, so each record states the patched value
+        # at q = 1 and no understated record outlives the test
         terms = [(0, 1, ((9, 4), (6, 1))), (4, 1, ((12, 6),)), (-2, 1, ((7, 1),))]
         signed = [(e, c, f) for (e, _, f), c in zip(terms, (1, -1, 2))]
-        for base in (1, 3):
-            for listed in (terms, signed):
-                with pytest.raises(ArithmeticError):
-                    binomial_product_sum(listed, base)
+        qcombinat._binomial_record.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(qcombinat, "math", SimpleNamespace(comb=comb, prod=math.prod))
+                for base in (1, 3):
+                    for listed in (terms, signed):
+                        with pytest.raises(ArithmeticError):
+                            binomial_product_sum(listed, base)
+        finally:
+            qcombinat._binomial_record.cache_clear()
+
+    @settings(max_examples=60, deadline=None)
+    @given(binomial=st.tuples(st.integers(0, 12), st.integers(-1, 13)),
+           terms=st.lists(signed_term, max_size=6), sign=st.sampled_from((1, -1)),
+           base=st.integers(1, 3), order=st.sampled_from(("ascending", "descending", "shuffled")),
+           rng=st.randoms(use_true_random=False))
+    def test_records_revisited_at_every_width_in_any_order(self, binomial, terms, sign, base,
+                                                           order, rng):
+        # from a cleared record table, one binomial (vanishing when k > top
+        # or k < 0) scaled into limbs of 1, 2, 4, 8 and more bytes, the
+        # widths visited in any order, beside drawn signed terms
+        qcombinat._binomial_record.cache_clear()
+        scales = [1, 300, 10**6, 10**12, 2**80]
+        scales = (scales[::-1] if order == "descending"
+                  else rng.sample(scales, len(scales)) if order == "shuffled" else scales)
+        for scale in scales:
+            listed = [(-1, sign * scale, (binomial,)), (2, scale, (binomial, binomial))] + terms
+            assert binomial_product_sum(listed, base) == per_term_sum(listed, base), scale
+        record = qcombinat._binomial_record(*binomial)
+        assert record is None or len(record.packs) >= 2
 
     def test_limbs_one_byte_too_narrow_raise(self, monkeypatch):
         # negative control: with the bound understated by one limb, some
@@ -494,6 +543,8 @@ class TestTrinomial:
                 for b in range(-8, 8):
                     for base, shift in ((1, 0), (3, -5)):
                         terms = trinomial_t(length, b, a, base, shift)
+                        # only terms with no vanishing binomial are listed
+                        assert all(0 <= k <= top for _, _, fs in terms for top, k in fs)
                         expected = per_term_trinomial_t(length, b, a, base).shift(shift)
                         assert binomial_product_sum(terms, base) == expected
 
@@ -521,6 +572,21 @@ class TestWarnaar:
                         expected = full_range_warnaar(L, M, a, b)
                         assert binomial_product_sum(warnaar_s(L, M, a, b)) == expected
                         assert per_term_warnaar_s(L, M, a, b) == expected
+
+    def test_refinement_rhs_j_range_holds_every_term(self):
+        # refinement_hierarchy_rhs sums j over -J..J, J = min(M // (nu+1),
+        # L // (nu+2)): no other j of the range -(L+M+2)..M+1 that
+        # per_j_refinement_rhs sums has a term, and j = +-J has one
+        for nu in range(5):
+            for L in range(13):
+                for M in range(13):
+                    J = min(M // (nu + 1), L // (nu + 2))
+                    for j in range(-(L + M + 2), M + 2):
+                        terms = warnaar_s(L, M, (nu + 2) * j, (nu + 1) * j)
+                        if abs(j) > J:
+                            assert not terms, (nu, L, M, j)
+                        elif abs(j) == J:
+                            assert terms, (nu, L, M, j)
 
     def test_fused_rhs_matches_the_per_j_sum(self):
         for nu in range(4):

@@ -662,7 +662,7 @@ class TestStretchedProductSum:
     @example([(ZERO, ONE + Q), (ONE, ZERO)], 2)
     @example([], 3)
     def test_matches_stretched_products(self, pairs, base):
-        split = [(a, _Classes(b, base)) for a, b in pairs]
+        split = [(_Classes(a, 1), _Classes(b, base)) for a, b in pairs]
         assert stretched_product_sum(split, base) == reference_stretched_product_sum(pairs, base)
 
     @pytest.mark.parametrize("sign", (1, -1))
@@ -672,7 +672,7 @@ class TestStretchedProductSum:
         # only for sign -1, so the width must come from the sum of the bounds
         a, b = QSeries(0, (2**61, 2**61)), QSeries(0, (sign, 0, 0, sign))
         pairs = [(a, b), (a, b)]
-        value = stretched_product_sum([(a, _Classes(b, 3))] * 2, 3)
+        value = stretched_product_sum([(_Classes(a, 1), _Classes(b, 3))] * 2, 3)
         assert value.coeffs[3] == sign * 2**63
         assert value == reference_stretched_product_sum(pairs, 3)
 
@@ -685,7 +685,7 @@ class TestStretchedProductSum:
             limbs(bound, signed).width - 1, None, signed))
         a, b = QSeries(0, (2**61, 2**61)), QSeries(0, (1, 0, 0, 1))
         with pytest.raises(ArithmeticError, match="not to the bound"):
-            stretched_product_sum([(a, _Classes(b, 3))] * 2, 3)
+            stretched_product_sum([(_Classes(a, 1), _Classes(b, 3))] * 2, 3)
 
     @pytest.mark.parametrize("truncated_first", (True, False))
     def test_a_truncated_operand_raises(self, truncated_first):
@@ -697,8 +697,8 @@ class TestStretchedProductSum:
         chain, split = (a, b) if truncated_first else (b, a)
         for base in (1, 3):
             with pytest.raises(TruncatedInput):
-                stretched_product_sum([(ONE, _Classes(ONE, base)), (chain, _Classes(split, base))],
-                                      base)
+                stretched_product_sum([(_Classes(ONE, 1), _Classes(ONE, base)),
+                                       (_Classes(chain, 1), _Classes(split, base))], base)
 
 
 SEEDS = (seed_cap1, seed_cap2, seed_cap1_binomial, seed_cap2_binomial, seed_sum_cap)
@@ -748,7 +748,7 @@ class TestTabledLeftSide:
                      for n in range(L + 1)]
             expected = reference_stretched_product_sum(
                 [(chain, seed(n)) for n, chain in enumerate(chain_rows(a, f, s, L, tails))], base)
-            pairs = [(chain, _seed_classes(seed, n, base))
+            pairs = [(_Classes(chain, 1), _seed_classes(seed, n, base))
                      for n, chain in enumerate(chain_rows(a, f, s, L, _chain_tails(a, L)))]
             with mock.patch.object(series, "_limbs", wide_limbs if L == wide_at else _limbs):
                 assert stretched_product_sum(pairs, base) == expected, L

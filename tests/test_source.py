@@ -276,8 +276,8 @@ def test_m_sum_pass_rule_sees_the_left_sides():
 def test_m_sum_pass_keeps_its_own_packs():
     # the S-ladder left side packs its binomials in its own table, so no
     # packed value is shared with the right side's pass
-    assert "_packed_binomial" not in _names_reached(_tree("identities.py"), M_SUM_PASS)
-    assert "_packed_binomial" in _names_reached(_tree("qcombinat.py"), "binomial_product_sum")
+    assert "_binomial_record" not in _names_reached(_tree("identities.py"), M_SUM_PASS)
+    assert "_binomial_record" in _names_reached(_tree("qcombinat.py"), "binomial_product_sum")
 
 
 def _half_limb_constants(tree):
