@@ -75,12 +75,10 @@ def bailey_lhs_transform(
 
 def verify_bailey_theorem(alpha: BaileyAlpha, l_max: int) -> list[tuple[int, bool]]:
     """Per-L check that the transform of F equals F of the stepped alpha."""
-    transformed = bailey_lhs_transform(lambda r: bailey_f(alpha, r), alpha.a, alpha.base)
+    f_values = [bailey_f(alpha, r) for r in range(l_max + 1)]  # read by every L >= r
+    transformed = bailey_lhs_transform(f_values.__getitem__, alpha.a, alpha.base)
     stepped = bailey_step(alpha)
-    out = []
-    for L in range(l_max + 1):
-        out.append((L, transformed(L) == bailey_f(stepped, L)))
-    return out
+    return [(L, transformed(L) == bailey_f(stepped, L)) for L in range(l_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +115,18 @@ def generate_hierarchy_lhs(family: str, f: int, L: int, s: int = 0) -> QSeries:
     q^L factor; each of the first s applications is followed by another q^L
     multiplication except the last, and the remaining f-s are plain.
     """
-    fam = _family_checked(family, f, s)
-    g = cache(cor_cap2_analogue_lhs if s else fam.seed)
-    for t in range(1, f + 1):
-        g = cache(bailey_lhs_transform(g, fam.a, fam.base))
-        if t < s:
-            g = cache(lambda r, inner=g: inner(r).shift(r))
-    return g(L)
+    _family_checked(family, f, s)
+    return _transform_level(family, f, s, L)
+
+
+@cache
+def _transform_level(family: str, t: int, s: int, L: int) -> QSeries:
+    """Level t at L, built once per run; it reads s only through min(s, t)."""
+    fam = FAMILIES[family]
+    g = cor_cap2_analogue_lhs if s else fam.seed
+    if t > 1:  # a q^r twist follows each level below s
+        g = lambda r: _transform_level(family, t - 1, min(s, t - 1), r).shift(r * (t - 1 < s))
+    return bailey_lhs_transform(g, fam.a, fam.base)(L)
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,11 @@ from qcap.series import (
     _Classes,
     _limbs,
     compare,
-    div_exact,
     monomial,
     stretched_product_sum,
 )
 from qcap.qcombinat import (
+    _div_one_minus,
     _poch_step,
     binomial_product_sum,
     inv_pochhammer,
@@ -480,6 +480,7 @@ def refinement_hierarchy_rhs(nu: int, L: int, M: int) -> QSeries:
     return binomial_product_sum(terms, 3)
 
 
+@lru_cache(maxsize=None)  # the left side of s_hierarchy_limit and corollary_transform
 def refinement_limit_lhs(nu: int, n: int) -> QSeries:
     """M, L -> infinity: the two bounded binomials collapse to 1/(q^3;q^3)_i."""
     total = Accumulator(n)
@@ -576,16 +577,13 @@ def rhs_rewrite_split(which: int, L: int) -> QSeries:
 
 
 def rhs_rewrite_rational(which: int, L: int) -> QSeries:
-    """The rational-factor form, evaluated by one exact division of the
-    common-denominator numerator, minus the divisibility correction term."""
+    """The rational-factor form: the common-denominator numerator divided by
+    each factor (1 - q^{L+3j+1}) in turn, minus the divisibility correction."""
     js = range(-(L // 3), L // 3 + 1)
-    dens = {j: ONE - monomial(L + 3 * j + 1) for j in js}
-    denominator = math.prod(dens.values())
-    numerator = ZERO
-    for j in js:
-        b = q_binomial(2 * L, L + 3 * j, 1)
-        if not b:
-            continue
+    dens = [L + 3 * j + 1 for j in js]
+    numerator: list[int] = []
+    for j, m in zip(js, dens):
+        b = q_binomial(2 * L, L + 3 * j, 1)  # 0 <= L + 3j <= 2L: never zero
         if which == 1:
             piece = (ONE - monomial(6 * j + 1)).shift(9 * j * j) * b
         else:
@@ -594,9 +592,12 @@ def rhs_rewrite_rational(which: int, L: int) -> QSeries:
             # q^{3j(3j+1)} (1 - q^{6j+2} - (1-q) q^{L+3j+1}); verified for L <= 8.
             factor = ONE - monomial(6 * j + 2) - (ONE - monomial(1)).shift(L + 3 * j + 1)
             piece = factor.shift(3 * j * (3 * j + 1)) * b
-        rest = math.prod((dens[k] for k in js if k != j), start=ONE)
-        numerator = numerator + piece * rest
-    total = div_exact(numerator, denominator) if numerator else ZERO
+        # no negative power of q: 9j^2+6j+1 = (3j+1)^2, 9j^2+9j+2 = (3j+1)(3j+2)
+        term = _poch_step([0] * piece.offset + list(piece.coeffs), [d for d in dens if d != m], ())
+        numerator = list(map(sum, itertools.zip_longest(numerator, term, fillvalue=0)))
+    for m in dens:
+        numerator = _div_one_minus(numerator, m)
+    total = QSeries(0, numerator)
     if (L - 2) % 3 == 0:
         total = total - monomial(L * L if which == 1 else L * (L - 1))
     return total

@@ -17,7 +17,8 @@ short one.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, NamedTuple, Sequence
+from functools import cache
+from typing import Callable, NamedTuple, Sequence
 
 from qcap.series import ONE, Accumulator, QSeries, ZERO, div_exact, monomial as _m
 from qcap.identities import rhs_new_fin_cap, s1_sum, s2_sum, seed_cap1, seed_cap2
@@ -56,13 +57,8 @@ class Recurrence(NamedTuple):
                 total.add(c * seq(L - lag))
         return total.value()
 
-    def tabled(self, l_values: Iterable[int]) -> Recurrence:
-        """This relation with its coefficients built once per L in l_values."""
-        table = {L: [self.coeff(L, lag) for lag in range(self.order + 1)]
-                 for L in set(l_values)}
-        return self._replace(coeff=lambda L, lag: table[L][lag])
 
-
+@cache
 def _coeff_short(t: int, lag: int) -> QSeries:
     # the short relation of both identities, at t = 2L - 1 and at t = 2L
     if lag == 0:
@@ -72,6 +68,7 @@ def _coeff_short(t: int, lag: int) -> QSeries:
     return ((ONE - _m(t - 1)) * (ONE - _m(t - 2))).shift(1)
 
 
+@cache
 def _coeff_b_proven(L: int, lag: int) -> QSeries:
     # Order-4 companion of the short b recurrence: it factors as the short
     # recurrence composed with the order-2 witness relation below.
@@ -118,6 +115,7 @@ def _coeff_s2(L: int, lag: int) -> QSeries:
                        ONE - _m(2 * L - 3), ONE - _m(2 * L - 4))).shift(3)
 
 
+@cache
 def _coeff_c_proven(L: int, lag: int) -> QSeries:
     if lag == 0:
         return ONE
@@ -208,11 +206,8 @@ def default_window(rec: Recurrence, length: int = 9) -> range:
 
 
 def verify_catalog(length: int = 9) -> list[RecurrenceReport]:
-    # each relation's coefficients are built once per L, for every sequence
-    # the catalog pairs it with
-    windows = {rec_id: default_window(RECURRENCES[rec_id], length) for _, rec_id in CATALOG}
-    tabled = {rec_id: RECURRENCES[rec_id].tabled(window) for rec_id, window in windows.items()}
-    return [verify_recurrence(SEQUENCES[seq_id], tabled[rec_id], windows[rec_id],
+    return [verify_recurrence(SEQUENCES[seq_id], RECURRENCES[rec_id],
+                              default_window(RECURRENCES[rec_id], length),
                               name=f"{seq_id}:{rec_id}")
             for seq_id, rec_id in CATALOG]
 
@@ -222,6 +217,7 @@ def verify_catalog(length: int = 9) -> list[RecurrenceReport]:
 # residual r_L := sum_u rho(L, u) seq(L - u)
 # ---------------------------------------------------------------------------
 
+@cache
 def _witness_b(L: int, t: int) -> QSeries:
     if t == 0:
         return ONE
@@ -230,6 +226,7 @@ def _witness_b(L: int, t: int) -> QSeries:
     return ((ONE - _m(2 * L - 4)) * (ONE - _m(2 * L - 7))).shift(5)
 
 
+@cache
 def _witness_c(L: int, t: int) -> QSeries:
     # Uniquely determined by back-substitution against the order-5 form;
     # the expansion consistency at lags 4 and 5 pins these down.
@@ -278,10 +275,9 @@ def verify_factor_witness(which: str, l_range: Sequence[int]) -> WitnessReport:
         raise ValueError(f"unknown witness {which!r}") from None
     seq = SEQUENCES[seq_id]
     long_rec = RECURRENCES[long_id]
-    # w_t(L) once per L; rho_u(L') and r_{L'} once per L' = L - t reached
-    witness = witness.tabled(l_range)
+    # r_{L'} once per L' = L - t reached
+    short = RECURRENCES["b_short"]
     reached = {L - t for L in l_range for t in range(witness.order + 1)}
-    short = RECURRENCES["b_short"].tabled(reached)
     residuals = {L: short.residual(seq, L) for L in reached}
     relation, expansion = [], []
     for L in l_range:

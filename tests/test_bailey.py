@@ -1,7 +1,11 @@
 """Bailey-lemma engine: theorem checks, hierarchy generation, checkpoints."""
 
-import pytest
+import functools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qcap import bailey, identities
 from qcap.bailey import (
     ALPHAS,
     BaileyAlpha,
@@ -15,6 +19,7 @@ from qcap.bailey import (
 )
 from qcap.identities import (
     ParamOutOfRange,
+    cor_cap2_analogue_lhs,
     hierarchy_finite_lhs,
     hierarchy_finite_rhs,
 )
@@ -123,6 +128,62 @@ class TestHierarchyGeneration:
             for L in range(4):
                 assert (generate_hierarchy_lhs(family, f, L, s)
                         == hierarchy_finite_rhs(family, f, L, s)), (family, f, s, L)
+
+
+@functools.cache
+def per_call_generate_hierarchy_lhs(family, f, L, s=0):
+    """generate_hierarchy_lhs with no shared memo: every level rebuilt for
+    the call, from caches that live for the call only."""
+    fam = identities.FAMILIES[family]
+    g = functools.cache(cor_cap2_analogue_lhs if s else fam.seed)
+    for t in range(1, f + 1):
+        g = functools.cache(bailey_lhs_transform(g, fam.a, fam.base))
+        if t < s:
+            g = functools.cache(lambda r, inner=g: inner(r).shift(r))
+    return g(L)
+
+
+# Every (family, f, s, L) with f <= 4 and L <= 5, ascending in f, s and L.
+GENERATOR_CALLS = [(family, f, s, L) for family in FAMILIES for f in range(1, 5)
+                   for s in (range(f + 1) if family == "double" else (0,)) for L in range(6)]
+
+
+class TestSharedLevels:
+    # the generator builds each level once per run, shared by every (f, s, L)
+    # that reads it; from a cleared memo, in any call order, each value must
+    # equal the per-call generator's and the direct expansion's
+
+    @staticmethod
+    def check_calls(calls):
+        bailey._transform_level.cache_clear()
+        for family, f, s, L in calls:
+            value = generate_hierarchy_lhs(family, f, L, s)
+            assert value == per_call_generate_hierarchy_lhs(family, f, L, s), (family, f, s, L)
+            assert value == hierarchy_finite_lhs(family, f, L, s), (family, f, s, L)
+
+    def test_ascending_calls(self):
+        self.check_calls(GENERATOR_CALLS)
+
+    def test_descending_calls(self):
+        self.check_calls(GENERATOR_CALLS[::-1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(calls=st.lists(st.sampled_from(GENERATOR_CALLS), min_size=1, max_size=30))
+    def test_shuffled_calls(self, calls):
+        self.check_calls(calls)
+
+    def test_each_level_is_built_once(self):
+        # level 3 at L = 4 reads level 2 at r <= 4, each of which reads level
+        # 1 at r' <= r: 1 + 5 + 5 levels built, and 10 of the 15 reads of
+        # level 1 hit; no entry holds a q^L twist
+        bailey._transform_level.cache_clear()
+        generate_hierarchy_lhs("double", 3, 4, 3)
+        info = bailey._transform_level.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (11, 10, 11)
+        # f = 2, s = 2 is level 2 of f = 3, s = 3: read, not built again
+        generate_hierarchy_lhs("double", 2, 4, 2)
+        info = bailey._transform_level.cache_info()
+        assert (info.misses, info.hits) == (11, 11)
 
 
 class TestCheckpoints:

@@ -35,6 +35,7 @@ from qcap.identities import (
     refinement_hierarchy_rhs,
     refinement_limit_lhs,
     rhs_new_fin_cap,
+    rhs_rewrite_rational,
     roundtri_lhs,
     seed_cap1,
     verify_case,
@@ -974,6 +975,62 @@ class TestSteppedQuotients:
             assert QSeries(0, qcombinat._poch_step([1], *step)) == expected
             with pytest.raises(qcombinat.NonDivisible):
                 divide_first([1], *step)
+
+
+def rational_numerator(which, L):
+    """The common-denominator numerator of rhs_rewrite_rational multiplied
+    out as QSeries, and its denominator prod_j (1 - q^{L+3j+1})."""
+    js = range(-(L // 3), L // 3 + 1)
+    dens = {j: ONE - monomial(L + 3 * j + 1) for j in js}
+    numerator = ZERO
+    for j in js:
+        b = q_binomial(2 * L, L + 3 * j, 1)
+        if which == 1:
+            piece = (ONE - monomial(6 * j + 1)).shift(9 * j * j) * b
+        else:
+            factor = ONE - monomial(6 * j + 2) - (ONE - monomial(1)).shift(L + 3 * j + 1)
+            piece = factor.shift(3 * j * (3 * j + 1)) * b
+        numerator = numerator + piece * math.prod((dens[k] for k in js if k != j), start=ONE)
+    return numerator, math.prod(dens.values())
+
+
+def divide_once_rhs_rewrite_rational(which, L):
+    """rhs_rewrite_rational by one div_exact of the multiplied-out numerator."""
+    total = series.div_exact(*rational_numerator(which, L))
+    if (L - 2) % 3 == 0:
+        total = total - monomial(L * L if which == 1 else L * (L - 1))
+    return total
+
+
+class TestRationalRewrite:
+    # rhs_rewrite_rational builds its numerator on coefficient lists and
+    # divides by one factor (1 - q^m) at a time
+
+    @settings(max_examples=40, deadline=None)
+    @given(which=st.sampled_from((1, 2)), L=st.integers(0, 30))
+    @example(which=1, L=0)
+    @example(which=2, L=30)
+    def test_matches_one_exact_division(self, which, L):
+        assert rhs_rewrite_rational(which, L) == divide_once_rhs_rewrite_rational(which, L)
+
+    @pytest.mark.parametrize("which", (1, 2))
+    @pytest.mark.parametrize("L", (0, 1, 5, 12))
+    def test_numerator_off_by_one_monomial_raises(self, monkeypatch, which, L):
+        # 1 added to the first term the numerator sums: neither path divides
+        numerator, denominator = rational_numerator(which, L)
+        with pytest.raises(series.NonDivisible):
+            series.div_exact(numerator + ONE, denominator)
+        first = iter((True,))
+
+        def off_by_one(coeffs, times, divs):
+            term = qcombinat._poch_step(coeffs, times, divs)
+            if next(first, False):
+                term[0] += 1
+            return term
+
+        monkeypatch.setattr(identities, "_poch_step", off_by_one)
+        with pytest.raises(series.NonDivisible):
+            rhs_rewrite_rational(which, L)
 
 
 def twisted_without_base_1(families):

@@ -113,3 +113,45 @@ class TestNegativeControls:
         with pytest.raises(ValueError):
             verify_recurrence(
                 SEQUENCES["cap2_rhs"], RECURRENCES["b_proven"], range(3, 8))
+
+
+class TestNegativeControlsUnderCaches:
+    # the coefficient functions that several checks read are caches; a
+    # relation patched into RECURRENCES or _WITNESSES must still read its own
+    # coeff once the real tables are warm
+
+    def test_shared_coefficients_are_caches(self):
+        for fn in (recurrences._coeff_short, recurrences._coeff_b_proven,
+                   recurrences._coeff_c_proven, recurrences._witness_b,
+                   recurrences._witness_c):
+            assert callable(getattr(fn, "cache_info", None)), fn.__name__
+
+    def test_a_perturbed_coefficient_is_no_cache(self):
+        witnesses = [witness for witness, _, _ in recurrences._WITNESSES.values()]
+        for rec in [*RECURRENCES.values(), *witnesses]:
+            assert not hasattr(perturbed(rec, 1, Q).coeff, "cache_info"), rec.name
+
+    def test_perturbed_relations_fail_after_the_real_tables_are_warm(self, monkeypatch):
+        def real_checks_pass():
+            return (all(report.ok for report in verify_catalog(length=9))
+                    and verify_factor_witness("b", range(4, 13)).ok
+                    and verify_factor_witness("c", range(6, 13)).ok
+                    and all(map(verify_initial_condition_argument, "abc")))
+
+        assert real_checks_pass()
+        with monkeypatch.context() as patch:
+            patch.setitem(RECURRENCES, "b_proven", perturbed(RECURRENCES["b_proven"], 2, Q))
+            patch.setitem(RECURRENCES, "c_proven", perturbed(RECURRENCES["c_proven"], 1, Q))
+            witness, long_id, seq_id = recurrences._WITNESSES["c"]
+            patch.setitem(recurrences._WITNESSES, "c",
+                          (perturbed(witness, 1, Q), long_id, seq_id))
+            reports = {report.name: report for report in verify_catalog(length=9)}
+            for name in ("cap2_rhs:b_proven", "cap2_lhs:b_proven",
+                         "cap2_lhs:c_proven", "cap2_rhs:c_proven"):
+                assert not any(passed for _, passed in reports[name].checks), name
+            for which, window in (("b", range(4, 13)), ("c", range(6, 13))):
+                report = verify_factor_witness(which, window)
+                assert not any(passed for _, passed in report.expansion_checks), which
+            assert not verify_initial_condition_argument("b")
+            assert not verify_initial_condition_argument("c")
+        assert real_checks_pass()
