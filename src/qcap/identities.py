@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from qcap.series import (
@@ -22,12 +22,15 @@ from qcap.series import (
     QSeries,
     ZERO,
     _Classes,
+    _Packed,
     _limbs,
+    _min_trunc,
     compare,
     monomial,
     stretched_product_sum,
 )
 from qcap.qcombinat import (
+    _binomial_record,
     _div_one_minus,
     _poch_step,
     binomial_product_sum,
@@ -240,31 +243,48 @@ def _family_checked(family: str, f: int, s: int) -> HierarchyFamily:
 Level = tuple[QSeries, ...]  # P_k(N) for N = 0, 1, ...: one level of a chain
 
 
-def _level_up(level: Level, eps: int, kernel: Callable[[int, int], QSeries],
+def _level_up(level: Level, eps: int, kernel: Callable[[int, int], _Packed],
               order: int | None = None) -> Level:
     """The next level of a nested chain sum: P_k(N) = sum_{N' >= N}
-    q^{N'^2+eps*N'} kernel(N, N') P_{k-1}(N'), for each N of the level.
-
-    At an order n, P_k(N) is kept only to order n - (N^2+eps*N), all that
-    survives the shift the next level gives it: each kernel is clipped to
-    that order, and the terms N' whose shift lies beyond it are skipped."""
+    q^{N'^2+eps*N'} kernel(N, N') P_{k-1}(N') for each N, one _packed_sum per
+    N over the records kernel(N, N').  At an order n, P_k(N) is kept only to
+    order n - (N^2+eps*N), all that survives the shift the next level gives
+    it, and the terms N' whose shift lies beyond it are skipped."""
     weights = [n * n + eps * n for n in range(len(level))]
     weighted = [p.shift(w) for p, w in zip(level, weights)]
+    entries = [_Packed(p.coeffs) for p in level]
     out = []
     for N, w in enumerate(weights):
         keep = None if order is None else order - w
-        total = Accumulator(keep)
-        for n in range(N, len(level)):
-            if keep is None:
-                total.add(kernel(N, n) * weighted[n])
-            elif weights[n] <= keep:
-                total.add(kernel(N, n).truncate(keep) * weighted[n])
-        out.append(total.value())
+        used = [n for n in range(N, len(level)) if keep is None or weights[n] <= keep]
+        out.append(_packed_sum([(kernel(N, n), entries[n], weighted[n].offset) for n in used],
+                               reduce(_min_trunc, [weighted[n].trunc for n in used], keep)))
     return tuple(out)
 
 
+def _packed_sum(terms: list[tuple[_Packed, _Packed, int]], trunc: int | None) -> QSeries:
+    """sum q^u a*b over the terms (a, b, u), known to q^trunc (exact if None):
+    records a, b from q^0 are clipped to the trunc - u + 1 coefficients that
+    reach it.  In unsigned limbs with 2**(8w) > bound = sum max(a) max(b)
+    min(len(a), len(b)), the packed products add carry-free and unpack once;
+    they must add up to sum a(1) b(1), or ArithmeticError is raised."""
+    parts, bound, total = [], 0, 0
+    for a, b, u in terms:
+        k = None if trunc is None else trunc - u + 1
+        (la, a_one, a_top), (lb, b_one, b_top) = a.head(k), b.head(k)
+        if la and lb:
+            parts.append((a, la, b, lb, u))
+            bound, total = bound + a_top * b_top * min(la, lb), total + a_one * b_one
+    lo = min((u for *_, u in parts), default=0)
+    limbs, value = _limbs(bound, signed=False), 0
+    for a, la, b, lb, u in parts:
+        value += a.packed(limbs, la) * b.packed(limbs, lb) << 8 * limbs.width * (u - lo)
+    n = max((u + la + lb for _, la, _, lb, u in parts), default=lo + 1) - lo - 1
+    return QSeries(lo, limbs.unpack_classes([value], n, total), trunc)
+
+
 def _rows(stacks: Callable[..., list], key: tuple, a: int, f: int, s: int,
-          kernel: Callable[[int, int], QSeries], tails: Level,
+          kernel: Callable[[int, int], _Packed], tails: Level,
           order: int | None = None) -> tuple[QSeries, ...]:
     """The row tail * q^{n_f^2+eps*n_f} P_{f-1}(n_f) of each n_f, for a chain
     of weight q^{N^2+aN} whose last s-1 levels add 1 to eps: P_{f-1} is the
@@ -311,8 +331,12 @@ def _chain_rows(a: int, f: int, s: int, L: int) -> tuple[_Classes, ...]:
     the sum over index vectors nests level by level from N_1 inward, into the
     rows of _rows.  verify_grid evaluates its instances grouped by (L, f, s),
     so the rows, levels and tails keep that L only."""
+    if s == 1:  # eps one larger and no level twisted: the s = 0 rows times q^{n_f}
+        return tuple(_Classes(row.b.shift(nf), 1, row.packs)
+                     for nf, row in enumerate(_chain_rows(a, f, 0, L)))
     return tuple(_Classes(row, 1) for row in _rows(
-        _chain_levels, (L,), a, f, s, lambda N, n: q_binomial(L - N, n - N), _chain_tails(a, L)))
+        _chain_levels, (L,), a, f, s, lambda N, n: _binomial_record(L - N, min(n - N, L - n)),
+        _chain_tails(a, L)))
 
 
 @lru_cache(maxsize=None)
@@ -342,6 +366,12 @@ def _limit_levels(a: int, m: int) -> list[Level]:
     return [(ONE,) * (math.isqrt(m) + 1)]
 
 
+@lru_cache(maxsize=None)
+def _limit_kernel(k: int, m: int) -> _Packed:
+    """1 / (q)_k to order m, the limit chains' kernel, packed once per width."""
+    return _Packed(inv_pochhammer(k, 1, m).coeffs)
+
+
 def hierarchy_limit_lhs(family: str, f: int, n: int, s: int = 0) -> QSeries:
     """Truncated multi-sum: the chain of hierarchy_finite_lhs with its
     (q)_{2L+a} / (q)_{L-N_1} factor dropped, each kernel [L-N, N'-N] replaced
@@ -353,8 +383,7 @@ def hierarchy_limit_lhs(family: str, f: int, n: int, s: int = 0) -> QSeries:
     fam = _family_checked(family, f, s)
     m = -(-n // fam.base)
     tails = tuple(inv_pochhammer(2 * nf + fam.a, 1, m) for nf in range(math.isqrt(m) + 1))
-    rows = _rows(_limit_levels, (m,), fam.a, f, s,
-                 lambda N, k: inv_pochhammer(k - N, 1, m), tails, m)
+    rows = _rows(_limit_levels, (m,), fam.a, f, s, lambda N, k: _limit_kernel(k - N, m), tails, m)
     # a row's terms to q^m are exact and, stretched, reach q^{base*m} >= q^n
     return stretched_product_sum([(_Classes(QSeries(row.offset, row.truncate(m).coeffs), 1),
                                    _seed_classes(fam.seed, nf, fam.base))

@@ -16,7 +16,7 @@ from operator import add, sub
 from typing import Iterable
 
 from qcap.series import ONE, Accumulator, NonDivisible, QSeries, ZERO, inverse, monomial
-from qcap.series import _Limbs, _limbs
+from qcap.series import _Packed, _limbs
 
 
 class NegativeLength(ValueError):
@@ -239,32 +239,16 @@ def _poch_ratio_cached(num: tuple[tuple[int, int], ...], den: tuple[tuple[int, i
 Term = tuple[int, int, tuple[tuple[int, int], ...]]
 
 
-class _Binomial:
-    """The record of a base-1 binomial [top, k], 0 <= k <= top / 2: its value
-    comb(top, k) at q = 1, its degree k(top - k), and its coefficients packed
-    into unsigned limbs per width, each width on first use."""
-
-    __slots__ = ("comb", "degree", "coeffs", "packs")
-
-    def __init__(self, top: int, k: int) -> None:
-        self.comb, self.degree = math.comb(top, k), k * (top - k)
-        self.coeffs, self.packs = _q_binomial_base1(top, k).coeffs, {}
-
-    def packed(self, width: int) -> int:
-        if width not in self.packs:
-            self.packs[width] = _Limbs(width, None, False).pack(self.coeffs)
-        return self.packs[width]
-
-
 @lru_cache(maxsize=None)
-def _binomial_record(top: int, k: int) -> _Binomial | None:
+def _binomial_record(top: int, k: int) -> _Packed | None:
     """The one record of [top, k] and [top, top - k], or None when [top, k]
-    vanishes (k < 0 or k > top)."""
+    vanishes (k < 0 or k > top); its largest coefficient is the middle one."""
     if not 0 <= k <= top:
         return None
     if 2 * k > top:
         return _binomial_record(top, top - k)
-    return _Binomial(top, k)
+    coeffs = _q_binomial_base1(top, k).coeffs
+    return _Packed(coeffs, (k * (top - k) + 1, math.comb(top, k), coeffs[k * (top - k) // 2]))
 
 
 def binomial_product_sum(terms: Iterable[Term], base: int = 1) -> QSeries:
@@ -274,12 +258,12 @@ def binomial_product_sum(terms: Iterable[Term], base: int = 1) -> QSeries:
     Every coefficient, of a factor, a term or the sum, is at most bound =
     sum |c| prod comb(top, k) in size, and not negative if no c is.  So in
     w-byte limbs that hold it, signed only if some c < 0, each base-1
-    binomial's record packs it once per width for the whole run (unsigned,
-    as comb(top, k) <= bound < 2**(8w-1)), a term's packed factors multiply,
-    and the terms of one class r = e mod base add at shifts of e // base
-    limbs with no carry across a limb.  Each class unpacks once into the
-    coefficients of q^r, q^(r + base), ...; they must add up to the sum's
-    value at q = 1, or ArithmeticError is raised.
+    binomial's record packs it once per width for the whole run (one value
+    signed or not, as comb(top, k) <= bound), a term's packed factors
+    multiply, and the terms of one class r = e mod base add at shifts of e
+    // base limbs with no carry across a limb.  Each class unpacks once into
+    the coefficients of q^r, q^(r + base), ...; they must add up to the
+    sum's value at q = 1, or ArithmeticError is raised.
     """
     kept, bound, total, lo, hi, signed = [], 0, 0, None, None, False
     for e, c, factors in terms:
@@ -289,8 +273,8 @@ def binomial_product_sum(terms: Iterable[Term], base: int = 1) -> QSeries:
         value = c
         unit = reach = e // base
         for record in records:
-            value *= record.comb
-            reach += record.degree
+            value *= record.whole[1]
+            reach += record.whole[0] - 1
         bound, total, signed = bound + abs(value), total + value, signed or c < 0
         if lo is None or unit < lo:
             lo = unit
@@ -300,12 +284,12 @@ def binomial_product_sum(terms: Iterable[Term], base: int = 1) -> QSeries:
     if not kept:
         return ZERO
     limbs = _limbs(bound, signed)
-    width, classes = limbs.width, [0] * base
+    classes = [0] * base
     for e, term, records in kept:
         for record in records:
-            term *= record.packed(width)
+            term *= record.packed(limbs, record.whole[0])
         unit, r = divmod(e, base)
-        classes[r] += term << 8 * width * (unit - lo)
+        classes[r] += term << 8 * limbs.width * (unit - lo)
     return QSeries(base * lo, limbs.unpack_classes(classes, hi - lo + 1, total))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from itertools import accumulate
 from operator import add, neg
 from typing import NamedTuple, Sequence
 
@@ -105,6 +106,31 @@ def _limbs(bound: int, signed: bool) -> _Limbs:
     its sign if signed: array limbs up to 8 bytes, whole bytes past them."""
     w = (bound.bit_length() + signed + 7) // 8
     return _ARRAY_LIMBS[signed][w] if w <= 8 else _Limbs(w, None, signed)
+
+
+class _Packed:
+    """A non-negative coefficient list: head(k) is the length, value at q = 1
+    and largest coefficient of its first k (of all: the whole head), and each
+    limb width keeps the longest prefix packed, whose first k limbs pack them."""
+
+    __slots__ = ("coeffs", "whole", "sums", "tops", "packs")
+
+    def __init__(self, coeffs: Sequence[int], whole: tuple[int, int, int] | None = None) -> None:
+        self.coeffs, self.packs, self.sums = coeffs, {}, None
+        self.whole = whole or (len(coeffs), sum(coeffs), max(coeffs, default=0))
+
+    def head(self, k: int | None = None) -> tuple[int, int, int]:
+        if k is None or k >= len(self.coeffs):
+            return self.whole
+        if self.sums is None:  # the prefix sums and maxima, once a prefix is read
+            self.sums, self.tops = list(accumulate(self.coeffs)), list(accumulate(self.coeffs, max))
+        return (k, self.sums[k - 1], self.tops[k - 1]) if k > 0 else (0, 0, 0)
+
+    def packed(self, limbs: _Limbs, k: int) -> int:
+        length, packed = self.packs.get(limbs.width, (0, 0))
+        if length < k:
+            length, packed = self.packs[limbs.width] = k, limbs.pack(self.coeffs[:k])
+        return packed if length == k else packed & (1 << 8 * limbs.width * k) - 1
 
 
 def _convolve_kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -400,12 +426,13 @@ class Accumulator:
 class _Classes:
     """An exact b(q) = sum_r q^r b_r(q^base), split for the packed left-side
     passes: b(1), each non-zero class b_r as (r, offset, length, max|b_r|),
-    and the classes packed per limb width, each width on first use."""
+    and the classes packed per limb width on first use, in packs q^e b may share."""
 
-    def __init__(self, b: QSeries, base: int) -> None:
+    def __init__(self, b: QSeries, base: int, packs: dict | None = None) -> None:
         if b.trunc is not None:
             raise TruncatedInput("the packed passes require exact operands")
-        self.b, self.base, self.one, self.packs = b, base, sum(b.coeffs), {}
+        self.b, self.base, self.one = b, base, sum(b.coeffs)
+        self.packs = {} if packs is None else packs
         self.parts = [(r, (b.offset + j) // base, len(b_r), max(map(abs, b_r)))
                       for r in range(base) for j in [(r - b.offset) % base]
                       for b_r in [b.coeffs[j::base]] if any(b_r)]

@@ -383,19 +383,43 @@ def per_term_hierarchy_finite_lhs(family, f, L, s):
     return total
 
 
+def per_product_level_up(level, eps, kernel, order=None):
+    """One chain level step, P_k(N) = sum_{N' >= N} q^{N'^2+eps*N'}
+    kernel(N, N') P_{k-1}(N'), one series product per (N, N') added into an
+    Accumulator, the kernel a QSeries: the package's step before its packed
+    pass, kept here as the reference, sharing no code with it.  At an order
+    n, P_k(N) is kept to order n - (N^2+eps*N): each kernel is clipped to
+    it, and the terms N' whose shift lies beyond it are skipped."""
+    weights = [n * n + eps * n for n in range(len(level))]
+    weighted = [p.shift(w) for p, w in zip(level, weights)]
+    out = []
+    for N, w in enumerate(weights):
+        keep = None if order is None else order - w
+        total = Accumulator(keep)
+        for n in range(N, len(level)):
+            if keep is None:
+                total.add(kernel(N, n) * weighted[n])
+            elif weights[n] <= keep:
+                total.add(kernel(N, n).truncate(keep) * weighted[n])
+        out.append(total.value())
+    return tuple(out)
+
+
+def per_product_levels(a, f, s, length, kernel, order=None):
+    """P_{f-1} of a chain of weight q^{N^2+aN}, step k twisted (eps a + 1)
+    exactly when k > f - s, built by per_product_level_up from P_0 = 1."""
+    level = (ONE,) * length
+    for k in range(1, f):
+        level = per_product_level_up(level, a + (k > f - s), kernel, order)
+    return level
+
+
 def per_level_hierarchy_finite_lhs(family, f, L, s):
     """The nested chain sum with one product per n_f: each chain is
     stretched to q^base and multiplied by the seed on its own, and the
     products are added one by one.  The reference for the packed pass."""
     fam = FAMILIES[family]
-
-    def kernel(N, n):
-        return q_binomial(L - N, n - N)
-
-    # P_{f-1} level by level, step k twisted exactly when k > f - s
-    level = (ONE,) * (L + 1)
-    for k in range(1, f):
-        level = _level_up(level, fam.a + (k > f - s), kernel)
+    level = per_product_levels(fam.a, f, s, L + 1, lambda N, n: q_binomial(L - N, n - N))
     eps = fam.a + bool(s)
     total = Accumulator()
     for nf, inner in enumerate(level):
@@ -406,16 +430,18 @@ def per_level_hierarchy_finite_lhs(family, f, L, s):
 
 
 def per_row_hierarchy_limit_lhs(family, f, n, s):
-    """The rows of hierarchy_limit_lhs combined one product per n_f: each row
+    """The rows of hierarchy_limit_lhs, their levels built one product per
+    term by per_product_level_up, combined one product per n_f: each row
     clipped to q^m, stretched to q^base and multiplied by the seed on its
-    own.  The reference for the packed pass."""
+    own.  The reference for the packed passes."""
     fam = FAMILIES[family]
     m = -(-n // fam.base)
-    tails = tuple(inv_pochhammer(2 * nf + fam.a, 1, m) for nf in range(math.isqrt(m) + 1))
-    rows = identities._rows(_limit_levels, (m,), fam.a, f, s,
-                            lambda N, k: inv_pochhammer(k - N, 1, m), tails, m)
+    level = per_product_levels(fam.a, f, s, math.isqrt(m) + 1,
+                               lambda N, k: inv_pochhammer(k - N, 1, m), m)
+    eps = fam.a + bool(s)
     total = Accumulator(n)
-    for nf, row in enumerate(rows):
+    for nf, inner in enumerate(level):
+        row = (inv_pochhammer(2 * nf + fam.a, 1, m) * inner).shift(nf * nf + eps * nf)
         total.add(fam.seed(nf) * row.truncate(m).substitute_q_power(fam.base))
     return total.value()
 
@@ -768,6 +794,181 @@ class TestSharedTables:
                 for params in iterate_grid(case_id, at_100):
                     assert verify_case(case_id, params).verdict
         assert len(built) == len(set(built)) == 11
+
+
+def step_kernels(limit, L, m):
+    """The kernel of a chain step as the package's record and as a QSeries:
+    1 / (q)_{N'-N} to order m for a limit chain, [L-N, N'-N] otherwise."""
+    if limit:
+        return (lambda N, n: identities._limit_kernel(n - N, m),
+                lambda N, n: inv_pochhammer(n - N, 1, m))
+    return (lambda N, n: qcombinat._binomial_record(L - N, min(n - N, L - n)),
+            lambda N, n: q_binomial(L - N, n - N))
+
+
+def scaled_ones(limit, size, scale):
+    """P_0 = scale for the N of a chain: N^2 <= size for a limit chain of
+    order size, N <= size for a finite one."""
+    return (monomial(0, scale),) * (math.isqrt(size) + 1 if limit else size + 1)
+
+
+class TestPackedLevelStep:
+    # identities._level_up, one packed pass per N, against the per-product
+    # step; finite chains take L = size <= 14, limit chains the order size
+
+    @settings(max_examples=60, deadline=None)
+    @given(limit=st.booleans(), size=st.integers(0, 200), a=st.integers(0, 2),
+           twists=st.lists(st.booleans(), min_size=1, max_size=4),
+           zeros=st.sets(st.integers(0, 14), max_size=4), scale=st.sampled_from((1, 2**70)))
+    # input levels scaled by 2**70: limbs past 8 bytes
+    @example(limit=False, size=14, a=1, twists=[False, True, True], zeros={3}, scale=2**70)
+    @example(limit=True, size=200, a=0, twists=[False, False, True, True], zeros={2}, scale=2**70)
+    # eps = 3 at order 57: weights[n] > keep skips terms from N = 3 on
+    @example(limit=True, size=57, a=2, twists=[True, True], zeros=set(), scale=1)
+    def test_matches_the_per_product_step(self, limit, size, a, twists, zeros, scale):
+        # depth <= 4, each step of eps a or a + 1, some entries zeroed (each a
+        # zero known as far as the entry was); the trunc fields match too
+        if not limit:
+            size %= 15
+        order = size if limit else None
+        step_kernel, kernel = step_kernels(limit, size, size)
+        level = scaled_ones(limit, size, scale)
+        for twist in twists:
+            level = tuple(QSeries(0, (), p.trunc) if i in zeros else p
+                          for i, p in enumerate(level))
+            expected = per_product_level_up(level, a + twist, kernel, order)
+            assert _level_up(level, a + twist, step_kernel, order) == expected, twist
+            level = expected
+
+    @pytest.mark.parametrize("limit", (False, True))
+    def test_scaled_levels_reach_limbs_past_8_bytes(self, monkeypatch, limit):
+        # and every operand is non-negative, so the limbs are unsigned
+        widths, limbs = [], identities._limbs
+
+        def recorded(bound, signed):
+            assert not signed
+            widths.append(limbs(bound, signed).width)
+            return limbs(bound, signed)
+
+        monkeypatch.setattr(identities, "_limbs", recorded)
+        size = 200 if limit else 14
+        step_kernel, kernel = step_kernels(limit, size, size)
+        level = scaled_ones(limit, size, 2**70)
+        order = size if limit else None
+        assert _level_up(level, 1, step_kernel, order) == per_product_level_up(
+            level, 1, kernel, order)
+        assert max(widths) > 8
+
+    @pytest.mark.parametrize("limit", (False, True))
+    def test_limbs_one_byte_too_narrow_raise(self, monkeypatch, limit):
+        # negative control: with limbs a byte narrower than the bound needs,
+        # the step raises instead of returning a level
+        limbs = identities._limbs
+        monkeypatch.setattr(identities, "_limbs", lambda bound, signed: series._Limbs(
+            limbs(bound, signed).width - 1, None, signed))
+        size = 120 if limit else 12
+        step_kernel, _ = step_kernels(limit, size, size)
+        with pytest.raises(ArithmeticError):
+            _level_up(scaled_ones(limit, size, 2**70), 1, step_kernel, size if limit else None)
+
+    def test_carries_past_narrower_limbs_fail_the_sum_check(self, monkeypatch):
+        # negative control: the factors fit limbs a byte narrower than the
+        # bound needs (10 of 11 bytes), but their sum does not, so the limbs
+        # carry; the top limb still holds the value, and only the sum check
+        # sees the carries
+        big = 200 << 64
+        kernel, entry = qcombinat._binomial_record(12, 6), series._Packed((big,) * 40)
+        terms = [(kernel, entry, u) for u in range(0, 50, 10)]
+        product = q_binomial(12, 6) * QSeries(0, (big,) * 40)
+        assert identities._packed_sum(terms, None) == sum(
+            (product.shift(u) for _, _, u in terms), ZERO)
+        limbs = identities._limbs
+        assert limbs(5 * 58 * big * 37, False).width == 11 and big < 2**80
+        monkeypatch.setattr(identities, "_limbs", lambda bound, signed: series._Limbs(
+            limbs(bound, signed).width - 1, None, signed))
+        with pytest.raises(ArithmeticError, match="add up to"):
+            identities._packed_sum(terms, None)
+
+    def test_no_operand_is_packed_past_the_truncation(self, monkeypatch):
+        # every truncated case at n = 100: each factor the limit step packs
+        # holds at most trunc - u + 1 coefficients (trunc <= keep, the order
+        # of its P_k(N)), the clipping of a product known to trunc; some
+        # kernels and entries are longer, so the clipping is seen at work
+        packed_sum, too_long, clipped = identities._packed_sum, [], Counter()
+
+        class Spy:
+            def __init__(self, record, u, trunc, kind):
+                self.record, self.room, self.kind = record, trunc - u + 1, kind
+
+            def head(self, k=None):
+                return self.record.head(k)
+
+            def packed(self, limbs, k):
+                value = self.record.packed(limbs, k)
+                if k > self.room or value.bit_length() > 8 * limbs.width * self.room:
+                    too_long.append((self.kind, k, self.room))
+                clipped[self.kind] += self.record.head()[0] > self.room
+                return value
+
+        def spied(terms, trunc):
+            assert trunc is not None
+            return packed_sum([(Spy(a, u, trunc, "kernel"), Spy(b, u, trunc, "entry"), u)
+                               for a, b, u in terms], trunc)
+
+        monkeypatch.setattr(identities, "_packed_sum", spied)
+        _limit_levels.cache_clear()
+        at_100 = Bounds(trunc=100)
+        for case_id, case in CASES.items():
+            if case_id.startswith("hierarchy_limit_"):
+                for params in iterate_grid(case_id, at_100):
+                    assert verify_case(case_id, params).verdict
+        assert not too_long, too_long[:5]
+        assert clipped["kernel"] and clipped["entry"]
+
+    def test_binomials_are_read_by_their_lower_index(self, monkeypatch):
+        # [top, k] = [top, top - k]: the step reads k <= top / 2 only, so it
+        # adds no mirrored key to the record table
+        record, read = qcombinat._binomial_record, []
+
+        def recorded(top, k):
+            read.append((top, k))
+            return record(top, k)
+
+        monkeypatch.setattr(identities, "_binomial_record", recorded)
+        _chain_levels.cache_clear()
+        _chain_rows.cache_clear()
+        for name in ("double", "cap2_analogue"):
+            for f in range(1, 5):
+                for s in range(f + 1) if FAMILIES[name].twisted else (0,):
+                    for L in range(9):
+                        assert (hierarchy_finite_lhs(name, f, L, s)
+                                == per_level_hierarchy_finite_lhs(name, f, L, s))
+        assert read and all(2 * k <= top for top, k in read)
+
+
+class TestTwistedRows:
+    # _chain_rows at s = 1 is the s = 0 rows times q^{n_f}, sharing their packs
+
+    @pytest.mark.parametrize("warm", (False, True))
+    def test_s1_rows_are_the_s0_rows_shifted(self, warm):
+        for a in (0, 1):
+            for f in range(1, 6):
+                for L in range(11):
+                    for store in (_chain_levels, _chain_rows, identities._chain_tails):
+                        store.cache_clear()
+                    if warm:
+                        _chain_rows(a, f, 0, L)
+                    rows = _chain_rows(a, f, 1, L)
+                    direct = identities._rows(
+                        _chain_levels, (L,), a, f, 1,
+                        lambda N, n: qcombinat._binomial_record(L - N, min(n - N, L - n)),
+                        identities._chain_tails(a, L))
+                    assert [row.b for row in rows] == list(direct), (a, f, L)
+                    for row in rows:
+                        fresh = series._Classes(row.b, 1)
+                        assert (row.one, row.parts) == (fresh.one, fresh.parts), (a, f, L)
+                    zero = _chain_rows(a, f, 0, L)
+                    assert all(row.packs is z.packs for row, z in zip(rows, zero)), (a, f, L)
 
 
 @functools.lru_cache(maxsize=None)

@@ -464,7 +464,9 @@ class TestBinomialProductSum:
                 if not value:
                     assert record is None, (top, k)
                     continue
-                assert (record.comb, record.degree) == (sum(value.coeffs), value.degree()), (top, k)
+                # the whole head: length degree + 1, value at q = 1, largest coefficient
+                assert record.whole == (value.degree() + 1, sum(value.coeffs),
+                                        max(value.coeffs)), (top, k)
                 assert record.coeffs == value.coeffs, (top, k)
 
     @pytest.mark.parametrize("comb", (lambda top, k: 1,

@@ -14,7 +14,6 @@ from qcap.identities import (
     FAMILIES,
     Bounds,
     _chain_tails,
-    _level_up,
     _seed_classes,
     seed_cap1,
     seed_cap1_binomial,
@@ -704,6 +703,21 @@ class TestStretchedProductSum:
 SEEDS = (seed_cap1, seed_cap2, seed_cap1_binomial, seed_cap2_binomial, seed_sum_cap)
 
 
+def per_product_level_up(level, eps, kernel):
+    """One exact chain level step, P_k(N) = sum_{N' >= N} q^{N'^2+eps*N'}
+    kernel(N, N') P_{k-1}(N'), one series product per (N, N') added into an
+    Accumulator: the package's step before its packed pass, kept here so the
+    reference shares no code with it."""
+    weights = [n * n + eps * n for n in range(len(level))]
+    out = []
+    for N in range(len(level)):
+        total = Accumulator()
+        for n in range(N, len(level)):
+            total.add(kernel(N, n) * level[n].shift(weights[n]))
+        out.append(total.value())
+    return tuple(out)
+
+
 def chain_rows(a, f, s, L, tails):
     """The chains of hierarchy_finite_lhs at (a, f, s, L), one per n_f: the
     n_f-th tail times q^{n_f^2 + eps n_f} P_{f-1}(n_f), with P_{f-1} built
@@ -713,7 +727,7 @@ def chain_rows(a, f, s, L, tails):
 
     level = (ONE,) * (L + 1)
     for k in range(1, f):
-        level = _level_up(level, a + (k > f - s), kernel)
+        level = per_product_level_up(level, a + (k > f - s), kernel)
     eps = a + bool(s)
     return [(tail * inner).shift(nf * nf + eps * nf)
             for nf, (tail, inner) in enumerate(zip(tails, level))]

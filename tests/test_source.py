@@ -7,7 +7,8 @@ S-ladder, trinomial and theta-type binomial right sides) sums through it
 too, no hierarchy right side through the left sides' packed pass or their
 tables, and no S-ladder or trinomial right side through the left sides'
 packed M-sum, which keeps its own packs; the finite
-left sides reach no right-side sum; the Bailey transform takes its
+left sides reach no right-side sum; the chain level step sums no series
+product one at a time; the Bailey transform takes its
 quotients from poch_ratio, not from the left sides' stepped ones;
 ``IdentityCase`` stays a dataclass and is the only one, so no other class
 generates its methods' code at import; the half-limb constant of signed
@@ -76,8 +77,8 @@ LEFT_TABLES = {"_chain_tails", "_chain_rows", "_seed_classes"}
 # What the generator, the cross-oracle of the directly expanded multi-sums,
 # must not name.
 DIRECT_EXPANSION = {"hierarchy_finite_lhs", "hierarchy_limit_lhs", "hierarchy_chain_exponent",
-                    "index_vectors", "suffix_sums", "_level_up", "_rows", "_chain_levels",
-                    "_limit_levels"} | LEFT_TABLES
+                    "index_vectors", "suffix_sums", "_level_up", "_packed_sum", "_rows",
+                    "_chain_levels", "_limit_levels", "_limit_kernel"} | LEFT_TABLES
 
 
 def test_bailey_names_no_direct_expansion_helper():
@@ -203,6 +204,58 @@ def test_left_table_rule_sees_the_left_side():
     assert LEFT_TABLES <= _names_reached(tree, "hierarchy_finite_lhs")
     # the limit side's chains are its own, its seed classes the finite side's
     assert "_seed_classes" in _names_reached(tree, "hierarchy_limit_lhs")
+
+
+# The per-product chain step that the packed level step replaced: a running
+# sum of series, and series products.  A product is seen as a `*` with an
+# operand that a call returns, unless the call is one that returns an int:
+# a packed record, a length or an extremum.
+PER_PRODUCT = {"Accumulator", "__mul__", "__rmul__"}
+INT_CALLS = {"packed", "len", "min", "max", "sum"}
+
+
+def _reached_bodies(tree, function):
+    """The top-level functions that function reaches, itself included."""
+    reached = _names_reached(tree, function) | {function}
+    return [top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name in reached]
+
+
+def _call_products(tree, function):
+    """(function, line) of each `*` whose operand is a call outside
+    INT_CALLS, in the top-level functions that function reaches."""
+    return [(top.name, node.lineno) for top in _reached_bodies(tree, function)
+            for node in ast.walk(top)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            for operand in (node.left, node.right) if isinstance(operand, ast.Call)
+            and getattr(operand.func, "id", getattr(operand.func, "attr", None)) not in INT_CALLS]
+
+
+def _per_product_names(tree, function):
+    return PER_PRODUCT & set().union(*map(_names_in, _reached_bodies(tree, function)))
+
+
+def test_level_step_reaches_no_per_product_sum():
+    # each level of the finite and limit chains is one packed pass per N
+    tree = _tree("identities.py")
+    assert not _per_product_names(tree, "_level_up")
+    assert not _call_products(tree, "_level_up")
+    assert "_packed_sum" in _names_reached(tree, "_level_up")
+
+
+def test_per_product_rule_sees_the_per_product_step():
+    tree = ast.parse(
+        "def step(level, kernel, keep):\n"
+        "    total = Accumulator(keep)\n"
+        "    for n, p in enumerate(level):\n"
+        "        total.add(kernel(0, n).truncate(keep) * p)\n"
+        "    return scaled(total.value())\n\n"
+        "def scaled(x):\n    return 2 * x.__mul__(x)\n\n"
+        "def packed_step(records, limbs):\n"
+        "    return sum(a.packed(limbs, 3) * b.packed(limbs) for a, b in records) * len(records)\n")
+    assert _per_product_names(tree, "step") == {"Accumulator", "__mul__"}
+    assert _call_products(tree, "step") == [("step", 4), ("scaled", 8)]
+    assert not _per_product_names(tree, "packed_step")
+    assert not _call_products(tree, "packed_step")
 
 
 # The sums of the theta-type right sides of the finite hierarchies and the
