@@ -133,10 +133,10 @@ def _times_one_minus(coeffs: list[int], m: int) -> list[int]:
 
 
 def _running_sums(coeffs: list[int], m: int) -> list[int]:
-    """coeffs / (1 - q^m) as a power series, to the length of coeffs: the
-    running sum of each residue class mod m."""
+    """coeffs / (1 - q^m) as a power series, to the length of coeffs: the running
+    sum of each residue class mod m but those r >= len - m, one coefficient each."""
     out = list(coeffs)
-    for r in range(m):
+    for r in range(min(m, len(out) - m)):
         out[r::m] = accumulate(out[r::m])
     return out
 

@@ -152,6 +152,19 @@ class TestVerify:
             assert lines[-2] == "pass  cap_analytic_1  n=8"
             assert lines[-1].startswith("# 1/5 passed (") and lines[-1].endswith(" ms)")
 
+    def test_side_short_of_its_mode_exits_2(self, capsys, monkeypatch):
+        # a negative control: an exact side that comes back truncated would
+        # agree with the other to that order, so it must stop the run instead
+        case = CASES["new_fin_cap_1"]
+        (_, lhs), (_, rhs) = case.sides
+        sides = (("lhs", lhs), ("rhs", lambda L: rhs(L).truncate(500)))
+        monkeypatch.setitem(CASES, "new_fin_cap_1", dataclasses.replace(case, sides=sides))
+        code, out, err = run(capsys, "verify", "--case", "new_fin_cap_1", "--L-max", "3")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == ("new_fin_cap_1 {'L': 0}: side 'rhs' is known only to order 500, "
+                       "short of the exact check\n")
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.jsonl"
         code, out, _ = run(capsys, "verify", "--case", "new_fin_cap_1",

@@ -3,8 +3,10 @@ reduction/construction chains connecting the cases."""
 
 import dataclasses
 import functools
+import inspect
 import math
 import random
+import textwrap
 from collections import Counter
 
 import pytest
@@ -26,6 +28,7 @@ from qcap.identities import (
     binomial_sum,
     dual_construct,
     dual_lhs,
+    dual_limit_reference,
     hierarchy_finite_lhs,
     hierarchy_limit_lhs,
     hierarchy_limit_rhs,
@@ -200,6 +203,59 @@ class TestFailurePath:
         assert not report.verdict
         assert report.first_mismatch == {
             "side": "specific", "exponent": 11, "reference_coeff": 1, "side_coeff": -1}
+
+
+class TestSideReach:
+    # compare reads two sides only to the lower truncation, so verify_case
+    # refuses a side known to a lower order than its case checks: below n for
+    # a truncated case, or to any order for an exact one
+
+    def test_every_side_reaches_its_mode_at_default_bounds(self):
+        for case_id, case in sorted(CASES.items()):
+            for params in iterate_grid(case_id, Bounds()):
+                for name, fn in case.sides:
+                    trunc = fn(**params).trunc
+                    if case.mode == "exact":
+                        assert trunc is None, (case_id, params, name)
+                    else:
+                        assert trunc is None or trunc >= params["n"], (case_id, params, name)
+                assert verify_case(case_id, params).verdict, (case_id, params)
+
+    @pytest.mark.parametrize("n", (0, 1, 2, 5, 17, 30, 31, 60))
+    def test_truncated_sides_reach_n_and_agree_past_it(self, n):
+        # each claim is true: to q^n the side equals its value at order n + 9
+        for case_id, case in sorted(CASES.items()):
+            if case.mode != "truncated":
+                continue
+            for params in iterate_grid(case_id, Bounds(trunc=n)):
+                for name, fn in case.sides:
+                    value = fn(**params)
+                    assert value.trunc is None or value.trunc >= n, (case_id, params, name)
+                    deeper = fn(**{**params, "n": n + 9})
+                    assert value.truncate(n) == deeper.truncate(n), (case_id, params, name)
+                assert verify_case(case_id, params).verdict, (case_id, params)
+
+    @pytest.mark.parametrize("case_id, side, params, order", [
+        # an exact side truncated far above its degree: equal where compared
+        ("new_fin_cap_1", "rhs", {"L": 3}, 1000),
+        ("dual_identity_2", "construct_rhs", {"L": 4}, 1000),
+        # a truncated side short of n, the reference side too
+        ("dual_limit", "unified", {"b": 1, "n": 12}, 11),
+        ("dual_limit", "reference", {"b": 0, "n": 30}, 29),
+        ("hierarchy_limit_double", "rhs", {"f": 2, "s": 1, "n": 20}, 0),
+    ])
+    def test_short_side_raises(self, monkeypatch, case_id, side, params, order):
+        # negative control: without the reach check each of these passes,
+        # since the two sides agree to the lower truncation
+        case = CASES[case_id]
+        fn = dict(case.sides)[side]
+        sides = tuple((name, (lambda **p: fn(**p).truncate(order)) if name == side else other)
+                      for name, other in case.sides)
+        monkeypatch.setitem(CASES, case_id, dataclasses.replace(case, sides=sides))
+        values = [evaluate(**params) for _, evaluate in sides]
+        assert all(series.compare(values[0], value) for value in values[1:])
+        with pytest.raises(ParamOutOfRange, match=f"side {side!r} is known only to order {order}"):
+            verify_case(case_id, params)
 
 
 class TestGrids:
@@ -1381,3 +1437,56 @@ class TestBinomialSum:
                         L, fam.a, fam.base, lambda j: HAND_WEIGHTS[family](f, s, j))
                     assert alpha_sum(fam, f, L, s) == expected
         assert widths == {11}
+
+
+def term_by_term_dual_limit_reference(b, n):
+    """sum_k ((k+b)/3) q^k / (q;q)_k truncated at n, one 1/(q;q)_k to order n
+    per term: the loop the nested reference replaced."""
+    total = Accumulator(n)
+    for k in range(n + 1):
+        c = jacobi3(k + b)
+        if c:
+            total.add((inv_pochhammer(k, 1, n) * c).shift(k))
+    return total.value()
+
+
+def mutant(fn, old, new):
+    """fn compiled from its source with the one occurrence of old made new."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, old
+    namespace = dict(fn.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
+    return namespace[fn.__name__]
+
+
+class TestDualLimitReference:
+    # the nested reference against the term-by-term sum
+
+    @settings(max_examples=150, deadline=None)
+    @given(b=st.integers(0, 2), n=st.integers(0, 80))
+    @example(b=0, n=317)
+    @example(b=1, n=317)
+    @example(b=2, n=317)
+    def test_nested_matches_term_by_term(self, b, n):
+        assert dual_limit_reference(b, n) == term_by_term_dual_limit_reference(b, n)
+
+    @pytest.mark.parametrize("old, new", [
+        # every bracket k kept to order n - k - 1
+        ("range(n, -1, -1)", "range(n - 1, -1, -1)"),
+        # c_k read at k + b + 1
+        ("jacobi3(k + b)", "jacobi3(k + b + 1)"),
+    ])
+    def test_mutants_fail(self, old, new):
+        # negative controls: each is caught at n = 317 and somewhere in 0..80
+        # (a short bracket loses only q^n, whose coefficient is often 0)
+        broken = mutant(dual_limit_reference, old, new)
+        for b in range(3):
+            assert broken(b, 317) != term_by_term_dual_limit_reference(b, 317), b
+            assert any(broken(b, n) != term_by_term_dual_limit_reference(b, n)
+                       for n in range(81)), b
+
+    def test_fills_no_reciprocal_table(self):
+        qcombinat._inv_pochhammer_levels.cache_clear()
+        for b in range(3):
+            dual_limit_reference(b, 300)
+        assert qcombinat._inv_pochhammer_levels.cache_info().currsize == 0

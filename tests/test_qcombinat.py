@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import accumulate
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -116,6 +117,49 @@ def dense_product_of_inf(factors, n):
     for shift, step, sign in factors:
         value = value * dense_pochhammer_inf(shift, step, order, sign)
     return value.truncate(n)
+
+
+def every_class_running_sums(coeffs, m):
+    """coeffs / (1 - q^m) to the length of coeffs: the running sum of every
+    residue class mod m, one-coefficient classes included."""
+    out = list(coeffs)
+    for r in range(m):
+        out[r::m] = accumulate(out[r::m])
+    return out
+
+
+class TestRunningSums:
+    # the stride-m running sum skips the classes that hold one coefficient
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-2**70, 2**70), max_size=40), st.integers(1, 45))
+    def test_matches_every_class(self, coeffs, m):
+        assert qcombinat._running_sums(coeffs, m) == every_class_running_sums(coeffs, m)
+
+    @pytest.mark.parametrize("m", (1, 2, 3, 5, 8))
+    def test_lengths_around_m_and_2m(self, m):
+        # m >= len, len - m in {0, 1}, len = 2m and 2m + 1, signed coefficients
+        for length in (0, 1, m - 1, m, m + 1, 2 * m - 1, 2 * m, 2 * m + 1, 3 * m + 2):
+            coeffs = [(-1) ** i * (3 * i + 1) for i in range(length)]
+            assert (qcombinat._running_sums(coeffs, m)
+                    == every_class_running_sums(coeffs, m)), (m, length)
+
+    @pytest.mark.parametrize("coeffs, m", [
+        # (1 - q^3)(1 + q) + q^2: the remainder q^2 sits alone in class 2
+        ([1, 1, 1, -1, -1], 3),
+        # m >= len: every class holds one coefficient
+        ([0, 0, 5], 4),
+        ([0, 0, 5], 3),
+        ([-2], 1),
+    ])
+    def test_remainder_in_a_one_coefficient_class_is_not_divisible(self, coeffs, m):
+        with pytest.raises(NonDivisible):
+            qcombinat._div_one_minus(coeffs, m)
+
+    def test_exact_quotients(self):
+        assert qcombinat._div_one_minus([1, 1, 0, -1, -1], 3) == [1, 1]
+        assert qcombinat._div_one_minus([0, 0, 0], 4) == []
+        assert qcombinat._div_one_minus([2, 0, 0, -2], 3) == [2]
 
 
 class TestTruncatedPochhammer:

@@ -6,9 +6,10 @@ compared with one that sums through the binomial-product kernel (the
 S-ladder, trinomial and theta-type binomial right sides) sums through it
 too, no hierarchy right side through the left sides' packed pass or their
 tables, and no S-ladder or trinomial right side through the left sides'
-packed M-sum, which keeps its own packs; the finite
-left sides reach no right-side sum; the chain level step sums no series
-product one at a time; the Bailey transform takes its
+packed M-sum, which keeps its own packs; the dual-limit reference reads
+none of the reciprocal tables or the eta ratio of the other dual-limit
+sides; the finite left sides reach no right-side sum; the chain level
+step sums no series product one at a time; the Bailey transform takes its
 quotients from poch_ratio, not from the left sides' stepped ones;
 ``IdentityCase`` stays a dataclass and is the only one, so no other class
 generates its methods' code at import; the half-limb constant of signed
@@ -170,6 +171,39 @@ def test_kernel_rule_sees_the_right_sides():
     # t4 is a local of _m_sum, which refinement_hierarchy_lhs, the seed
     # identity's left side at nu = 0, calls
     assert "t4" in _names_reached(tree, "refinement_hierarchy_lhs")
+
+
+# The reciprocal tables and the eta ratio that the two eta-form dual_limit
+# sides read.
+RECIPROCALS = {"inv_pochhammer", "_inv_pochhammer_levels", "inv_pochhammer_inf", "_eta_ratio"}
+
+
+def _names_reached_through_qcombinat(function):
+    """Every name that an identities function reaches, as _names_reached, and
+    every name that each qcombinat function among them reaches in qcombinat."""
+    names = _names_reached(_tree("identities.py"), function)
+    kernel = _tree("qcombinat.py")
+    defined = {top.name for top in kernel.body if isinstance(top, ast.FunctionDef)}
+    for name in sorted(names & defined):
+        names |= _names_reached(kernel, name)
+    return names
+
+
+def test_dual_limit_reference_reads_no_reciprocal_table():
+    # the reference nests its own running sums, so it shares no table with
+    # the specific and unified sides it is compared with
+    found = sorted(_names_reached_through_qcombinat("dual_limit_reference") & RECIPROCALS)
+    assert not found, found
+
+
+def test_reciprocal_rule_sees_the_eta_sides():
+    for side in ("dual_limit_specific", "dual_limit_unified"):
+        reached = _names_reached_through_qcombinat(side)
+        assert {"inv_pochhammer", "_inv_pochhammer_levels", "_eta_ratio"} <= reached, side
+    # and it follows a qcombinat function into qcombinat
+    assert "_running_sums" in _names_reached_through_qcombinat("dual_limit_reference")
+    assert "_inv_pochhammer_levels" not in _names_reached(_tree("identities.py"),
+                                                          "dual_limit_unified")
 
 
 # The packed chain-times-seed pass of the finite and limit hierarchy left
